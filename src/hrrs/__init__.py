@@ -9,9 +9,7 @@ from .codebooks import (
     Codebook,
     GmmModel,
     gmm_fit,
-    gmm_posteriors,
     gmm_responsibilities,
-    kmeans_assign,
     kmeans_fit,
 )
 from .encoders import (
@@ -24,7 +22,6 @@ from .encoders import (
     fisher_vector_raw,
     l2_normalize,
     power_normalize,
-    relu,
     vlad_residuals,
 )
 from .evaluation import (

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .codebooks import gmm_fit, kmeans_fit, load_model_bundle, save_codebook, save_gmm
+from .codebooks import gmm_fit, kmeans_fit, load_codebook, load_gmm, save_codebook, save_gmm
 from .encoders import (
     EncodedFeature,
     encode_bovw,
@@ -180,13 +180,7 @@ def cmd_encode(args) -> int:
     if args.encoder in ("bovw", "vlad", "ifk"):
         if not args.model:
             raise CliError(f"--model is required for encoder {args.encoder!r}")
-        model = load_model_bundle(args.model)
-        wants_gmm = args.encoder == "ifk"
-        if wants_gmm != hasattr(model, "weights"):
-            raise CliError(
-                f"encoder {args.encoder!r} needs a "
-                f"{'gmm' if wants_gmm else 'kmeans'} model bundle"
-            )
+        model = load_gmm(args.model) if args.encoder == "ifk" else load_codebook(args.model)
     elif args.encoder == "ldcnn":
         if not args.head:
             raise CliError("--head is required for encoder 'ldcnn'")
@@ -195,9 +189,9 @@ def cmd_encode(args) -> int:
         manifest, args.split, args.encoder, args.relu, args.alpha, model=model, head=head
     )
     out = Path(args.out)
-    index_path = save_features(out, feats)
+    sidecar = save_features(out, feats)
     _write_effective_config(out, "encode", vars(args))
-    print(f"encoded {len(feats)} images -> {index_path}")
+    print(f"encoded {len(feats)} images -> {sidecar}")
     return 0
 
 
@@ -508,6 +502,9 @@ def run_sweep(config_path: Path, out_dir: Path, workers: int = 1) -> Path:
     manifest_path = (config_path.parent / cfg["manifest"]).resolve()
     manifest = load_manifest(manifest_path)
     manifest_sha = hashlib.sha256(manifest_path.read_bytes()).hexdigest()
+    checkpoint = cfg["head_checkpoint"]
+    if checkpoint is not None:
+        checkpoint = str((config_path.parent / checkpoint).resolve())
     cache_dir = Path(os.environ.get(CACHE_ENV_VAR) or out_dir / "cache")
     cache_dir.mkdir(parents=True, exist_ok=True)
     cells = []
@@ -520,7 +517,7 @@ def run_sweep(config_path: Path, out_dir: Path, workers: int = 1) -> Path:
                     "dim": dim,
                     "k": cfg["k"] or DEFAULT_CODEBOOK_SIZES.get(kind),
                     "alpha": cfg["alpha"],
-                    "head_checkpoint": cfg["head_checkpoint"] if kind == "ldcnn" else None,
+                    "head_checkpoint": checkpoint if kind == "ldcnn" else None,
                     "self_included": cfg["self_included"],
                     "k_list": list(cfg["k_list"]),
                     "seed": cfg["seed"],

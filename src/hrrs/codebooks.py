@@ -8,14 +8,13 @@ log-likelihood.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .tensor_store import read_tensor, write_tensor
+from .tensor_store import BundleError, load_bundle, save_bundle
 
 # Codebook training on very large descriptor pools works on a seeded uniform
 # subsample to bound memory.
@@ -159,15 +158,6 @@ def kmeans_fit(X, k: int, seed: int = 0, max_iter: int = 100, tol: float = 1e-4)
     return Codebook(centers, tuple(history))
 
 
-def kmeans_assign(cb: Codebook, x) -> int:
-    """Index of the nearest centroid; ties break to the lowest index."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (cb.dim,):
-        raise ValueError(f"expected vector of dim {cb.dim}, got shape {x.shape}")
-    d2 = ((cb.centroids - x) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
-
-
 def _log_joint(X: np.ndarray, weights, means, variances) -> np.ndarray:
     """log(w_j) + log N(x | mu_j, diag var_j) for every point/component pair."""
     inv = 1.0 / variances
@@ -239,51 +229,32 @@ def gmm_responsibilities(g: GmmModel, X) -> np.ndarray:
     return resp
 
 
-def gmm_posteriors(g: GmmModel, x) -> np.ndarray:
-    """Posterior component probabilities for a single vector (log-space softmax)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (g.dim,):
-        raise ValueError(f"expected vector of dim {g.dim}, got shape {x.shape}")
-    return gmm_responsibilities(g, x[None, :])[0]
-
-
 # ---------------------------------------------------------------------------
-# Serialization: FTNS tensors plus a JSON sidecar {kind, k, d, history}.
+# Bundles: kind "kmeans" (centroids) and kind "gmm" (weights, means,
+# variances), each with the fit's objective trace as meta "history".
 
 
 def save_codebook(out_dir: str | Path, cb: Codebook) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_tensor(out_dir / "centroids.ftns", cb.centroids)
-    sidecar = {"kind": "kmeans", "k": cb.k, "d": cb.dim, "history": list(cb.inertia_history)}
-    (out_dir / "model.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    meta = {"history": list(cb.inertia_history)}
+    save_bundle(out_dir, "kmeans", {"centroids": cb.centroids}, meta)
+
+
+def load_codebook(model_dir: str | Path) -> Codebook:
+    tensors, meta = load_bundle(model_dir, "kmeans")
+    return Codebook(tensors["centroids"], tuple(meta["history"]))
 
 
 def save_gmm(out_dir: str | Path, g: GmmModel) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_tensor(out_dir / "weights.ftns", g.weights)
-    write_tensor(out_dir / "means.ftns", g.means)
-    write_tensor(out_dir / "variances.ftns", g.variances)
-    sidecar = {"kind": "gmm", "k": g.k, "d": g.dim, "history": list(g.loglik_history)}
-    (out_dir / "model.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    tensors = {"weights": g.weights, "means": g.means, "variances": g.variances}
+    save_bundle(out_dir, "gmm", tensors, {"history": list(g.loglik_history)})
 
 
-def load_model_bundle(model_dir: str | Path) -> Codebook | GmmModel:
-    """Load a serialized codebook or GMM, dispatching on the sidecar's kind."""
-    model_dir = Path(model_dir)
-    sidecar = json.loads((model_dir / "model.json").read_text())
-    kind = sidecar.get("kind")
-    history = tuple(float(v) for v in sidecar.get("history", []))
-    if kind == "kmeans":
-        centroids = read_tensor(model_dir / "centroids.ftns").astype(np.float64)
-        centroids.flags.writeable = False
-        return Codebook(centroids, history)
-    if kind == "gmm":
-        weights = read_tensor(model_dir / "weights.ftns").astype(np.float64)
-        means = read_tensor(model_dir / "means.ftns").astype(np.float64)
-        variances = read_tensor(model_dir / "variances.ftns").astype(np.float64)
-        for arr in (weights, means, variances):
-            arr.flags.writeable = False
-        return GmmModel(weights, means, variances, history)
-    raise ValueError(f"{model_dir}: unknown model kind {kind!r}")
+def load_gmm(model_dir: str | Path) -> GmmModel:
+    tensors, meta = load_bundle(model_dir, "gmm")
+    weights, means, variances = (tensors[n] for n in ("weights", "means", "variances"))
+    if weights.ndim != 1 or means.shape != variances.shape or means.shape[0] != weights.shape[0]:
+        raise BundleError(
+            f"{meta.sidecar}: GMM tensors disagree on k: weights {list(weights.shape)}, "
+            f"means {list(means.shape)}, variances {list(variances.shape)}"
+        )
+    return GmmModel(weights, means, variances, tuple(meta["history"]))

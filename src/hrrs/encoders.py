@@ -11,14 +11,13 @@ descriptor set into a single compact vector:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .codebooks import Codebook, GmmModel, _assign, gmm_responsibilities
-from .tensor_store import read_tensor, write_tensor
+from .tensor_store import load_bundle, save_bundle
 
 ZERO_NORM_EPS = 1e-12
 
@@ -46,10 +45,6 @@ def extract_descriptors(feature_map: np.ndarray, apply_relu: bool = False) -> np
     if apply_relu:
         descriptors = np.maximum(descriptors, 0.0)
     return descriptors
-
-
-def relu(v: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(v, dtype=np.float64), 0.0)
 
 
 def power_normalize(v: np.ndarray, alpha: float) -> np.ndarray:
@@ -152,37 +147,37 @@ def encode_fc(fc_vector: np.ndarray, apply_relu: bool = False) -> EncodedFeature
 
 
 # ---------------------------------------------------------------------------
-# Feature set serialization: one FTNS vector per image plus a JSON index.
+# Feature sets: a "features" bundle holding one (N, d) matrix whose rows
+# follow the sorted ids; meta holds the ids, the encoder tag and the
+# per-row normalization flags.
 
 
 def save_features(out_dir: str | Path, features: dict[str, EncodedFeature]) -> Path:
-    """Write one tensor per image and an index {id -> path, encoder_tag, dim}."""
+    """Write the feature set as one bundle; returns the sidecar path."""
     if not features:
         raise ValueError("no features to save")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tags = {f.encoder_tag for f in features.values()}
     dims = {f.dim for f in features.values()}
     if len(tags) != 1 or len(dims) != 1:
         raise ValueError(f"mixed encoder tags {tags} or dims {dims}")
-    vectors = {}
-    for image_id in sorted(features):
-        feat = features[image_id]
-        rel = f"{image_id}.ftns"
-        write_tensor(out_dir / rel, feat.vector)
-        vectors[image_id] = {"path": rel, "normalized": feat.normalized}
-    index = {"encoder_tag": tags.pop(), "dim": dims.pop(), "vectors": vectors}
-    index_path = out_dir / "features.json"
-    index_path.write_text(json.dumps(index, indent=2) + "\n")
-    return index_path
+    ids = sorted(features)
+    # Stacked straight into the stored float32: no float64 copy of the whole set.
+    matrix = np.stack([features[i].vector for i in ids], dtype=np.float32)
+    meta = {
+        "encoder_tag": tags.pop(),
+        "ids": ids,
+        "normalized": [features[i].normalized for i in ids],
+    }
+    return save_bundle(out_dir, "features", {"matrix": matrix}, meta)
 
 
 def load_features(feature_dir: str | Path) -> dict[str, EncodedFeature]:
-    feature_dir = Path(feature_dir)
-    index = json.loads((feature_dir / "features.json").read_text())
-    tag = index["encoder_tag"]
-    features = {}
-    for image_id, meta in index["vectors"].items():
-        vec = read_tensor(feature_dir / meta["path"]).astype(np.float64)
-        features[image_id] = EncodedFeature(vec, tag, bool(meta["normalized"]))
-    return features
+    """Load a feature set; each value's vector is a read-only row view of one matrix."""
+    tensors, meta = load_bundle(feature_dir, "features")
+    matrix = tensors["matrix"]
+    normalized = meta.per_row("normalized", matrix)
+    tag = meta["encoder_tag"]
+    return {
+        image_id: EncodedFeature(matrix[r], tag, bool(normalized[r]))
+        for r, image_id in enumerate(meta.per_row("ids", matrix))
+    }

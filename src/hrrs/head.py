@@ -13,14 +13,13 @@ with momentum, weight decay and a plateau-triggered learning-rate drop.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .encoders import EncodedFeature, l2_normalize
-from .tensor_store import read_tensor, write_tensor
+from .tensor_store import BundleError, load_bundle, save_bundle
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
 
@@ -84,8 +83,7 @@ class MlpconvHead:
 
 @dataclass(frozen=True)
 class ForwardResult:
-    logits: np.ndarray  # (n,)
-    gap_feature: np.ndarray  # (n,) — identical values to logits
+    gap_feature: np.ndarray  # (n,) — the logits
     class_maps: np.ndarray  # (h, w, n)
 
 
@@ -258,7 +256,7 @@ def head_forward(head: MlpconvHead, feature_map, mode: str = "eval", rng=None) -
     h, w = head.config.in_spatial
     gap = cache["gap"][0]
     class_maps = cache["a3"].reshape(h, w, head.config.classes)
-    return ForwardResult(gap.copy(), gap.copy(), class_maps)
+    return ForwardResult(gap.copy(), class_maps)
 
 
 def softmax_xent(logits, label: int) -> tuple[float, np.ndarray]:
@@ -408,49 +406,29 @@ def param_count(layers) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: FTNS tensors per parameter + JSON sidecar (config, history).
+# Checkpoints: a "head" bundle, one tensor per parameter; meta holds the
+# config and the training history.
 
 
 def save_head(out_dir: str | Path, head: MlpconvHead, state: TrainState | None = None) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, arr in head.params.items():
-        write_tensor(out_dir / f"{name}.ftns", arr)
-    cfg = head.config
-    sidecar = {
-        "config": {
-            "in_channels": cfg.in_channels,
-            "in_spatial": list(cfg.in_spatial),
-            "hidden1": cfg.hidden1,
-            "hidden2": cfg.hidden2,
-            "classes": cfg.classes,
-            "dropout_rate": cfg.dropout_rate,
-            "init_std": cfg.init_std,
-        },
-        "history": [
-            {
-                "epoch": r.epoch,
-                "lr": r.lr,
-                "train_loss": r.train_loss,
-                "train_acc": r.train_acc,
-                "test_acc": r.test_acc,
-            }
-            for r in (state.history if state else [])
-        ],
+    meta = {
+        "config": asdict(head.config),
+        "history": [asdict(r) for r in (state.history if state else [])],
         "lr_drops": list(state.lr_drops) if state else [],
         "seed": state.seed if state else None,
     }
-    (out_dir / "head.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    save_bundle(out_dir, "head", head.params, meta)
 
 
 def load_head(model_dir: str | Path) -> tuple[MlpconvHead, dict]:
-    model_dir = Path(model_dir)
-    sidecar = json.loads((model_dir / "head.json").read_text())
-    raw = dict(sidecar["config"])
-    raw["in_spatial"] = tuple(raw["in_spatial"])
-    config = HeadConfig(**raw)
-    params = {
-        name: read_tensor(model_dir / f"{name}.ftns").astype(np.float64)
-        for name in PARAM_NAMES
-    }
-    return MlpconvHead(config, params), sidecar
+    """Load a checkpoint; returns the head and the bundle's meta (config, history)."""
+    tensors, meta = load_bundle(model_dir, "head")
+    params = {name: tensors[name] for name in PARAM_NAMES}
+    config = meta["config"]
+    try:
+        head = MlpconvHead(HeadConfig(**config), params)
+    except (TypeError, ValueError) as exc:
+        raise BundleError(
+            f"{meta.sidecar}: field 'meta.config' does not fit the parameters ({exc})"
+        ) from None
+    return head, meta

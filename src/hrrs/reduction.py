@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .tensor_store import read_tensor, write_tensor
+from .tensor_store import load_bundle, save_bundle
 
 
 @dataclass(frozen=True)
@@ -76,20 +75,9 @@ def pca_apply(model: PcaModel, v) -> np.ndarray:
 
 
 def save_pca(out_dir: str | Path, model: PcaModel) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_tensor(out_dir / "mean.ftns", model.mean)
-    write_tensor(out_dir / "components.ftns", model.components)
-    write_tensor(out_dir / "explained_variance.ftns", model.explained_variance)
-    sidecar = {"D": model.in_dim, "d": model.out_dim}
-    (out_dir / "model.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    save_bundle(out_dir, "pca", asdict(model), {})
 
 
 def load_pca(model_dir: str | Path) -> PcaModel:
-    model_dir = Path(model_dir)
-    mean = read_tensor(model_dir / "mean.ftns").astype(np.float64)
-    components = read_tensor(model_dir / "components.ftns").astype(np.float64)
-    explained = read_tensor(model_dir / "explained_variance.ftns").astype(np.float64)
-    for arr in (mean, components, explained):
-        arr.flags.writeable = False
-    return PcaModel(mean, components, explained)
+    tensors, _ = load_bundle(model_dir, "pca")
+    return PcaModel(tensors["mean"], tensors["components"], tensors["explained_variance"])

@@ -7,7 +7,6 @@ image id, except that the query itself (when included) always ranks first.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -15,7 +14,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .encoders import EncodedFeature, ZERO_NORM_EPS
-from .tensor_store import DatasetManifest, read_tensor, write_tensor
+from .tensor_store import DatasetManifest, load_bundle, save_bundle
 
 
 @dataclass(frozen=True)
@@ -100,27 +99,23 @@ def query(idx: Index, query_id: str, include_self: bool = True) -> RankedList:
 
 
 def save_index(out_dir: str | Path, idx: Index) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_tensor(out_dir / "matrix.ftns", idx.matrix)
-    sidecar = {
+    meta = {
         "ids": list(idx.ids),
         "classes": [idx.class_of[i] for i in idx.ids],
         "encoder_tag": idx.encoder_tag,
         "zero_ids": sorted(idx.zero_ids),
     }
-    (out_dir / "index.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    save_bundle(out_dir, "index", {"matrix": idx.matrix}, meta)
 
 
 def load_index(index_dir: str | Path) -> Index:
-    index_dir = Path(index_dir)
-    sidecar = json.loads((index_dir / "index.json").read_text())
-    matrix = read_tensor(index_dir / "matrix.ftns").astype(np.float64)
-    ids = tuple(sidecar["ids"])
+    tensors, meta = load_bundle(index_dir, "index")
     # float32 storage perturbs norms; restore exact unit rows.
+    matrix = tensors["matrix"].copy()
+    ids = tuple(meta.per_row("ids", matrix))
+    class_of = dict(zip(ids, meta.per_row("classes", matrix)))
     norms = np.linalg.norm(matrix, axis=1)
     zero = norms <= ZERO_NORM_EPS
     matrix[~zero] /= norms[~zero, None]
     matrix.flags.writeable = False
-    class_of = dict(zip(ids, sidecar["classes"]))
-    return Index(ids, matrix, class_of, sidecar["encoder_tag"], frozenset(sidecar["zero_ids"]))
+    return Index(ids, matrix, class_of, meta["encoder_tag"], frozenset(meta["zero_ids"]))

@@ -1,15 +1,18 @@
-"""Binary tensor files, dataset manifests, and synthetic dataset generation.
+"""Binary tensor files, bundles, dataset manifests, and synthetic dataset generation.
 
 All bulk data (feature maps, Fc vectors, model parameters, encoded features)
 moves through a small binary format: magic ``FTNS``, a fixed little-endian
-header, and a raw row-major float32 payload. Dataset metadata lives in JSON
-manifests mapping image ids to class labels and tensor files.
+header, and a raw row-major float32 payload. Every saved model, index and
+feature set is a bundle: a directory of FTNS tensors plus one ``bundle.json``
+sidecar. Dataset metadata lives in JSON manifests mapping image ids to class
+labels and tensor files.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +25,9 @@ DTYPE_FLOAT32 = 1
 
 VALID_SPLITS = ("train", "test", "all")
 
+BUNDLE_SIDECAR = "bundle.json"
+BUNDLE_VERSION = 1
+
 _HEADER = struct.Struct("<III")  # version, dtype code, rank
 
 
@@ -31,6 +37,10 @@ class TensorFormatError(ValueError):
 
 class ManifestError(ValueError):
     """A dataset manifest violates its schema or invariants."""
+
+
+class BundleError(ValueError):
+    """A bundle directory is incomplete or its sidecar is missing, malformed or inconsistent."""
 
 
 def validate_tensor(values: np.ndarray) -> np.ndarray:
@@ -95,6 +105,105 @@ def read_tensor(path: str | Path) -> np.ndarray:
         raise TensorFormatError(f"{path}: payload contains non-finite values")
     arr.flags.writeable = False
     return arr
+
+
+class BundleFields(dict):
+    """The tensors or meta of a loaded bundle; reading a missing key raises a BundleError."""
+
+    def __init__(self, values: dict, sidecar: Path, section: str):
+        super().__init__(values)
+        self.sidecar = sidecar
+        self.section = section
+
+    def __missing__(self, key):
+        raise BundleError(f"{self.sidecar}: missing field '{self.section}.{key}'")
+
+    def per_row(self, key: str, matrix: np.ndarray) -> list:
+        """Field `key`, checked to be a list with one entry per row of `matrix`."""
+        values = self[key]
+        if not isinstance(values, list) or len(values) != len(matrix):
+            raise BundleError(
+                f"{self.sidecar}: field '{self.section}.{key}' must list one entry "
+                f"per row of matrix.ftns ({len(matrix)} rows)"
+            )
+        return values
+
+
+def _fsync(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def save_bundle(out_dir: str | Path, kind: str, tensors: dict[str, np.ndarray], meta: dict) -> Path:
+    """Write tensors as `<name>.ftns` files, then publish `bundle.json`; returns its path.
+
+    Readers trust only the sidecar, so it is removed first and published last
+    (temp file, fsync, rename, directory fsync): an interrupted write leaves
+    a directory that `load_bundle` rejects, never a mix it would accept.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    sidecar = out_dir / BUNDLE_SIDECAR
+    sidecar.unlink(missing_ok=True)
+    _fsync(out_dir)
+    for name, values in tensors.items():
+        write_tensor(out_dir / f"{name}.ftns", values)
+        _fsync(out_dir / f"{name}.ftns")
+    shapes = {name: list(np.shape(values)) for name, values in tensors.items()}
+    doc = {"kind": kind, "version": BUNDLE_VERSION, "tensors": shapes, "meta": meta}
+    tmp = sidecar.with_suffix(".tmp")
+    with open(tmp, "w") as fh:
+        # No trailing newline: every strict prefix of the file is then invalid
+        # JSON, so a torn sidecar never parses.
+        json.dump(doc, fh, indent=2)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, sidecar)
+    _fsync(out_dir)
+    return sidecar
+
+
+def load_bundle(bundle_dir: str | Path, kind: str) -> tuple[BundleFields, BundleFields]:
+    """Read a bundle of `kind` as (tensors, meta); tensors are read-only float64.
+
+    Checks the sidecar's schema, kind and version, and that every listed
+    member exists with the recorded shape. Errors name the file and field.
+    """
+    sidecar = Path(bundle_dir) / BUNDLE_SIDECAR
+    if not sidecar.is_file():
+        raise BundleError(
+            f"{sidecar}: no {BUNDLE_SIDECAR}; not a bundle, an interrupted write, or an "
+            "older layout (re-run the command that wrote it)"
+        )
+    try:
+        doc = json.loads(sidecar.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise BundleError(f"{sidecar}: invalid JSON ({exc})") from None
+    if not (isinstance(doc, dict) and isinstance(doc.get("tensors"), dict)
+            and isinstance(doc.get("meta"), dict)):
+        raise BundleError(f"{sidecar}: expected an object with object fields 'tensors' and 'meta'")
+    for field, expected in (("kind", kind), ("version", BUNDLE_VERSION)):
+        if doc.get(field) != expected:
+            raise BundleError(
+                f"{sidecar}: field '{field}' is {doc.get(field)!r}, expected {expected!r}"
+            )
+    tensors = {}
+    for name, shape in doc["tensors"].items():
+        path = sidecar.with_name(f"{name}.ftns")
+        if not path.is_file():
+            raise BundleError(f"{path}: missing member listed in {sidecar}")
+        arr = read_tensor(path)
+        if list(arr.shape) != shape:
+            raise BundleError(
+                f"{path}: shape {list(arr.shape)} differs from {sidecar} "
+                f"field 'tensors.{name}' {shape}"
+            )
+        tensors[name] = arr.astype(np.float64)
+        tensors[name].flags.writeable = False
+    return BundleFields(tensors, sidecar, "tensors"), BundleFields(doc["meta"], sidecar, "meta")
 
 
 @dataclass(frozen=True)

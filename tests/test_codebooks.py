@@ -1,17 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 
 from hrrs.codebooks import (
     VARIANCE_FLOOR,
     gmm_fit,
-    gmm_posteriors,
     gmm_responsibilities,
-    kmeans_assign,
     kmeans_fit,
-    load_model_bundle,
+    load_codebook,
+    load_gmm,
     save_codebook,
     save_gmm,
 )
+from hrrs.encoders import encode_bovw
+from hrrs.tensor_store import BundleError, write_tensor
 
 from oracles import best_two_partition, nearest_centroid_scan
 
@@ -69,6 +72,12 @@ class TestKmeansFit:
         assert cb.inertia_history[-1] == 0.0
 
 
+def _assigned(cb, x) -> int:
+    """Centroid index of one descriptor: the single non-zero bin of its BOVW histogram."""
+    (j,) = np.flatnonzero(encode_bovw(cb, np.asarray(x, dtype=np.float64)[None, :]).vector)
+    return int(j)
+
+
 class TestKmeansAssign:
     def test_nearest(self):
         cb = kmeans_fit(np.array([[0.0], [10.0], [0.0], [10.0]]), 2, seed=0)
@@ -79,23 +88,23 @@ class TestKmeansAssign:
         from hrrs.codebooks import Codebook
 
         cb = Codebook(np.array([[0.0], [10.0]]), (0.0,))
-        assert kmeans_assign(cb, [1.0]) == 0
-        assert kmeans_assign(cb, [5.0]) == 0  # tie breaks to the lowest index
-        assert kmeans_assign(cb, [10.0]) == 1  # exact centroid
+        assert _assigned(cb, [1.0]) == 0
+        assert _assigned(cb, [5.0]) == 0  # tie breaks to the lowest index
+        assert _assigned(cb, [10.0]) == 1  # exact centroid
 
     def test_dimension_mismatch(self):
         from hrrs.codebooks import Codebook
 
         cb = Codebook(np.zeros((2, 3)), (0.0,))
         with pytest.raises(ValueError, match="dim"):
-            kmeans_assign(cb, [1.0, 2.0])
+            _assigned(cb, [1.0, 2.0])
 
     def test_agrees_with_brute_force_scan(self):
         rng = np.random.default_rng(5)
         cb = kmeans_fit(rng.standard_normal((200, 4)), 7, seed=1)
         probes = rng.standard_normal((1000, 4))
         for x in probes:
-            assert kmeans_assign(cb, x) == nearest_centroid_scan(cb.centroids, x)
+            assert _assigned(cb, x) == nearest_centroid_scan(cb.centroids, x)
 
 
 class TestGmmFit:
@@ -160,7 +169,7 @@ class TestGmmPosteriors:
 
     def test_symmetry(self):
         g = self._symmetric_model()
-        np.testing.assert_allclose(gmm_posteriors(g, [5.0]), [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(gmm_responsibilities(g, [[5.0]])[0], [0.5, 0.5], atol=1e-12)
 
     def test_dominant_component(self):
         from hrrs.codebooks import GmmModel
@@ -171,13 +180,13 @@ class TestGmmPosteriors:
             variances=np.array([[1e-4], [1.0]]),
             loglik_history=(),
         )
-        assert gmm_posteriors(g, [0.0])[0] >= 0.999
+        assert gmm_responsibilities(g, [[0.0]])[0, 0] >= 0.999
 
     def test_single_component(self):
         from hrrs.codebooks import GmmModel
 
         g = GmmModel(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)), ())
-        np.testing.assert_allclose(gmm_posteriors(g, [3.0, -1.0]), [1.0])
+        np.testing.assert_allclose(gmm_responsibilities(g, [[3.0, -1.0]])[0], [1.0])
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(10)
@@ -189,21 +198,21 @@ class TestGmmPosteriors:
     def test_dimension_mismatch(self):
         g = gmm_fit(np.random.default_rng(0).standard_normal((20, 3)), 2, seed=0)
         with pytest.raises(ValueError, match="dim"):
-            gmm_posteriors(g, [1.0])
+            gmm_responsibilities(g, [[1.0]])
 
 
 class TestSerialization:
     def test_codebook_round_trip(self, tmp_path):
         cb = kmeans_fit(np.random.default_rng(0).standard_normal((40, 3)), 4, seed=0)
         save_codebook(tmp_path / "cb", cb)
-        back = load_model_bundle(tmp_path / "cb")
+        back = load_codebook(tmp_path / "cb")
         np.testing.assert_allclose(back.centroids, cb.centroids, rtol=1e-6)
         np.testing.assert_allclose(back.inertia_history, cb.inertia_history)
 
     def test_gmm_round_trip(self, tmp_path):
         g = gmm_fit(np.random.default_rng(1).standard_normal((60, 2)), 3, seed=0)
         save_gmm(tmp_path / "g", g)
-        back = load_model_bundle(tmp_path / "g")
+        back = load_gmm(tmp_path / "g")
         np.testing.assert_allclose(back.weights, g.weights, atol=1e-7)
         np.testing.assert_allclose(back.means, g.means, rtol=1e-6, atol=1e-6)
         np.testing.assert_allclose(back.variances, g.variances, rtol=1e-6, atol=1e-6)
@@ -211,6 +220,16 @@ class TestSerialization:
     def test_unknown_kind(self, tmp_path):
         d = tmp_path / "bad"
         d.mkdir()
-        (d / "model.json").write_text('{"kind": "mystery"}')
+        (d / "bundle.json").write_text('{"kind": "mystery", "version": 1, "tensors": {}, "meta": {}}')
         with pytest.raises(ValueError, match="kind"):
-            load_model_bundle(d)
+            load_codebook(d)
+
+    def test_gmm_tensors_must_agree_on_k(self, tmp_path):
+        g = gmm_fit(np.random.default_rng(2).standard_normal((60, 2)), 3, seed=0)
+        save_gmm(tmp_path / "g", g)
+        doc = json.loads((tmp_path / "g" / "bundle.json").read_text())
+        doc["tensors"]["weights"] = [2]
+        (tmp_path / "g" / "bundle.json").write_text(json.dumps(doc))
+        write_tensor(tmp_path / "g" / "weights.ftns", g.weights[:2])
+        with pytest.raises(BundleError, match="bundle.json.*disagree on k"):
+            load_gmm(tmp_path / "g")

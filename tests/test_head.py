@@ -88,7 +88,7 @@ class TestHeadForward:
         out = head_forward(head, fmap)
         np.testing.assert_array_equal(out.gap_feature, np.zeros(3))
         np.testing.assert_array_equal(out.class_maps, np.zeros((8, 8, 3)))
-        loss, dlogits = softmax_xent(out.logits, 0)
+        loss, dlogits = softmax_xent(out.gap_feature, 0)
         np.testing.assert_allclose(loss, math.log(3))
         p = dlogits + np.eye(3)[0]
         np.testing.assert_allclose(p, np.full(3, 1 / 3), atol=1e-12)

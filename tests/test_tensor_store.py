@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from hrrs.tensor_store import (
+    BundleError,
     ManifestError,
     TensorFormatError,
     gen_synthetic,
+    load_bundle,
     load_manifest,
     read_tensor,
+    save_bundle,
     write_synthetic,
     write_tensor,
 )
@@ -113,6 +116,78 @@ class TestTensorValidation:
         path.write_bytes(bytes(blob))
         with pytest.raises(TensorFormatError, match="non-finite"):
             read_tensor(path)
+
+
+class TestBundle:
+    def _save(self, out_dir):
+        tensors = {"matrix": np.arange(6.0).reshape(3, 2) / 7.0, "scale": np.ones(2)}
+        meta = {"ids": ["a", "b", "c"], "tag": "demo"}
+        return save_bundle(out_dir, "demo", tensors, meta), tensors
+
+    def test_round_trip(self, tmp_path):
+        sidecar, tensors = self._save(tmp_path / "b")
+        assert sidecar == tmp_path / "b" / "bundle.json"
+        doc = json.loads(sidecar.read_text())
+        assert doc == {
+            "kind": "demo",
+            "version": 1,
+            "tensors": {"matrix": [3, 2], "scale": [2]},
+            "meta": {"ids": ["a", "b", "c"], "tag": "demo"},
+        }
+        back, meta = load_bundle(tmp_path / "b", "demo")
+        assert set(back) == set(tensors)
+        for name, arr in tensors.items():
+            assert back[name].dtype == np.float64
+            assert not back[name].flags.writeable
+            np.testing.assert_array_equal(back[name], arr.astype(np.float32))
+        assert meta == {"ids": ["a", "b", "c"], "tag": "demo"}
+        assert meta.per_row("ids", back["matrix"]) == ["a", "b", "c"]
+        assert not list((tmp_path / "b").glob("*.tmp"))
+
+    def test_layout_without_sidecar_rejected(self, tmp_path):
+        # An older layout (model.json sidecar) or an interrupted write.
+        write_tensor(tmp_path / "centroids.ftns", np.ones((2, 2)))
+        (tmp_path / "model.json").write_text('{"kind": "kmeans"}')
+        with pytest.raises(BundleError, match=r"bundle\.json: no bundle\.json"):
+            load_bundle(tmp_path, "kmeans")
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("kind", "other", "field 'kind' is 'other', expected 'demo'"),
+            ("version", 2, "field 'version' is 2, expected 1"),
+            ("tensors", [], "object fields 'tensors' and 'meta'"),
+            ("meta", None, "object fields 'tensors' and 'meta'"),
+        ],
+    )
+    def test_sidecar_fields_checked(self, tmp_path, field, value, match):
+        sidecar, _ = self._save(tmp_path)
+        doc = json.loads(sidecar.read_text())
+        doc[field] = value
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(BundleError, match=match):
+            load_bundle(tmp_path, "demo")
+
+    def test_members_checked(self, tmp_path):
+        self._save(tmp_path)
+        write_tensor(tmp_path / "scale.ftns", np.ones(3))
+        with pytest.raises(BundleError, match=r"scale\.ftns: shape \[3\] differs .*'tensors\.scale' \[2\]"):
+            load_bundle(tmp_path, "demo")
+        (tmp_path / "scale.ftns").unlink()
+        with pytest.raises(BundleError, match=r"scale\.ftns: missing member"):
+            load_bundle(tmp_path, "demo")
+
+    def test_fields_and_rows_checked_when_read(self, tmp_path):
+        self._save(tmp_path)
+        tensors, meta = load_bundle(tmp_path, "demo")
+        with pytest.raises(BundleError, match="bundle.json: missing field 'meta.labels'"):
+            meta["labels"]
+        with pytest.raises(BundleError, match="bundle.json: missing field 'tensors.weights'"):
+            tensors["weights"]
+        with pytest.raises(BundleError, match=r"'meta.ids' must list one entry per row .*\(2 rows\)"):
+            meta.per_row("ids", tensors["scale"])
+        with pytest.raises(BundleError, match="'meta.tag' must list one entry per row"):
+            meta.per_row("tag", tensors["matrix"])
 
 
 def _write_manifest(path, entries):
