@@ -31,7 +31,6 @@ from .evaluation import (
     anmrr,
     average_precision,
     evaluate_dataset,
-    judge,
     mean_ap,
     nmrr,
     precision_at_k,
@@ -51,7 +50,7 @@ from .head import (
     softmax_xent,
 )
 from .reduction import PcaModel, pca_apply, pca_fit
-from .retrieval import Index, RankedList, build_index, query
+from .retrieval import Index, build_index, rank
 from .tensor_store import (
     DatasetManifest,
     ManifestEntry,

@@ -42,7 +42,7 @@ from .head import (
     save_head,
 )
 from .reduction import load_pca, pca_apply, pca_fit, save_pca
-from .retrieval import build_index, load_index, query, save_index
+from .retrieval import build_index, load_index, rank, save_index
 from .tensor_store import (
     DatasetManifest,
     gen_synthetic,
@@ -325,49 +325,43 @@ def cmd_index_build(args) -> int:
     return 0
 
 
-def _write_ranked_csv(path: Path, idx, rl, query_column: bool) -> None:
+def _write_rankings(path: Path, idx, ranking, query_column: bool) -> None:
+    """One CSV of ranked rows from `rank`; `query_column` prefixes the query id."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        head = ["rank", "id", "class", "distance"]
-        writer.writerow(["query_id"] + head if query_column else head)
-        for rank, (image_id, dist) in enumerate(rl.ranked, start=1):
-            row = [rank, image_id, idx.class_of[image_id], f"{dist:.6f}"]
-            writer.writerow([rl.query_id] + row if query_column else row)
+        writer.writerow(["query_id"] * query_column + ["rank", "id", "class", "distance"])
+        for row, order, dists in ranking:
+            prefix = [idx.ids[row]] * query_column
+            for pos, (hit, dist) in enumerate(zip(order.tolist(), dists.tolist()), start=1):
+                image_id = idx.ids[hit]
+                writer.writerow(prefix + [pos, image_id, idx.class_of[image_id], f"{dist:.6f}"])
 
 
 def cmd_query(args) -> int:
     if bool(args.id) == bool(args.all):
         raise CliError("pass exactly one of --id or --all")
+    if args.long and not args.all:
+        raise CliError("--long requires --all")
     idx = load_index(args.index)
     out = Path(args.out)
-    if args.id:
-        rl = query(idx, args.id, include_self=args.self_included)
+    rows = range(idx.size) if args.all else [idx.row(args.id)]
+    ranking = rank(idx, rows, args.self_included)
+    if args.all and not args.long:
+        # Per-query files are named by id: an id must not name a path outside --out.
+        for image_id in idx.ids:
+            if "/" in image_id or image_id in ("", ".", ".."):
+                raise CliError(f"query id {image_id!r} is not a plain file name")
+        out.mkdir(parents=True, exist_ok=True)
+        for ranked in ranking:
+            _write_rankings(out / f"{idx.ids[ranked[0]]}.csv", idx, [ranked], False)
+        written = f"{idx.size} per-query files"
+    else:
         out.parent.mkdir(parents=True, exist_ok=True)
-        _write_ranked_csv(out, idx, rl, query_column=False)
-        _write_effective_config(out, "query", vars(args))
-        print(f"wrote {len(rl.ranked)} rows to {out}")
-        return 0
-    # batch mode: one CSV per query, or a single long-format CSV
-    if args.long:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["query_id", "rank", "id", "class", "distance"])
-            for q_id in idx.ids:
-                rl = query(idx, q_id, include_self=args.self_included)
-                for rank, (image_id, dist) in enumerate(rl.ranked, start=1):
-                    writer.writerow(
-                        [q_id, rank, image_id, idx.class_of[image_id], f"{dist:.6f}"]
-                    )
-        _write_effective_config(out, "query", vars(args))
-        print(f"wrote {idx.size} queries to {out}")
-        return 0
-    out.mkdir(parents=True, exist_ok=True)
-    for q_id in idx.ids:
-        rl = query(idx, q_id, include_self=args.self_included)
-        _write_ranked_csv(out / f"{q_id}.csv", idx, rl, query_column=False)
+        _write_rankings(out, idx, ranking, args.long)
+        rows_written = idx.size - (not args.self_included)
+        written = f"{idx.size} queries" if args.long else f"{rows_written} rows"
     _write_effective_config(out, "query", vars(args))
-    print(f"wrote {idx.size} per-query files to {out}")
+    print(f"wrote {written} to {out}")
     return 0
 
 

@@ -3,7 +3,8 @@
 NMRR penalizes ground-truth images ranked beyond K = 2*NG at 1.25*K and
 normalizes the average rank into [0, 1] (0 best). AveP averages the
 precision at every ground-truth hit over the ground-truth size. The batch
-protocol uses every indexed image as a query with same-class relevance.
+protocol ranks the whole index for every indexed image (`retrieval.rank`)
+with same-class relevance.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .retrieval import Index, RankedList, query
+import numpy as np
+
+from .retrieval import Index, rank
 from .tensor_store import DatasetManifest
 
 DEFAULT_K_LIST = (5, 10, 50, 100, 1000)
@@ -52,24 +55,6 @@ class EvalReport:
     skipped: tuple[str, ...] = ()
 
 
-def judge(rl: RankedList, relevant: set[str]) -> QueryJudgment:
-    """Locate the ground-truth ids in a ranked list.
-
-    With self-excluded lists the caller passes a relevant set that already
-    excludes the query. Every relevant id must appear in the list.
-    """
-    if not relevant:
-        raise ValueError(f"query {rl.query_id!r}: empty relevant set")
-    ranks = [r + 1 for r, (image_id, _) in enumerate(rl.ranked) if image_id in relevant]
-    if len(ranks) != len(relevant):
-        found = {rl.ranked[r - 1][0] for r in ranks}
-        missing = sorted(relevant - found)
-        raise ValueError(
-            f"query {rl.query_id!r}: relevant ids absent from ranked list: {missing}"
-        )
-    return QueryJudgment(rl.query_id, tuple(ranks), len(relevant), len(rl.ranked))
-
-
 def nmrr(j: QueryJudgment) -> float:
     """Normalized modified retrieval rank in [0, 1]; 0 is a perfect ranking.
 
@@ -87,11 +72,15 @@ def nmrr(j: QueryJudgment) -> float:
     return (avg_rank - 0.5 * (1 + j.ng)) / (penalty - 0.5 * (1 + j.ng))
 
 
-def anmrr(values) -> float:
+def mean_score(values) -> float:
+    """Arithmetic mean of per-query scores: ANMRR over NMRR, mAP over AveP."""
     values = list(values)
     if not values:
-        raise ValueError("anmrr of an empty list")
+        raise ValueError("mean of an empty list of scores")
     return sum(values) / len(values)
+
+
+anmrr = mean_ap = mean_score
 
 
 def average_precision(j: QueryJudgment) -> float:
@@ -100,13 +89,6 @@ def average_precision(j: QueryJudgment) -> float:
         raise ValueError("ng must be >= 1")
     total = sum((i + 1) / rank for i, rank in enumerate(j.relevant_ranks))
     return total / j.ng
-
-
-def mean_ap(values) -> float:
-    values = list(values)
-    if not values:
-        raise ValueError("mean_ap of an empty list")
-    return sum(values) / len(values)
 
 
 def precision_at_k(j: QueryJudgment, k: int) -> float:
@@ -124,23 +106,18 @@ def evaluate_dataset(
     ground truth; such queries are skipped and listed in the report.
     """
     protocol = protocol or EvalProtocol()
-    by_class: dict[str, set[str]] = {}
-    for image_id in idx.ids:
-        by_class.setdefault(idx.class_of[image_id], set()).add(image_id)
+    labels = [idx.class_of[i] for i in idx.ids]
+    cls = np.unique(labels, return_inverse=True)[1]
+    class_size = np.bincount(cls)
+    ng = class_size[cls] - (not protocol.self_included)
+    skipped = [i for i, n in zip(idx.ids, ng) if n < 1]
     per_query: list[PerQueryResult] = []
-    skipped: list[str] = []
-    for image_id in idx.ids:
-        relevant = set(by_class[idx.class_of[image_id]])
-        if not protocol.self_included:
-            relevant.discard(image_id)
-        if not relevant:
-            skipped.append(image_id)
-            continue
-        rl = query(idx, image_id, include_self=protocol.self_included)
-        j = judge(rl, relevant)
+    for row, order, _ in rank(idx, np.flatnonzero(ng >= 1), protocol.self_included):
+        hits = np.flatnonzero(cls[order] == cls[row]) + 1
+        j = QueryJudgment(idx.ids[row], tuple(hits.tolist()), int(ng[row]), len(order))
         p_at_k = {k: precision_at_k(j, k) for k in protocol.k_list if k <= j.list_length}
         per_query.append(
-            PerQueryResult(image_id, idx.class_of[image_id], nmrr(j), average_precision(j), p_at_k)
+            PerQueryResult(j.query_id, labels[row], nmrr(j), average_precision(j), p_at_k)
         )
     if not per_query:
         raise ValueError("no evaluable queries (every class has a single member?)")
@@ -148,7 +125,7 @@ def evaluate_dataset(
     for k in protocol.k_list:
         vals = [r.p_at_k[k] for r in per_query if k in r.p_at_k]
         if vals:
-            agg_p[k] = sum(vals) / len(vals)
+            agg_p[k] = mean_score(vals)
     return EvalReport(
         per_query=tuple(per_query),
         anmrr=anmrr(r.nmrr for r in per_query),

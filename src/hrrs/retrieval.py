@@ -1,15 +1,22 @@
 """Exhaustive nearest-neighbor search over L2-normalized features.
 
-Distances are plain Euclidean; for unit vectors ascending distance order
-equals descending cosine-similarity order. Ties break lexicographically by
-image id, except that the query itself (when included) always ranks first.
+`rank` is the one ranking engine: `hrrs query` (single id, per-file and long
+batch modes), `evaluate_dataset` and, through it, `pca sweep` and `sweep` all
+consume its output. Distances are plain Euclidean; for unit vectors ascending
+distance order equals descending cosine-similarity order.
+
+Tie rule: ties in the computed float64 distance break by id; the query ranks
+first when included. Distances that are mathematically equal but round
+differently (for example permuted BOVW histograms) follow their computed
+value. A zero query row sits at exactly 1 from every unit row, so zero-row
+queries list the other zero rows (distance 0) first, then the unit rows by id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -33,12 +40,20 @@ class Index:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
+    def row(self, image_id: str) -> int:
+        try:
+            return self.ids.index(image_id)
+        except ValueError:
+            raise KeyError(f"unknown query id {image_id!r}") from None
 
-@dataclass(frozen=True)
-class RankedList:
-    query_id: str
-    ranked: tuple[tuple[str, float], ...]  # (id, distance), ascending
-    self_included: bool
+
+def _unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L2-normalize rows in place (zero rows kept as-is); read-only result and zero mask."""
+    norms = np.linalg.norm(matrix, axis=1)
+    zero = norms <= ZERO_NORM_EPS
+    matrix[~zero] /= norms[~zero, None]
+    matrix.flags.writeable = False
+    return matrix, zero
 
 
 def build_index(
@@ -65,37 +80,39 @@ def build_index(
     # Deterministic row order: manifest entry order.
     order = [e.image_id for e in manifest.entries if e.image_id in seen]
     by_id = dict(items)
-    matrix = np.stack([np.asarray(by_id[i].vector, dtype=np.float64) for i in order])
-    norms = np.linalg.norm(matrix, axis=1)
-    zero = norms <= ZERO_NORM_EPS
-    matrix[~zero] /= norms[~zero, None]
-    matrix.flags.writeable = False
+    matrix, zero = _unit_rows(
+        np.stack([np.asarray(by_id[i].vector, dtype=np.float64) for i in order])
+    )
     zero_ids = frozenset(np.asarray(order)[zero].tolist())
     class_of = {i: manifest.label_of[i] for i in order}
     return Index(tuple(order), matrix, class_of, tags.pop(), zero_ids)
 
 
-def query(idx: Index, query_id: str, include_self: bool = True) -> RankedList:
-    """Full ascending sort by Euclidean distance to the query row.
+def rank(
+    idx: Index, rows: Iterable[int], include_self: bool = True
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Rank the whole index against each query row, one row at a time.
 
-    Ties break by id, except the query itself wins its distance-0 tie when
-    included; with include_self=False the query row is dropped.
+    Yields `(row, order, dists)`: `order` holds the ranked row indices and
+    `dists` their float64 distances, ascending, under the module's tie rule.
+    With include_self=False the query row is left out of `order`.
     """
-    try:
-        pos = idx.ids.index(query_id)
-    except ValueError:
-        raise KeyError(f"unknown query id {query_id!r}") from None
-    diffs = idx.matrix - idx.matrix[pos]
-    dists = np.sqrt(np.einsum("nd,nd->n", diffs, diffs))
+    matrix = idx.matrix
     ids = np.asarray(idx.ids)
-    not_self = ids != query_id
-    order = np.lexsort((ids, not_self, dists))  # keys: dist, then self-first, then id
-    ranked = []
-    for i in order:
-        if not include_self and not not_self[i]:
-            continue
-        ranked.append((str(ids[i]), float(dists[i])))
-    return RankedList(query_id, tuple(ranked), include_self)
+    id_rank = np.argsort(np.argsort(ids))
+    zero = np.isin(ids, list(idx.zero_ids))
+    diffs = np.empty_like(matrix)  # one N x d buffer, reused by every query
+    for row in rows:
+        np.subtract(matrix, matrix[row], out=diffs)
+        dists = np.sqrt(np.einsum("nd,nd->n", diffs, diffs))
+        if zero[row]:
+            dists[~zero] = 1.0
+        key = id_rank.copy()
+        key[row] = -1  # the query wins its distance-0 tie
+        order = np.lexsort((key, dists))
+        if not include_self:
+            order = order[order != row]
+        yield row, order, dists[order]
 
 
 def save_index(out_dir: str | Path, idx: Index) -> None:
@@ -111,11 +128,7 @@ def save_index(out_dir: str | Path, idx: Index) -> None:
 def load_index(index_dir: str | Path) -> Index:
     tensors, meta = load_bundle(index_dir, "index")
     # float32 storage perturbs norms; restore exact unit rows.
-    matrix = tensors["matrix"].copy()
+    matrix, _ = _unit_rows(tensors["matrix"].copy())
     ids = tuple(meta.per_row("ids", matrix))
     class_of = dict(zip(ids, meta.per_row("classes", matrix)))
-    norms = np.linalg.norm(matrix, axis=1)
-    zero = norms <= ZERO_NORM_EPS
-    matrix[~zero] /= norms[~zero, None]
-    matrix.flags.writeable = False
     return Index(ids, matrix, class_of, meta["encoder_tag"], frozenset(meta["zero_ids"]))

@@ -92,6 +92,43 @@ def test_codebook_encode_index_query_eval(dataset, tmp_path):
     assert (rep / "per_query.csv").read_bytes() == before
 
 
+def _fc_index(dataset, tmp_path):
+    feats, idx = tmp_path / "feats", tmp_path / "idx"
+    assert run("encode", "--manifest", dataset, "--encoder", "fc_raw", "--out", feats) == 0
+    assert run("index", "build", "--features", feats, "--manifest", dataset, "--out", idx) == 0
+    return idx
+
+
+@pytest.mark.parametrize("self_rule", ["--self-included", "--no-self-included"])
+def test_query_modes_agree(dataset, tmp_path, self_rule):
+    idx = _fc_index(dataset, tmp_path)
+    ids = [e["id"] for e in json.loads(dataset.read_text())["entries"]]
+    assert run("query", "--index", idx, "--all", self_rule, "--out", tmp_path / "all") == 0
+    assert run("query", "--index", idx, "--all", "--long", self_rule,
+               "--out", tmp_path / "long.csv") == 0
+    expected = ["query_id,rank,id,class,distance"]
+    for image_id in sorted(ids):
+        single = tmp_path / f"{image_id}.csv"
+        assert run("query", "--index", idx, "--id", image_id, self_rule, "--out", single) == 0
+        assert single.read_bytes() == (tmp_path / "all" / f"{image_id}.csv").read_bytes()
+        expected += [f"{image_id},{line}" for line in single.read_text().splitlines()[1:]]
+    assert (tmp_path / "long.csv").read_text().splitlines() == expected
+
+
+@pytest.mark.parametrize("bad_id", ["../escaped", "..", "."])
+def test_query_all_rejects_ids_that_are_not_file_names(dataset, tmp_path, capsys, bad_id):
+    doc = json.loads(dataset.read_text())
+    doc["entries"][0]["id"] = bad_id
+    dataset.write_text(json.dumps(doc))
+    idx = _fc_index(dataset, tmp_path)
+    work = tmp_path / "work"
+    work.mkdir()
+    capsys.readouterr()
+    assert run("query", "--index", idx, "--all", "--out", work / "q") == 1
+    assert repr(bad_id) in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+
+
 def test_gmm_ifk_encode(dataset, tmp_path, capsys):
     g = tmp_path / "gmm"
     assert run("codebook", "train", "--kind", "gmm", "--k", 2,
@@ -255,7 +292,7 @@ def test_sweep_workers(dataset, tmp_path):
         assert len(list(csv.reader(fh))) == 3
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run("frobnicate")
     assert exc.value.code == 2
@@ -265,6 +302,9 @@ def test_exit_codes(tmp_path):
     # missing manifest: runtime error path
     assert run("eval", "--manifest", tmp_path / "none.json",
                "--features", tmp_path, "--out", tmp_path / "r") == 1
+    capsys.readouterr()
+    assert run("query", "--index", tmp_path, "--id", "x", "--long", "--out", tmp_path / "q") == 1
+    assert "--long requires --all" in capsys.readouterr().err
 
 
 def test_codebook_and_encode_reproducible_bytes(dataset, tmp_path):
@@ -320,9 +360,7 @@ def _edit_sidecar(bundle_dir, edit):
 
 
 def test_index_ids_must_match_matrix_rows(dataset, tmp_path, capsys):
-    feats, idx = tmp_path / "feats", tmp_path / "idx"
-    run("encode", "--manifest", dataset, "--encoder", "fc_raw", "--out", feats)
-    run("index", "build", "--features", feats, "--manifest", dataset, "--out", idx)
+    idx = _fc_index(dataset, tmp_path)
     sidecar = _edit_sidecar(idx, lambda doc: doc["meta"]["ids"].append("extra"))
     capsys.readouterr()
     assert run("query", "--index", idx, "--id", "extra", "--out", tmp_path / "q.csv") == 1

@@ -12,13 +12,12 @@ from hrrs.evaluation import (
     anmrr,
     average_precision,
     evaluate_dataset,
-    judge,
     mean_ap,
     nmrr,
     precision_at_k,
     write_report,
 )
-from hrrs.retrieval import RankedList, build_index
+from hrrs.retrieval import build_index
 from hrrs.tensor_store import ManifestEntry, make_manifest
 
 from oracles import (
@@ -34,33 +33,46 @@ def _judgment(ng, ranks, length=1000):
     return QueryJudgment("q", tuple(ranks), ng, length)
 
 
-def _ranked(ids, query_id="q", self_included=True):
-    return RankedList(query_id, tuple((i, float(k)) for k, i in enumerate(ids)), self_included)
+def _evaluate(vectors, labels, protocol=None):
+    """evaluate_dataset over hand-placed vectors; per-query results by id."""
+    manifest = _dataset(list(vectors), labels)
+    report = evaluate_dataset(build_index(_unit_features(vectors), manifest), manifest, protocol)
+    return {r.query_id: r for r in report.per_query}
 
 
 class TestJudge:
+    """Hit ranks as evaluate_dataset finds them: same-class rows in each ranking."""
+
     def test_perfect_retrieval(self):
-        rl = _ranked(["q", "a", "b", "x", "y"])
-        j = judge(rl, {"q", "a", "b"})
-        assert j.relevant_ranks == (1, 2, 3)
-        assert j.ng == 3
-        assert j.list_length == 5
+        vecs = {"q": [1, 0], "a": [1, 0.01], "b": [1, 0.02], "x": [0, 1], "y": [-0.01, 1]}
+        labels = {"q": "c", "a": "c", "b": "c", "x": "d", "y": "d"}
+        r = _evaluate(vecs, labels, EvalProtocol(k_list=(1, 3, 5, 6)))["q"]
+        # hit ranks (1, 2, 3) with NG 3 in a list of length 5
+        assert r.nmrr == 0.0 and r.avep == 1.0
+        assert r.p_at_k == {1: 1.0, 3: 1.0, 5: 0.6}
 
     def test_missing_relevant_id(self):
-        rl = _ranked(["q", "a"])
-        with pytest.raises(ValueError, match="absent"):
-            judge(rl, {"q", "ghost"})
+        # Every ranking holds the whole index, so a far relevant row is found
+        # at the last rank instead of being penalized as never retrieved.
+        vecs = {"q": [1, 0], "x": [1, 0.1], "a": [-1, 0]}
+        labels = {"q": "c", "x": "d", "a": "c"}
+        r = _evaluate(vecs, labels, EvalProtocol(self_included=False, k_list=(2, 3)))["q"]
+        assert r.p_at_k == {2: 0.5}
+        assert r.nmrr == nmrr_transcription(1, [2]) < 1.0
 
     def test_empty_relevant_set(self):
-        with pytest.raises(ValueError, match="empty"):
-            judge(_ranked(["q"]), set())
+        vecs = {"a": [1, 0], "b": [0, 1]}
+        with pytest.raises(ValueError, match="no evaluable queries"):
+            _evaluate(vecs, {"a": "x", "b": "y"}, EvalProtocol(self_included=False))
 
     def test_self_included_class_of_100(self):
         ids = ["q"] + [f"r{k:02d}" for k in range(99)] + [f"z{k:02d}" for k in range(60)]
-        relevant = {"q"} | {f"r{k:02d}" for k in range(99)}
-        j = judge(_ranked(ids), relevant)
-        assert j.ng == 100
-        assert j.relevant_ranks[0] == 1
+        labels = {i: "z" if i.startswith("z") else "r" for i in ids}
+        # identical vectors: self first, then ids ascending
+        protocol = EvalProtocol(k_list=(1, 100, 160))
+        r = _evaluate({i: [1.0, 0.0] for i in ids}, labels, protocol)["q"]
+        assert r.nmrr == 0.0 and r.avep == 1.0
+        assert r.p_at_k == {1: 1.0, 100: 1.0, 160: 100 / 160}
 
 
 class TestNmrr:
