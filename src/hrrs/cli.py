@@ -16,6 +16,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,8 +32,9 @@ from .encoders import (
     load_features,
     save_features,
 )
-from .evaluation import DEFAULT_K_LIST, EvalProtocol, evaluate_dataset, write_report
+from .evaluation import DEFAULT_K_LIST, EvalProtocol, evaluate_dataset, score_cells, write_report
 from .head import (
+    PARAM_NAMES,
     HeadConfig,
     TrainConfig,
     head_feature,
@@ -44,6 +46,7 @@ from .head import (
 from .reduction import load_pca, pca_apply, pca_fit, save_pca
 from .retrieval import build_index, load_index, rank, save_index
 from .tensor_store import (
+    BUNDLE_SIDECAR,
     DatasetManifest,
     gen_synthetic,
     load_manifest,
@@ -51,8 +54,39 @@ from .tensor_store import (
     write_synthetic,
 )
 
-# Dictionary sizes used when a sweep config leaves encoder.k unset.
-DEFAULT_CODEBOOK_SIZES = {"bovw": 1000, "vlad": 100, "ifk": 100}
+
+class EncoderSpec(NamedTuple):
+    """How one encoder kind gets its model and turns a feature map into a vector."""
+
+    encode: Callable  # (model, feature map, relu, alpha) -> EncodedFeature
+    model_flag: str | None = None  # `encode` option naming the model bundle
+    load: Callable | None = None  # loader of that bundle
+    fit: Callable | None = None  # sweep: seeded fit on the descriptor pool
+    default_k: int | None = None  # sweep: dictionary size when encoder.k is unset
+
+
+# The only list of encoder kinds: `encode --encoder`, the sweep config check
+# and the sweep cells all read it. fc_raw and ldcnn take no codebook; ldcnn
+# reads a trained head instead.
+ENCODERS = {
+    "bovw": EncoderSpec(
+        lambda cb, fmap, relu, alpha: encode_bovw(cb, extract_descriptors(fmap, relu)),
+        "model", load_codebook, kmeans_fit, 1000,
+    ),
+    "vlad": EncoderSpec(
+        lambda cb, fmap, relu, alpha: encode_vlad(cb, extract_descriptors(fmap, relu)),
+        "model", load_codebook, kmeans_fit, 100,
+    ),
+    "ifk": EncoderSpec(
+        lambda gmm, fmap, relu, alpha: encode_ifk(gmm, extract_descriptors(fmap, relu), alpha),
+        "model", load_gmm, gmm_fit, 100,
+    ),
+    "fc_raw": EncoderSpec(lambda _, fc, relu, alpha: encode_fc(fc, relu)),
+    "ldcnn": EncoderSpec(
+        lambda head, fmap, relu, alpha: head_feature(head, fmap),
+        "head", lambda path: load_head(path)[0],
+    ),
+}
 
 CACHE_ENV_VAR = "HRRS_CACHE_DIR"
 
@@ -97,32 +131,14 @@ def _descriptor_pool(manifest: DatasetManifest, split: str, apply_relu: bool) ->
 
 
 def _encode_entries(
-    manifest: DatasetManifest,
-    split: str,
-    encoder: str,
-    apply_relu: bool,
-    alpha: float,
-    model=None,
-    head=None,
+    manifest: DatasetManifest, split: str, encoder: str, apply_relu: bool, alpha: float, model
 ) -> dict[str, EncodedFeature]:
-    feats: dict[str, EncodedFeature] = {}
-    for image_id, _, fmap in _load_split_maps(manifest, split):
-        if encoder == "fc_raw":
-            feats[image_id] = encode_fc(fmap, apply_relu)
-            continue
-        if encoder == "ldcnn":
-            feats[image_id] = head_feature(head, fmap)
-            continue
-        descriptors = extract_descriptors(fmap, apply_relu)
-        if encoder == "bovw":
-            feats[image_id] = encode_bovw(model, descriptors)
-        elif encoder == "vlad":
-            feats[image_id] = encode_vlad(model, descriptors)
-        elif encoder == "ifk":
-            feats[image_id] = encode_ifk(model, descriptors, alpha)
-        else:
-            raise CliError(f"unknown encoder {encoder!r}")
-    return feats
+    """Encode every map of a split; `model` is the kind's codebook, GMM or head (or None)."""
+    encode = ENCODERS[encoder].encode
+    return {
+        image_id: encode(model, fmap, apply_relu, alpha)
+        for image_id, _, fmap in _load_split_maps(manifest, split)
+    }
 
 
 def _feature_matrix(features: dict[str, EncodedFeature]) -> tuple[list[str], np.ndarray]:
@@ -130,14 +146,12 @@ def _feature_matrix(features: dict[str, EncodedFeature]) -> tuple[list[str], np.
     return ids, np.stack([features[i].vector for i in ids])
 
 
-def _project_features(
-    features: dict[str, EncodedFeature], model, dim_label: str
-) -> dict[str, EncodedFeature]:
-    out = {}
-    for image_id, feat in features.items():
-        vec = pca_apply(model, feat.vector)
-        out[image_id] = EncodedFeature(vec, f"{feat.encoder_tag}+{dim_label}", False)
-    return out
+def _project_features(features: dict[str, EncodedFeature], model) -> dict[str, EncodedFeature]:
+    """PCA-project a feature set with one batched `pca_apply` call."""
+    ids, matrix = _feature_matrix(features)
+    projected = pca_apply(model, matrix)
+    tag = f"{features[ids[0]].encoder_tag}+pca{model.out_dim}"
+    return {image_id: EncodedFeature(projected[r], tag, False) for r, image_id in enumerate(ids)}
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +190,14 @@ def cmd_codebook_train(args) -> int:
 
 def cmd_encode(args) -> int:
     manifest = load_manifest(args.manifest)
-    model = head = None
-    if args.encoder in ("bovw", "vlad", "ifk"):
-        if not args.model:
-            raise CliError(f"--model is required for encoder {args.encoder!r}")
-        model = load_gmm(args.model) if args.encoder == "ifk" else load_codebook(args.model)
-    elif args.encoder == "ldcnn":
-        if not args.head:
-            raise CliError("--head is required for encoder 'ldcnn'")
-        head, _ = load_head(args.head)
-    feats = _encode_entries(
-        manifest, args.split, args.encoder, args.relu, args.alpha, model=model, head=head
-    )
+    spec = ENCODERS[args.encoder]
+    model = None
+    if spec.model_flag:
+        path = getattr(args, spec.model_flag)
+        if not path:
+            raise CliError(f"--{spec.model_flag} is required for encoder {args.encoder!r}")
+        model = spec.load(path)
+    feats = _encode_entries(manifest, args.split, args.encoder, args.relu, args.alpha, model)
     out = Path(args.out)
     sidecar = save_features(out, feats)
     _write_effective_config(out, "encode", vars(args))
@@ -224,7 +234,7 @@ def cmd_pca_fit(args) -> int:
 def cmd_pca_apply(args) -> int:
     features = load_features(args.features)
     model = load_pca(args.model)
-    projected = _project_features(features, model, f"pca{model.out_dim}")
+    projected = _project_features(features, model)
     out = Path(args.out)
     save_features(out, projected)
     _write_effective_config(out, "pca apply", vars(args))
@@ -245,20 +255,16 @@ def cmd_pca_sweep(args) -> int:
         print(f"capping sweep at {cap}-D: dropping {[d for d in dims if d > cap]}")
     rows = []
     for d in capped:
-        model = pca_fit(matrix, d)
-        projected = _project_features(features, model, f"pca{d}")
+        projected = _project_features(features, pca_fit(matrix, d))
         report = evaluate_dataset(build_index(projected, manifest), manifest, protocol)
-        rows.append((d, report))
+        rows.append([d] + score_cells((report.anmrr, report.mean_ap), report.p_at_k, k_list))
         print(f"dim {d}: ANMRR={report.anmrr:.4f} mAP={report.mean_ap:.4f}")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dim", "ANMRR", "mAP"] + [f"P@{k}" for k in k_list])
-        for d, report in rows:
-            row = [d, f"{report.anmrr:.4f}", f"{report.mean_ap:.4f}"]
-            row += [f"{report.p_at_k[k]:.4f}" if k in report.p_at_k else "" for k in k_list]
-            writer.writerow(row)
+        writer.writerows(rows)
     _write_effective_config(out, "pca sweep", vars(args))
     return 0
 
@@ -396,6 +402,31 @@ def _require_keys(section: str, doc: dict, allowed: set[str], required: set[str]
         raise CliError(f"config section {section!r} missing keys {sorted(missing)}")
 
 
+def _positive_int(key: str, value) -> int:
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        raise CliError(f"{key} must be an integer, got {value!r}") from None
+    if n < 1:
+        raise CliError(f"{key} must be >= 1, got {n}")
+    return n
+
+
+def _positive_ints(key: str, values) -> list[int]:
+    if not isinstance(values, (list, tuple)):
+        raise CliError(f"{key} must be a list of integers, got {values!r}")
+    return [_positive_int(key, v) for v in values]
+
+
+def _axis(key: str, value) -> list:
+    """A sweep axis: one value or a list; a repeat would give two cells one cache key."""
+    values = value if isinstance(value, list) else [value]
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise CliError(f"{key} repeats {repeated}")
+    return values
+
+
 def validate_config(doc: dict) -> dict:
     """Schema-check a pipeline config and fill defaults; unknown keys are rejected."""
     if not isinstance(doc, dict):
@@ -408,36 +439,33 @@ def validate_config(doc: dict) -> dict:
     if encoder is None:
         raise CliError("config requires an 'encoder' section")
     _require_keys("encoder", encoder, {"kind", "k", "alpha", "relu"}, {"kind"})
-    kinds = encoder["kind"] if isinstance(encoder["kind"], list) else [encoder["kind"]]
-    valid_kinds = {"bovw", "vlad", "ifk", "fc_raw", "ldcnn"}
-    bad = [k for k in kinds if k not in valid_kinds]
+    kinds = _axis("encoder.kind", encoder["kind"])
+    bad = [k for k in kinds if not isinstance(k, str) or k not in ENCODERS]
     if bad:
-        raise CliError(f"invalid encoder kind(s) {bad}; choose from {sorted(valid_kinds)}")
-    relu = encoder.get("relu", False)
-    relus = relu if isinstance(relu, list) else [relu]
+        raise CliError(f"invalid encoder kind(s) {bad}; choose from {sorted(ENCODERS)}")
+    relus = _axis("encoder.relu", encoder.get("relu", False))
     if any(not isinstance(r, bool) for r in relus):
         raise CliError("encoder.relu must be a boolean or list of booleans")
     k = encoder.get("k")
     if k is not None:
-        try:
-            k = int(k)
-        except (TypeError, ValueError):
-            raise CliError(f"encoder.k must be an integer, got {k!r}") from None
-        if k < 1:
-            raise CliError(f"encoder.k must be >= 1, got {k}")
+        k = _positive_int("encoder.k", k)
+    alpha = encoder.get("alpha", 0.5)
+    if not isinstance(alpha, (int, float)) or not 0.0 < alpha <= 1.0:
+        raise CliError(f"encoder.alpha must be a number in (0, 1], got {alpha!r}")
     pca = doc.get("pca", {})
     _require_keys("pca", pca, {"d", "dims"})
     if "d" in pca and "dims" in pca:
         raise CliError("pca section takes either 'd' or 'dims', not both")
     dims = [None]
     if "dims" in pca:
-        dims = [int(v) for v in pca["dims"]]
+        dims = _axis("pca.dims", _positive_ints("pca.dims", pca["dims"]))
     elif "d" in pca:
-        dims = [int(pca["d"])]
+        dims = [_positive_int("pca.d", pca["d"])]
     head = doc.get("head", {})
     _require_keys("head", head, {"checkpoint"})
-    if "ldcnn" in kinds and "checkpoint" not in head:
-        raise CliError("encoder kind 'ldcnn' requires head.checkpoint in the config")
+    for kind in kinds:
+        if ENCODERS[kind].model_flag == "head" and "checkpoint" not in head:
+            raise CliError(f"encoder kind {kind!r} requires head.checkpoint in the config")
     ev = doc.get("eval", {})
     _require_keys("eval", ev, {"self_included", "k_list"})
     return {
@@ -446,12 +474,21 @@ def validate_config(doc: dict) -> dict:
         "relus": relus,
         "dims": dims,
         "k": k,
-        "alpha": float(encoder.get("alpha", 0.5)),
+        "alpha": float(alpha),
         "head_checkpoint": head.get("checkpoint"),
         "self_included": bool(ev.get("self_included", True)),
-        "k_list": tuple(int(v) for v in ev.get("k_list", DEFAULT_K_LIST)),
+        "k_list": tuple(_positive_ints("eval.k_list", ev.get("k_list", DEFAULT_K_LIST))),
         "seed": int(doc.get("seed", 0)),
     }
+
+
+def _checkpoint_digest(checkpoint: Path) -> str:
+    """sha256 over a head checkpoint's sidecar and parameter files."""
+    load_head(checkpoint)  # a malformed checkpoint fails here, naming its file
+    digest = hashlib.sha256()
+    for name in (BUNDLE_SIDECAR, *(f"{p}.ftns" for p in PARAM_NAMES)):
+        digest.update((checkpoint / name).read_bytes())
+    return digest.hexdigest()
 
 
 def _cell_key(cell: dict, manifest_sha: str) -> str:
@@ -459,24 +496,20 @@ def _cell_key(cell: dict, manifest_sha: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _run_cell(cfg: dict, cell: dict, manifest: DatasetManifest) -> dict:
+def _run_cell(cfg: dict, cell: dict, manifest: DatasetManifest, checkpoint: Path | None) -> dict:
     kind, use_relu, dim = cell["kind"], cell["relu"], cell["dim"]
-    seed = cfg["seed"]
-    if kind == "fc_raw":
-        feats = _encode_entries(manifest, "all", kind, use_relu, cfg["alpha"])
-    elif kind == "ldcnn":
-        head, _ = load_head(cell["head_checkpoint"])
-        feats = _encode_entries(manifest, "all", kind, use_relu, cfg["alpha"], head=head)
-    else:
-        pool = _descriptor_pool(manifest, "all", use_relu)
-        k = cell["k"]
-        model = (
-            gmm_fit(pool, k, seed=seed) if kind == "ifk" else kmeans_fit(pool, k, seed=seed)
-        )
-        feats = _encode_entries(manifest, "all", kind, use_relu, cfg["alpha"], model=model)
+    spec = ENCODERS[kind]
+    model = None
+    if spec.fit:
+        # The pool is fitted and dropped before the encode pass reads the maps
+        # again: holding every map through the fit would cost far more memory.
+        model = spec.fit(_descriptor_pool(manifest, "all", use_relu), cell["k"], seed=cfg["seed"])
+    elif spec.load:
+        model = spec.load(checkpoint)
+    feats = _encode_entries(manifest, "all", kind, use_relu, cfg["alpha"], model)
     if dim is not None:
         _, matrix = _feature_matrix(feats)
-        feats = _project_features(feats, pca_fit(matrix, dim), f"pca{dim}")
+        feats = _project_features(feats, pca_fit(matrix, dim))
     protocol = EvalProtocol(self_included=cfg["self_included"], k_list=cfg["k_list"])
     report = evaluate_dataset(build_index(feats, manifest), manifest, protocol)
     return {
@@ -491,27 +524,32 @@ def _run_cell(cfg: dict, cell: dict, manifest: DatasetManifest) -> dict:
 
 def run_sweep(config_path: Path, out_dir: Path, workers: int = 1) -> Path:
     """Evaluate the Cartesian product of the config's axes; rows are cached."""
+    if workers < 1:
+        raise CliError(f"--workers must be >= 1, got {workers}")
     doc = json.loads(config_path.read_text())
     cfg = validate_config(doc)
     manifest_path = (config_path.parent / cfg["manifest"]).resolve()
     manifest = load_manifest(manifest_path)
     manifest_sha = hashlib.sha256(manifest_path.read_bytes()).hexdigest()
-    checkpoint = cfg["head_checkpoint"]
-    if checkpoint is not None:
-        checkpoint = str((config_path.parent / checkpoint).resolve())
+    # A head cell keys on its checkpoint's content, so retraining in place misses.
+    checkpoint = head_key = None
+    if any(ENCODERS[kind].model_flag == "head" for kind in cfg["kinds"]):
+        checkpoint = (config_path.parent / cfg["head_checkpoint"]).resolve()
+        head_key = f"sha256:{_checkpoint_digest(checkpoint)}"
     cache_dir = Path(os.environ.get(CACHE_ENV_VAR) or out_dir / "cache")
     cache_dir.mkdir(parents=True, exist_ok=True)
     cells = []
     for kind in cfg["kinds"]:
+        spec = ENCODERS[kind]
         for use_relu in cfg["relus"]:
             for dim in cfg["dims"]:
                 cell = {
                     "kind": kind,
                     "relu": use_relu,
                     "dim": dim,
-                    "k": cfg["k"] or DEFAULT_CODEBOOK_SIZES.get(kind),
+                    "k": cfg["k"] or spec.default_k,
                     "alpha": cfg["alpha"],
-                    "head_checkpoint": checkpoint if kind == "ldcnn" else None,
+                    "head_checkpoint": head_key if spec.model_flag == "head" else None,
                     "self_included": cfg["self_included"],
                     "k_list": list(cfg["k_list"]),
                     "seed": cfg["seed"],
@@ -524,7 +562,7 @@ def run_sweep(config_path: Path, out_dir: Path, workers: int = 1) -> Path:
         if cache_file.exists():
             print(f"cache hit {key[:12]} ({cell['kind']}, relu={cell['relu']}, dim={cell['dim']})")
             return json.loads(cache_file.read_text())
-        row = _run_cell(cfg, cell, manifest)
+        row = _run_cell(cfg, cell, manifest, checkpoint)
         tmp = cache_file.with_suffix(f".{os.getpid()}.tmp")  # atomic publish
         tmp.write_text(json.dumps(row, indent=2) + "\n")
         os.replace(tmp, cache_file)
@@ -542,17 +580,9 @@ def run_sweep(config_path: Path, out_dir: Path, workers: int = 1) -> Path:
         writer = csv.writer(fh)
         writer.writerow(["kind", "relu", "pca_dim", "ANMRR", "mAP"] + [f"P@{k}" for k in k_list])
         for row in rows:
-            out_row = [
-                row["kind"],
-                int(row["relu"]),
-                "" if row["pca_dim"] is None else row["pca_dim"],
-                f"{row['ANMRR']:.4f}",
-                f"{row['mAP']:.4f}",
-            ]
-            out_row += [
-                f"{row['P_at_k'][str(k)]:.4f}" if str(k) in row["P_at_k"] else "" for k in k_list
-            ]
-            writer.writerow(out_row)
+            p_at_k = {int(k): v for k, v in row["P_at_k"].items()}
+            scores = score_cells((row["ANMRR"], row["mAP"]), p_at_k, k_list)
+            writer.writerow([row["kind"], int(row["relu"]), row["pca_dim"]] + scores)  # None -> ""
     _write_effective_config(out_dir, "sweep", {"config": str(config_path), **cfg})
     return out_csv
 
@@ -602,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="encode every image into one feature vector")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--encoder", choices=("bovw", "vlad", "ifk", "fc_raw", "ldcnn"), required=True)
+    p.add_argument("--encoder", choices=tuple(ENCODERS), required=True)
     p.add_argument("--model", help="codebook/GMM bundle (bovw, vlad, ifk)")
     p.add_argument("--head", help="head checkpoint directory (ldcnn)")
     p.add_argument("--alpha", type=float, default=0.5, help="power-normalization exponent (ifk)")

@@ -21,8 +21,6 @@ from .tensor_store import load_bundle, save_bundle
 
 ZERO_NORM_EPS = 1e-12
 
-ENCODER_TAGS = ("bovw", "vlad", "ifk", "fc_raw", "ldcnn")
-
 
 @dataclass(frozen=True)
 class EncodedFeature:

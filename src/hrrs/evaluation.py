@@ -141,6 +141,14 @@ def evaluate_dataset(
 # result tables) plus a JSON summary at full precision.
 
 
+def score_cells(scores, p_at_k: dict[int, float], k_list) -> list[str]:
+    """CSV cells of one score row: each score, then P@k for each k in k_list,
+    to 4 decimals; P@k is blank where k exceeds the ranked list's length."""
+    return [f"{s:.4f}" for s in scores] + [
+        f"{p_at_k[k]:.4f}" if k in p_at_k else "" for k in k_list
+    ]
+
+
 def write_report(report: EvalReport, out_dir: str | Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -149,9 +157,8 @@ def write_report(report: EvalReport, out_dir: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["query_id", "class", "NMRR", "AveP"] + [f"P@{k}" for k in k_list])
         for r in report.per_query:
-            row = [r.query_id, r.class_label, f"{r.nmrr:.4f}", f"{r.avep:.4f}"]
-            row += [f"{r.p_at_k[k]:.4f}" if k in r.p_at_k else "" for k in k_list]
-            writer.writerow(row)
+            cells = score_cells((r.nmrr, r.avep), r.p_at_k, k_list)
+            writer.writerow([r.query_id, r.class_label] + cells)
     with open(out_dir / "aggregate.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "value"])

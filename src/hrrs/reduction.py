@@ -56,22 +56,19 @@ def pca_fit(X, d: int) -> PcaModel:
     return PcaModel(mean, components, explained)
 
 
-def pca_apply(model: PcaModel, v) -> np.ndarray:
-    """Project vector(s) onto the principal axes: components @ (v - mean).
+def pca_apply(model: PcaModel, X) -> np.ndarray:
+    """Project the rows of X (N, D) onto the principal axes: row i becomes
+    components @ (X[i] - mean), giving an (N, d) float64 matrix.
 
-    Accepts a single (D,) vector or a (N, D) matrix. Callers re-L2-normalize
-    afterwards before any similarity measure.
+    One vector is projected as a (1, D) matrix. Callers re-L2-normalize the
+    rows before any similarity measure.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        if v.shape[0] != model.in_dim:
-            raise ValueError(f"expected dim {model.in_dim}, got {v.shape[0]}")
-        return model.components @ (v - model.mean)
-    if v.ndim == 2:
-        if v.shape[1] != model.in_dim:
-            raise ValueError(f"expected dim {model.in_dim}, got {v.shape[1]}")
-        return (v - model.mean) @ model.components.T
-    raise ValueError(f"expected 1-D or 2-D input, got rank {v.ndim}")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-D (N, D) matrix, got rank {X.ndim}")
+    if X.shape[1] != model.in_dim:
+        raise ValueError(f"expected dim {model.in_dim}, got {X.shape[1]}")
+    return (X - model.mean) @ model.components.T
 
 
 def save_pca(out_dir: str | Path, model: PcaModel) -> None:

@@ -56,32 +56,23 @@ def _unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return matrix, zero
 
 
-def build_index(
-    features: Mapping[str, EncodedFeature] | Iterable[tuple[str, EncodedFeature]],
-    manifest: DatasetManifest,
-) -> Index:
+def build_index(features: Mapping[str, EncodedFeature], manifest: DatasetManifest) -> Index:
     """Assemble the search matrix; rows are re-L2-normalized (idempotent)."""
-    items = list(features.items()) if isinstance(features, Mapping) else list(features)
-    if not items:
+    if not features:
         raise ValueError("cannot build an index from zero features")
-    seen: set[str] = set()
-    for image_id, _ in items:
-        if image_id in seen:
-            raise ValueError(f"duplicate id {image_id!r}")
-        seen.add(image_id)
+    for image_id in features:
         if image_id not in manifest.label_of:
             raise ValueError(f"id {image_id!r} not present in manifest")
-    tags = {f.encoder_tag for _, f in items}
-    dims = {f.dim for _, f in items}
+    tags = {f.encoder_tag for f in features.values()}
+    dims = {f.dim for f in features.values()}
     if len(tags) > 1:
         raise ValueError(f"mixed encoder tags: {sorted(tags)}")
     if len(dims) > 1:
         raise ValueError(f"mixed feature dimensions: {sorted(dims)}")
     # Deterministic row order: manifest entry order.
-    order = [e.image_id for e in manifest.entries if e.image_id in seen]
-    by_id = dict(items)
+    order = [e.image_id for e in manifest.entries if e.image_id in features]
     matrix, zero = _unit_rows(
-        np.stack([np.asarray(by_id[i].vector, dtype=np.float64) for i in order])
+        np.stack([np.asarray(features[i].vector, dtype=np.float64) for i in order])
     )
     zero_ids = frozenset(np.asarray(order)[zero].tolist())
     class_of = {i: manifest.label_of[i] for i in order}

@@ -224,9 +224,6 @@ class DatasetManifest:
     def n_classes(self) -> int:
         return len(self.class_index)
 
-    def ids(self) -> tuple[str, ...]:
-        return tuple(e.image_id for e in self.entries)
-
     def select(self, split: str) -> tuple[ManifestEntry, ...]:
         """Entries belonging to a split; entries marked 'all' match every split."""
         if split not in VALID_SPLITS:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrrs import tensor_store
-from hrrs.cli import main
+from hrrs.cli import ENCODERS, main
 from hrrs.head import load_head
 from hrrs.tensor_store import BundleError, TensorFormatError, load_bundle
 
@@ -271,11 +271,123 @@ def test_pca_fit_set_restriction(dataset, tmp_path):
     assert doc["tensors"]["components"] == [2, 18]
 
 
-def test_sweep_config_validation(dataset, tmp_path):
-    bad = {"dataset": {"manifest": str(dataset)}, "encoder": {"kind": "vlad"}, "bogus": 1}
+@pytest.mark.parametrize(
+    ("edit", "argv", "message"),
+    [
+        pytest.param({"bogus": 1}, [], "unknown top-level keys", id="unknown-key"),
+        pytest.param({"encoder": {"kind": ["bovw", "bovw"]}}, [], "encoder.kind repeats",
+                     id="repeated-kind"),
+        pytest.param({"encoder": {"kind": "vlad", "relu": [True, True]}}, [],
+                     "encoder.relu repeats", id="repeated-relu"),
+        pytest.param({"pca": {"dims": [8, 8]}}, [], "pca.dims repeats", id="repeated-dims"),
+        pytest.param({"pca": {"dims": 8}}, [], "pca.dims must be a list", id="scalar-dims"),
+        pytest.param({"pca": {"dims": [2, 0]}}, [], "pca.dims must be >= 1", id="dims-below-1"),
+        pytest.param({"pca": {"d": 0}}, [], "pca.d must be >= 1", id="d-below-1"),
+        pytest.param({"encoder": {"kind": "ifk", "alpha": 0}}, [], "encoder.alpha", id="alpha-0"),
+        pytest.param({"encoder": {"kind": "ifk", "alpha": 1.5}}, [], "encoder.alpha",
+                     id="alpha-above-1"),
+        pytest.param({"eval": {"k_list": [5, 0]}}, [], "eval.k_list must be >= 1",
+                     id="k-list-below-1"),
+        pytest.param({}, ["--workers", 0], "--workers must be >= 1", id="workers-below-1"),
+    ],
+)
+def test_sweep_config_validation(dataset, tmp_path, capsys, edit, argv, message):
+    bad = {"dataset": {"manifest": str(dataset)}, "encoder": {"kind": "vlad"}, **edit}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
-    assert run("sweep", "--config", path, "--out", tmp_path / "o") == 1
+    assert run("sweep", "--config", path, *argv, "--out", tmp_path / "o") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # rejected before any cell ran
+
+
+def _train_head(dataset, out, seed):
+    assert run("head", "train", "--manifest", dataset, "--hidden1", 8, "--hidden2", 8,
+               "--init-std", 0.1, "--lr0", 0.02, "--batch", 8, "--max-epochs", 2,
+               "--seed", seed, "--out", out) == 0
+
+
+def _sweep_rows(config, config_path, out):
+    config_path.write_text(json.dumps(config))
+    assert run("sweep", "--config", config_path, "--out", out) == 0
+    with open(out / "sweep.csv") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _eval_report(dataset, features, out):
+    assert run("eval", "--manifest", dataset, "--features", features,
+               "--k-list", "1,5", "--out", out) == 0
+    return json.loads((out / "report.json").read_text())
+
+
+@pytest.mark.parametrize(
+    ("kind", "relu", "dim"),
+    [
+        pytest.param(kind, relu, dim, id=f"{kind}-relu{int(relu)}-{f'pca{dim}' if dim else 'full'}")
+        for kind in ENCODERS
+        for relu in (False, True)
+        for dim in ((None,) if kind == "ldcnn" else (None, 2))
+    ],
+)
+def test_sweep_matches_cli_chain(dataset, tmp_path, kind, relu, dim):
+    """A sweep row scores what `codebook train` -> `encode` -> `pca` -> `eval` scores."""
+    seed, k = 4, 3
+    relu_flag = ["--relu"] if relu else []
+    config = {
+        "dataset": {"manifest": str(dataset)},
+        "encoder": {"kind": kind, "k": k, "relu": relu},
+        "eval": {"k_list": [1, 5]},
+        "seed": seed,
+    }
+    model_args = []
+    codebook = {"bovw": "kmeans", "vlad": "kmeans", "ifk": "gmm"}.get(kind)
+    if codebook:
+        assert run("codebook", "train", "--kind", codebook, "--k", k, "--manifest", dataset,
+                   "--split", "all", *relu_flag, "--seed", seed, "--out", tmp_path / "cb") == 0
+        model_args = ["--model", tmp_path / "cb"]
+    elif kind == "ldcnn":
+        _train_head(dataset, tmp_path / "head", seed)
+        config["head"] = {"checkpoint": str(tmp_path / "head")}
+        model_args = ["--head", tmp_path / "head"]
+    features = tmp_path / "feats"
+    assert run("encode", "--manifest", dataset, "--encoder", kind, *model_args, *relu_flag,
+               "--out", features) == 0
+    if dim:
+        config["pca"] = {"d": dim}
+        assert run("pca", "fit", "--features", features, "--d", dim, "--out", tmp_path / "pm") == 0
+        assert run("pca", "apply", "--features", features, "--model", tmp_path / "pm",
+                   "--out", tmp_path / "projected") == 0
+        features = tmp_path / "projected"
+    report = _eval_report(dataset, features, tmp_path / "eval")
+
+    [row] = _sweep_rows(config, tmp_path / "c.json", tmp_path / "sweep")
+    assert (row["kind"], row["relu"], row["pca_dim"]) == (kind, str(int(relu)), str(dim or ""))
+    assert row["ANMRR"] == f"{report['ANMRR']:.4f}"
+    assert row["mAP"] == f"{report['mAP']:.4f}"
+
+
+def test_sweep_rekeys_ldcnn_on_retrained_checkpoint(dataset, tmp_path, capsys):
+    head = tmp_path / "head"
+    config = {
+        "dataset": {"manifest": str(dataset)},
+        "encoder": {"kind": "ldcnn"},
+        "head": {"checkpoint": str(head)},
+        "eval": {"k_list": [1, 5]},
+    }
+    _train_head(dataset, head, seed=1)
+    [first] = _sweep_rows(config, tmp_path / "c.json", tmp_path / "sweep")
+    _sweep_rows(config, tmp_path / "c.json", tmp_path / "sweep")
+    assert "cache hit" in capsys.readouterr().out
+
+    # Retrained in place: same path, new content, so the cached row must not be served.
+    _train_head(dataset, head, seed=7)
+    assert run("encode", "--manifest", dataset, "--encoder", "ldcnn", "--head", head,
+               "--out", tmp_path / "feats") == 0
+    report = _eval_report(dataset, tmp_path / "feats", tmp_path / "eval")
+    assert f"{report['ANMRR']:.4f}" != first["ANMRR"]
+    capsys.readouterr()
+    [second] = _sweep_rows(config, tmp_path / "c.json", tmp_path / "sweep")
+    assert "cache hit" not in capsys.readouterr().out
+    assert second["ANMRR"] == f"{report['ANMRR']:.4f}"
 
 
 def test_sweep_workers(dataset, tmp_path):

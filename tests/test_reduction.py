@@ -92,20 +92,26 @@ class TestPcaApply:
         rng = np.random.default_rng(8)
         X = rng.standard_normal((30, 5))
         model = pca_fit(X, 3)
-        np.testing.assert_allclose(pca_apply(model, model.mean), np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(pca_apply(model, model.mean[None, :]), np.zeros((1, 3)), atol=1e-12)
 
     def test_matrix_and_vector_agree(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((20, 6))
         model = pca_fit(X, 4)
         batch = pca_apply(model, X)
-        for i in range(5):
-            np.testing.assert_allclose(batch[i], pca_apply(model, X[i]), atol=1e-12)
+        assert batch.shape == (20, 4)
+        for i in range(20):
+            np.testing.assert_allclose(batch[i], model.components @ (X[i] - model.mean), atol=1e-12)
 
     def test_dimension_mismatch(self):
         model = pca_fit(np.random.default_rng(10).standard_normal((20, 6)), 2)
         with pytest.raises(ValueError, match="dim"):
-            pca_apply(model, np.zeros(5))
+            pca_apply(model, np.zeros((3, 5)))
+
+    def test_rank_1_input_rejected(self):
+        model = pca_fit(np.random.default_rng(10).standard_normal((20, 6)), 2)
+        with pytest.raises(ValueError, match="2-D"):
+            pca_apply(model, np.zeros(6))
 
 
 class TestSerialization:

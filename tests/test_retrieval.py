@@ -36,11 +36,6 @@ class TestBuildIndex:
         assert idx.size == 3
         np.testing.assert_allclose(np.linalg.norm(idx.matrix, axis=1), 1.0, atol=1e-9)
 
-    def test_duplicate_id_rejected(self):
-        feats = list(_features({"a": [1, 0]}).items()) * 2
-        with pytest.raises(ValueError, match="duplicate"):
-            build_index(feats, _manifest(["a"]))
-
     def test_mixed_tags_rejected(self):
         feats = {
             "a": EncodedFeature(np.ones(2), "bovw", True),

@@ -333,6 +333,6 @@ class TestGenSynthetic:
         manifest, maps = gen_synthetic(2, 4, (2, 2, 4), 3.0, seed=9)
         manifest_path = write_synthetic(tmp_path / "ds", manifest, maps)
         loaded = load_manifest(manifest_path)
-        assert loaded.ids() == manifest.ids()
+        assert [e.image_id for e in loaded.entries] == [e.image_id for e in manifest.entries]
         arr = read_tensor(loaded.entries[0].tensor_path)
         assert arr.tobytes() == maps[loaded.entries[0].image_id].tobytes()
