@@ -31,6 +31,7 @@ from .encoders import (
     extract_descriptors,
     load_features,
     save_features,
+    stack_features,
 )
 from .evaluation import DEFAULT_K_LIST, EvalProtocol, evaluate_dataset, score_cells, write_report
 from .head import (
@@ -63,11 +64,12 @@ class EncoderSpec(NamedTuple):
     load: Callable | None = None  # loader of that bundle
     fit: Callable | None = None  # sweep: seeded fit on the descriptor pool
     default_k: int | None = None  # sweep: dictionary size when encoder.k is unset
+    reads_relu: bool = True  # False: `encode --relu` is an error, the sweep keeps relu 0
 
 
 # The only list of encoder kinds: `encode --encoder`, the sweep config check
 # and the sweep cells all read it. fc_raw and ldcnn take no codebook; ldcnn
-# reads a trained head instead.
+# reads a trained head instead, and applies no ReLU.
 ENCODERS = {
     "bovw": EncoderSpec(
         lambda cb, fmap, relu, alpha: encode_bovw(cb, extract_descriptors(fmap, relu)),
@@ -84,7 +86,7 @@ ENCODERS = {
     "fc_raw": EncoderSpec(lambda _, fc, relu, alpha: encode_fc(fc, relu)),
     "ldcnn": EncoderSpec(
         lambda head, fmap, relu, alpha: head_feature(head, fmap),
-        "head", lambda path: load_head(path)[0],
+        "head", lambda path: load_head(path)[0], reads_relu=False,
     ),
 }
 
@@ -95,14 +97,29 @@ class CliError(ValueError):
     """User-facing command error: reported on stderr, exit code 1."""
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _int(key: str, value, minimum: int = 1) -> int:
+    """A JSON integer (not a bool, float or string) of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CliError(f"{key} must be an integer, got {value!r}")
+    if value < minimum:
+        raise CliError(f"{key} must be >= {minimum}, got {value}")
+    return value
+
+
+def _positive_ints(key: str, values) -> list[int]:
+    if not isinstance(values, list):
+        raise CliError(f"{key} must be a list of integers, got {values!r}")
+    return [_int(key, v) for v in values]
+
+
+def _parse_int_list(flag: str, text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(v) for v in text.split(",") if v.strip())
+        values = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise CliError(f"expected a comma-separated integer list, got {text!r}") from None
+        raise CliError(f"{flag} expects a comma-separated integer list, got {text!r}") from None
     if not values:
-        raise CliError(f"empty integer list {text!r}")
-    return values
+        raise CliError(f"{flag}: empty integer list {text!r}")
+    return tuple(_positive_ints(flag, values))
 
 
 def _write_effective_config(out: Path, command: str, params: dict) -> None:
@@ -141,16 +158,12 @@ def _encode_entries(
     }
 
 
-def _feature_matrix(features: dict[str, EncodedFeature]) -> tuple[list[str], np.ndarray]:
-    ids = sorted(features)
-    return ids, np.stack([features[i].vector for i in ids])
-
-
 def _project_features(features: dict[str, EncodedFeature], model) -> dict[str, EncodedFeature]:
     """PCA-project a feature set with one batched `pca_apply` call."""
-    ids, matrix = _feature_matrix(features)
+    ids = sorted(features)
+    tag, matrix = stack_features(features, ids)
     projected = pca_apply(model, matrix)
-    tag = f"{features[ids[0]].encoder_tag}+pca{model.out_dim}"
+    tag = f"{tag}+pca{model.out_dim}"
     return {image_id: EncodedFeature(projected[r], tag, False) for r, image_id in enumerate(ids)}
 
 
@@ -159,7 +172,7 @@ def _project_features(features: dict[str, EncodedFeature], model) -> dict[str, E
 
 
 def cmd_synth(args) -> int:
-    shape = _parse_int_list(args.shape)
+    shape = _parse_int_list("--shape", args.shape)
     if len(shape) != 3:
         raise CliError(f"--shape must be h,w,c, got {args.shape!r}")
     manifest, maps = gen_synthetic(
@@ -189,8 +202,10 @@ def cmd_codebook_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    manifest = load_manifest(args.manifest)
     spec = ENCODERS[args.encoder]
+    if args.relu and not spec.reads_relu:
+        raise CliError(f"--relu does not apply to encoder {args.encoder!r}")
+    manifest = load_manifest(args.manifest)
     model = None
     if spec.model_flag:
         path = getattr(args, spec.model_flag)
@@ -207,17 +222,15 @@ def cmd_encode(args) -> int:
 
 def _fit_set_matrix(features, args) -> np.ndarray:
     """Feature matrix for PCA fitting, restricted to an explicit fit manifest."""
+    ids = sorted(features)
     if args.manifest:
-        manifest = load_manifest(args.manifest)
-        keep = {e.image_id for e in manifest.select(args.split)}
-        missing = keep - set(features)
+        ids = sorted(e.image_id for e in load_manifest(args.manifest).select(args.split))
+        missing = [i for i in ids if i not in features]
         if missing:
-            raise CliError(f"fit-set ids missing from features: {sorted(missing)[:5]}")
-        features = {i: f for i, f in features.items() if i in keep}
-        if not features:
+            raise CliError(f"fit-set ids missing from features: {missing[:5]}")
+        if not ids:
             raise CliError(f"fit set is empty for split {args.split!r}")
-    _, matrix = _feature_matrix(features)
-    return matrix
+    return stack_features(features, ids)[1]
 
 
 def cmd_pca_fit(args) -> int:
@@ -245,8 +258,8 @@ def cmd_pca_apply(args) -> int:
 def cmd_pca_sweep(args) -> int:
     features = load_features(args.features)
     manifest = load_manifest(args.manifest)
-    dims = _parse_int_list(args.dims)
-    k_list = _parse_int_list(args.k_list)
+    dims = _parse_int_list("--dims", args.dims)
+    k_list = _parse_int_list("--k-list", args.k_list)
     protocol = EvalProtocol(self_included=args.self_included, k_list=k_list)
     matrix = _fit_set_matrix(features, args)
     cap = min(matrix.shape)
@@ -339,8 +352,7 @@ def _write_rankings(path: Path, idx, ranking, query_column: bool) -> None:
         for row, order, dists in ranking:
             prefix = [idx.ids[row]] * query_column
             for pos, (hit, dist) in enumerate(zip(order.tolist(), dists.tolist()), start=1):
-                image_id = idx.ids[hit]
-                writer.writerow(prefix + [pos, image_id, idx.class_of[image_id], f"{dist:.6f}"])
+                writer.writerow(prefix + [pos, idx.ids[hit], idx.labels[hit], f"{dist:.6f}"])
 
 
 def cmd_query(args) -> int:
@@ -375,7 +387,7 @@ def cmd_eval(args) -> int:
     manifest = load_manifest(args.manifest)
     features = load_features(args.features)
     protocol = EvalProtocol(
-        self_included=args.self_included, k_list=_parse_int_list(args.k_list)
+        self_included=args.self_included, k_list=_parse_int_list("--k-list", args.k_list)
     )
     report = evaluate_dataset(build_index(features, manifest), manifest, protocol)
     out = Path(args.out)
@@ -402,25 +414,17 @@ def _require_keys(section: str, doc: dict, allowed: set[str], required: set[str]
         raise CliError(f"config section {section!r} missing keys {sorted(missing)}")
 
 
-def _positive_int(key: str, value) -> int:
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        raise CliError(f"{key} must be an integer, got {value!r}") from None
-    if n < 1:
-        raise CliError(f"{key} must be >= 1, got {n}")
-    return n
-
-
-def _positive_ints(key: str, values) -> list[int]:
-    if not isinstance(values, (list, tuple)):
-        raise CliError(f"{key} must be a list of integers, got {values!r}")
-    return [_positive_int(key, v) for v in values]
+def _path(key: str, value) -> str:
+    if not isinstance(value, str) or not value:
+        raise CliError(f"{key} must be a non-empty path string, got {value!r}")
+    return value
 
 
 def _axis(key: str, value) -> list:
-    """A sweep axis: one value or a list; a repeat would give two cells one cache key."""
+    """A sweep axis: one value or a non-empty list; a repeat would give two cells one cache key."""
     values = value if isinstance(value, list) else [value]
+    if not values:
+        raise CliError(f"{key} must not be empty")
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
         raise CliError(f"{key} repeats {repeated}")
@@ -448,7 +452,7 @@ def validate_config(doc: dict) -> dict:
         raise CliError("encoder.relu must be a boolean or list of booleans")
     k = encoder.get("k")
     if k is not None:
-        k = _positive_int("encoder.k", k)
+        k = _int("encoder.k", k)
     alpha = encoder.get("alpha", 0.5)
     if not isinstance(alpha, (int, float)) or not 0.0 < alpha <= 1.0:
         raise CliError(f"encoder.alpha must be a number in (0, 1], got {alpha!r}")
@@ -460,25 +464,30 @@ def validate_config(doc: dict) -> dict:
     if "dims" in pca:
         dims = _axis("pca.dims", _positive_ints("pca.dims", pca["dims"]))
     elif "d" in pca:
-        dims = [_positive_int("pca.d", pca["d"])]
+        dims = [_int("pca.d", pca["d"])]
     head = doc.get("head", {})
     _require_keys("head", head, {"checkpoint"})
+    if "checkpoint" in head:
+        _path("head.checkpoint", head["checkpoint"])
     for kind in kinds:
         if ENCODERS[kind].model_flag == "head" and "checkpoint" not in head:
             raise CliError(f"encoder kind {kind!r} requires head.checkpoint in the config")
     ev = doc.get("eval", {})
     _require_keys("eval", ev, {"self_included", "k_list"})
+    self_included = ev.get("self_included", True)
+    if not isinstance(self_included, bool):
+        raise CliError(f"eval.self_included must be a boolean, got {self_included!r}")
     return {
-        "manifest": doc["dataset"]["manifest"],
+        "manifest": _path("dataset.manifest", doc["dataset"]["manifest"]),
         "kinds": kinds,
         "relus": relus,
         "dims": dims,
         "k": k,
         "alpha": float(alpha),
         "head_checkpoint": head.get("checkpoint"),
-        "self_included": bool(ev.get("self_included", True)),
-        "k_list": tuple(_positive_ints("eval.k_list", ev.get("k_list", DEFAULT_K_LIST))),
-        "seed": int(doc.get("seed", 0)),
+        "self_included": self_included,
+        "k_list": tuple(_positive_ints("eval.k_list", ev.get("k_list", list(DEFAULT_K_LIST)))),
+        "seed": _int("seed", doc.get("seed", 0), minimum=0),
     }
 
 
@@ -508,7 +517,7 @@ def _run_cell(cfg: dict, cell: dict, manifest: DatasetManifest, checkpoint: Path
         model = spec.load(checkpoint)
     feats = _encode_entries(manifest, "all", kind, use_relu, cfg["alpha"], model)
     if dim is not None:
-        _, matrix = _feature_matrix(feats)
+        matrix = stack_features(feats, sorted(feats))[1]
         feats = _project_features(feats, pca_fit(matrix, dim))
     protocol = EvalProtocol(self_included=cfg["self_included"], k_list=cfg["k_list"])
     report = evaluate_dataset(build_index(feats, manifest), manifest, protocol)
@@ -526,7 +535,10 @@ def run_sweep(config_path: Path, out_dir: Path, workers: int = 1) -> Path:
     """Evaluate the Cartesian product of the config's axes; rows are cached."""
     if workers < 1:
         raise CliError(f"--workers must be >= 1, got {workers}")
-    doc = json.loads(config_path.read_text())
+    try:
+        doc = json.loads(config_path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CliError(f"{config_path}: invalid JSON ({exc})") from None
     cfg = validate_config(doc)
     manifest_path = (config_path.parent / cfg["manifest"]).resolve()
     manifest = load_manifest(manifest_path)
@@ -541,7 +553,8 @@ def run_sweep(config_path: Path, out_dir: Path, workers: int = 1) -> Path:
     cells = []
     for kind in cfg["kinds"]:
         spec = ENCODERS[kind]
-        for use_relu in cfg["relus"]:
+        # A kind that reads no ReLU gets one relu-0 cell whatever the relu axis holds.
+        for use_relu in cfg["relus"] if spec.reads_relu else [False]:
             for dim in cfg["dims"]:
                 cell = {
                     "kind": kind,

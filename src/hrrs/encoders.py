@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -150,19 +151,29 @@ def encode_fc(fc_vector: np.ndarray, apply_relu: bool = False) -> EncodedFeature
 # per-row normalization flags.
 
 
+def stack_features(
+    features: Mapping[str, EncodedFeature], ids: Sequence[str], dtype=np.float64
+) -> tuple[str, np.ndarray]:
+    """(encoder tag, the vectors of `ids` in that order as one (N, d) `dtype` matrix);
+    the one check of a feature set: non-empty, one encoder tag, one dimension."""
+    if not ids:
+        raise ValueError("empty feature set")
+    tags = {features[i].encoder_tag for i in ids}
+    dims = {features[i].dim for i in ids}
+    if len(tags) > 1:
+        raise ValueError(f"mixed encoder tags: {sorted(tags)}")
+    if len(dims) > 1:
+        raise ValueError(f"mixed feature dimensions: {sorted(dims)}")
+    return tags.pop(), np.stack([features[i].vector for i in ids], dtype=dtype)
+
+
 def save_features(out_dir: str | Path, features: dict[str, EncodedFeature]) -> Path:
     """Write the feature set as one bundle; returns the sidecar path."""
-    if not features:
-        raise ValueError("no features to save")
-    tags = {f.encoder_tag for f in features.values()}
-    dims = {f.dim for f in features.values()}
-    if len(tags) != 1 or len(dims) != 1:
-        raise ValueError(f"mixed encoder tags {tags} or dims {dims}")
     ids = sorted(features)
     # Stacked straight into the stored float32: no float64 copy of the whole set.
-    matrix = np.stack([features[i].vector for i in ids], dtype=np.float32)
+    tag, matrix = stack_features(features, ids, np.float32)
     meta = {
-        "encoder_tag": tags.pop(),
+        "encoder_tag": tag,
         "ids": ids,
         "normalized": [features[i].normalized for i in ids],
     }

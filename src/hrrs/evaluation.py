@@ -106,8 +106,7 @@ def evaluate_dataset(
     ground truth; such queries are skipped and listed in the report.
     """
     protocol = protocol or EvalProtocol()
-    labels = [idx.class_of[i] for i in idx.ids]
-    cls = np.unique(labels, return_inverse=True)[1]
+    cls = np.unique(idx.labels, return_inverse=True)[1]
     class_size = np.bincount(cls)
     ng = class_size[cls] - (not protocol.self_included)
     skipped = [i for i, n in zip(idx.ids, ng) if n < 1]
@@ -117,7 +116,7 @@ def evaluate_dataset(
         j = QueryJudgment(idx.ids[row], tuple(hits.tolist()), int(ng[row]), len(order))
         p_at_k = {k: precision_at_k(j, k) for k in protocol.k_list if k <= j.list_length}
         per_query.append(
-            PerQueryResult(j.query_id, labels[row], nmrr(j), average_precision(j), p_at_k)
+            PerQueryResult(j.query_id, idx.labels[row], nmrr(j), average_precision(j), p_at_k)
         )
     if not per_query:
         raise ValueError("no evaluable queries (every class has a single member?)")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor_store import load_bundle, save_bundle
+from .tensor_store import BundleError, load_bundle, save_bundle
 
 
 @dataclass(frozen=True)
@@ -76,5 +76,12 @@ def save_pca(out_dir: str | Path, model: PcaModel) -> None:
 
 
 def load_pca(model_dir: str | Path) -> PcaModel:
-    tensors, _ = load_bundle(model_dir, "pca")
-    return PcaModel(tensors["mean"], tensors["components"], tensors["explained_variance"])
+    tensors, meta = load_bundle(model_dir, "pca")
+    mean, components, variance = (tensors[n] for n in ("mean", "components", "explained_variance"))
+    if mean.ndim != 1 or variance.ndim != 1 or components.shape != variance.shape + mean.shape:
+        raise BundleError(
+            f"{meta.sidecar}: PCA tensors disagree: mean {list(mean.shape)}, components "
+            f"{list(components.shape)}, explained_variance {list(variance.shape)}; "
+            "expected (D,), (d, D), (d,)"
+        )
+    return PcaModel(mean, components, variance)

@@ -20,17 +20,17 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .encoders import EncodedFeature, ZERO_NORM_EPS
-from .tensor_store import DatasetManifest, load_bundle, save_bundle
+from .encoders import ZERO_NORM_EPS, EncodedFeature, stack_features
+from .tensor_store import BundleError, DatasetManifest, load_bundle, save_bundle
 
 
 @dataclass(frozen=True)
 class Index:
     ids: tuple[str, ...]
+    labels: tuple[str, ...]  # class of each row
     matrix: np.ndarray  # (N, d), rows L2-normalized (zero rows kept as-is)
-    class_of: dict[str, str]
+    zero: np.ndarray  # (N,) bool: the rows `_unit_rows` found zero
     encoder_tag: str
-    zero_ids: frozenset[str]
 
     @property
     def size(self) -> int:
@@ -52,31 +52,21 @@ def _unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = np.linalg.norm(matrix, axis=1)
     zero = norms <= ZERO_NORM_EPS
     matrix[~zero] /= norms[~zero, None]
-    matrix.flags.writeable = False
+    matrix.flags.writeable = zero.flags.writeable = False
     return matrix, zero
 
 
 def build_index(features: Mapping[str, EncodedFeature], manifest: DatasetManifest) -> Index:
     """Assemble the search matrix; rows are re-L2-normalized (idempotent)."""
-    if not features:
-        raise ValueError("cannot build an index from zero features")
     for image_id in features:
         if image_id not in manifest.label_of:
             raise ValueError(f"id {image_id!r} not present in manifest")
-    tags = {f.encoder_tag for f in features.values()}
-    dims = {f.dim for f in features.values()}
-    if len(tags) > 1:
-        raise ValueError(f"mixed encoder tags: {sorted(tags)}")
-    if len(dims) > 1:
-        raise ValueError(f"mixed feature dimensions: {sorted(dims)}")
     # Deterministic row order: manifest entry order.
     order = [e.image_id for e in manifest.entries if e.image_id in features]
-    matrix, zero = _unit_rows(
-        np.stack([np.asarray(features[i].vector, dtype=np.float64) for i in order])
-    )
-    zero_ids = frozenset(np.asarray(order)[zero].tolist())
-    class_of = {i: manifest.label_of[i] for i in order}
-    return Index(tuple(order), matrix, class_of, tags.pop(), zero_ids)
+    tag, matrix = stack_features(features, order)
+    matrix, zero = _unit_rows(matrix)
+    labels = tuple(manifest.label_of[i] for i in order)
+    return Index(tuple(order), labels, matrix, zero, tag)
 
 
 def rank(
@@ -88,10 +78,8 @@ def rank(
     `dists` their float64 distances, ascending, under the module's tie rule.
     With include_self=False the query row is left out of `order`.
     """
-    matrix = idx.matrix
-    ids = np.asarray(idx.ids)
-    id_rank = np.argsort(np.argsort(ids))
-    zero = np.isin(ids, list(idx.zero_ids))
+    matrix, zero = idx.matrix, idx.zero
+    id_rank = np.argsort(np.argsort(np.asarray(idx.ids)))
     diffs = np.empty_like(matrix)  # one N x d buffer, reused by every query
     for row in rows:
         np.subtract(matrix, matrix[row], out=diffs)
@@ -109,17 +97,24 @@ def rank(
 def save_index(out_dir: str | Path, idx: Index) -> None:
     meta = {
         "ids": list(idx.ids),
-        "classes": [idx.class_of[i] for i in idx.ids],
+        "classes": list(idx.labels),
         "encoder_tag": idx.encoder_tag,
-        "zero_ids": sorted(idx.zero_ids),
+        "zero_ids": sorted(i for i, z in zip(idx.ids, idx.zero) if z),
     }
     save_bundle(out_dir, "index", {"matrix": idx.matrix}, meta)
 
 
 def load_index(index_dir: str | Path) -> Index:
+    """Load an index; `meta.zero_ids` must name exactly the matrix's zero rows."""
     tensors, meta = load_bundle(index_dir, "index")
     # float32 storage perturbs norms; restore exact unit rows.
-    matrix, _ = _unit_rows(tensors["matrix"].copy())
+    matrix, zero = _unit_rows(tensors["matrix"].copy())
     ids = tuple(meta.per_row("ids", matrix))
-    class_of = dict(zip(ids, meta.per_row("classes", matrix)))
-    return Index(ids, matrix, class_of, meta["encoder_tag"], frozenset(meta["zero_ids"]))
+    labels = tuple(meta.per_row("classes", matrix))
+    zero_ids, expected = meta["zero_ids"], sorted(i for i, z in zip(ids, zero) if z)
+    if not isinstance(zero_ids, list) or sorted(zero_ids, key=str) != expected:
+        raise BundleError(
+            f"{meta.sidecar}: field 'meta.zero_ids' must list the ids of exactly the zero "
+            f"rows of matrix.ftns ({len(expected)} of {len(ids)} rows)"
+        )
+    return Index(ids, labels, matrix, zero, meta["encoder_tag"])

@@ -259,8 +259,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or "entries" not in doc:
-        raise ManifestError(f"{path}: top-level object must contain 'entries'")
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
+        raise ManifestError(f"{path}: top-level object must contain an 'entries' list")
     unknown = set(doc) - {"entries"}
     if unknown:
         raise ManifestError(f"{path}: unknown top-level keys {sorted(unknown)}")
@@ -283,7 +283,10 @@ def load_manifest(path: str | Path) -> DatasetManifest:
                 split=str(raw["split"]),
             )
         )
-    return make_manifest(entries)
+    try:
+        return make_manifest(entries)
+    except ManifestError as exc:
+        raise ManifestError(f"{path}: {exc}") from None
 
 
 def save_manifest(path: str | Path, manifest: DatasetManifest) -> None:

@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 from hrrs import tensor_store
 from hrrs.cli import ENCODERS, main
 from hrrs.head import load_head
-from hrrs.tensor_store import BundleError, TensorFormatError, load_bundle
+from hrrs.retrieval import load_index
+from hrrs.tensor_store import (
+    BundleError,
+    ManifestError,
+    TensorFormatError,
+    load_bundle,
+    load_manifest,
+)
 
 
 def run(*argv):
@@ -241,7 +248,7 @@ def test_sweep_with_ldcnn_checkpoint(dataset, tmp_path):
         "--out", head_dir)
     config = {
         "dataset": {"manifest": str(dataset)},
-        "encoder": {"kind": "ldcnn"},
+        "encoder": {"kind": ["ldcnn", "fc_raw"], "relu": [False, True]},
         "head": {"checkpoint": str(head_dir)},
         "eval": {"k_list": [1]},
     }
@@ -251,7 +258,9 @@ def test_sweep_with_ldcnn_checkpoint(dataset, tmp_path):
     assert run("sweep", "--config", path, "--out", out) == 0
     with open(out / "sweep.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[1][0] == "ldcnn"
+    # ldcnn applies no ReLU: one relu-0 cell, while fc_raw gets both.
+    assert [r[:2] for r in rows[1:]] == [["ldcnn", "0"], ["fc_raw", "0"], ["fc_raw", "1"]]
+    assert len(list((out / "cache").glob("*.json"))) == 3
 
     # ldcnn without a checkpoint is a config error
     bad = {"dataset": {"manifest": str(dataset)}, "encoder": {"kind": "ldcnn"}}
@@ -289,12 +298,34 @@ def test_pca_fit_set_restriction(dataset, tmp_path):
         pytest.param({"eval": {"k_list": [5, 0]}}, [], "eval.k_list must be >= 1",
                      id="k-list-below-1"),
         pytest.param({}, ["--workers", 0], "--workers must be >= 1", id="workers-below-1"),
+        pytest.param({"encoder": {"kind": []}}, [], "encoder.kind must not be empty",
+                     id="empty-kind"),
+        pytest.param({"encoder": {"kind": "vlad", "relu": []}}, [],
+                     "encoder.relu must not be empty", id="empty-relu"),
+        pytest.param({"pca": {"dims": []}}, [], "pca.dims must not be empty", id="empty-dims"),
+        pytest.param({"seed": "x"}, [], "seed must be an integer, got 'x'", id="string-seed"),
+        pytest.param({"seed": -1}, [], "seed must be >= 0", id="negative-seed"),
+        pytest.param({"encoder": {"kind": "vlad", "k": True}}, [],
+                     "encoder.k must be an integer, got True", id="bool-k"),
+        pytest.param({"pca": {"d": 2.7}}, [], "pca.d must be an integer, got 2.7", id="float-d"),
+        pytest.param({"pca": {"dims": [2, "5"]}}, [], "pca.dims must be an integer, got '5'",
+                     id="string-dims-entry"),
+        pytest.param({"eval": {"k_list": [1, True]}}, [],
+                     "eval.k_list must be an integer, got True", id="bool-k-list-entry"),
+        pytest.param({"dataset": {"manifest": 5}}, [], "dataset.manifest must be a non-empty path",
+                     id="manifest-not-a-string"),
+        pytest.param({"encoder": {"kind": "ldcnn"}, "head": {"checkpoint": 5}}, [],
+                     "head.checkpoint must be a non-empty path", id="checkpoint-not-a-string"),
+        pytest.param({"eval": {"self_included": "false"}}, [],
+                     "eval.self_included must be a boolean", id="string-self-included"),
+        pytest.param('{"encoder": ', [], "bad.json: invalid JSON", id="invalid-json"),
     ],
 )
 def test_sweep_config_validation(dataset, tmp_path, capsys, edit, argv, message):
-    bad = {"dataset": {"manifest": str(dataset)}, "encoder": {"kind": "vlad"}, **edit}
+    """`edit` replaces sections of a valid config; a string is the whole file's text."""
+    bad = {"dataset": {"manifest": str(dataset)}, "encoder": {"kind": "vlad"}}
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bad))
+    path.write_text(edit if isinstance(edit, str) else json.dumps({**bad, **edit}))
     assert run("sweep", "--config", path, *argv, "--out", tmp_path / "o") == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()  # rejected before any cell ran
@@ -323,8 +354,8 @@ def _eval_report(dataset, features, out):
     ("kind", "relu", "dim"),
     [
         pytest.param(kind, relu, dim, id=f"{kind}-relu{int(relu)}-{f'pca{dim}' if dim else 'full'}")
-        for kind in ENCODERS
-        for relu in (False, True)
+        for kind, spec in ENCODERS.items()
+        for relu in ((False, True) if spec.reads_relu else (False,))
         for dim in ((None,) if kind == "ldcnn" else (None, 2))
     ],
 )
@@ -419,6 +450,68 @@ def test_exit_codes(tmp_path, capsys):
     assert "--long requires --all" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        pytest.param(["eval", "--manifest", "{ds}", "--features", "{feats}", "--k-list", "0",
+                      "--out", "{out}"], "--k-list must be >= 1, got 0", id="eval-k-list-0"),
+        pytest.param(["pca", "sweep", "--features", "{feats}", "--manifest", "{ds}",
+                      "--dims", "0,2", "--out", "{out}"], "--dims must be >= 1, got 0",
+                     id="pca-sweep-dims-0"),
+        pytest.param(["synth", "--classes", 2, "--per-class", 2, "--shape", "1,2",
+                      "--out", "{out}"], "--shape must be h,w,c", id="synth-shape-rank-2"),
+        pytest.param(["encode", "--manifest", "{ds}", "--encoder", "vlad", "--out", "{out}"],
+                     "--model is required for encoder 'vlad'", id="encode-without-model"),
+        pytest.param(["encode", "--manifest", "{ds}", "--encoder", "ldcnn", "--head", "{out}",
+                      "--relu", "--out", "{out}"], "--relu does not apply to encoder 'ldcnn'",
+                     id="encode-ldcnn-relu"),
+        pytest.param(["query", "--index", "{out}", "--out", "{out}"],
+                     "pass exactly one of --id or --all", id="query-without-id-or-all"),
+        pytest.param(["pca", "fit", "--features", "{feats}", "--d", 2, "--manifest", "{ds}",
+                      "--split", "all", "--out", "{out}"], "fit-set ids missing from features",
+                     id="pca-fit-set-not-encoded"),
+    ],
+)
+def test_cli_rejects_bad_arguments(dataset, tmp_path, capsys, argv, message):
+    """Each bad argument exits 1 naming the flag or fault; features cover the train split only."""
+    feats = tmp_path / "feats"
+    assert run("encode", "--manifest", dataset, "--encoder", "fc_raw", "--split", "train",
+               "--out", feats) == 0
+    paths = {"{ds}": dataset, "{feats}": feats, "{out}": tmp_path / "out"}
+    capsys.readouterr()
+    assert run(*(paths.get(a, a) for a in argv)) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        pytest.param("{", "invalid JSON", id="invalid-json"),
+        pytest.param("{}", "must contain an 'entries' list", id="no-entries"),
+        pytest.param('{"entries": {}}', "must contain an 'entries' list", id="entries-not-a-list"),
+        pytest.param('{"entries": [], "bogus": 1}', "unknown top-level keys ['bogus']",
+                     id="unknown-top-level-key"),
+        pytest.param('{"entries": [5]}', "entry 0 is not an object", id="entry-not-an-object"),
+        pytest.param('{"entries": [{"id": "a", "class": "c", "path": "a.ftns", "split": "all"},'
+                     ' {"id": "b"}]}', "entry 1 missing keys ['class', 'path', 'split']",
+                     id="missing-entry-keys"),
+        pytest.param('{"entries": [{"id": "a", "class": "c", "path": "a.ftns", "split": "all",'
+                     ' "x": 0}]}', "entry 0 has unknown keys ['x']", id="unknown-entry-keys"),
+        pytest.param('{"entries": []}', "manifest has no entries", id="empty-entries"),
+    ],
+)
+def test_manifest_loader_rejections(tmp_path, capsys, text, message):
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    with pytest.raises(ManifestError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+        load_manifest(path)
+    assert run("eval", "--manifest", path, "--features", tmp_path / "f",
+               "--out", tmp_path / "r") == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+
+
 def test_codebook_and_encode_reproducible_bytes(dataset, tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -478,6 +571,17 @@ def test_index_ids_must_match_matrix_rows(dataset, tmp_path, capsys):
     assert run("query", "--index", idx, "--id", "extra", "--out", tmp_path / "q.csv") == 1
     err = capsys.readouterr().err
     assert f"{sidecar}: field 'meta.ids' must list one entry per row of matrix.ftns (12 rows)" in err
+
+
+def test_index_zero_ids_must_match_zero_rows(dataset, tmp_path, capsys):
+    idx = _fc_index(dataset, tmp_path)
+    sidecar = _edit_sidecar(idx, lambda doc: doc["meta"].update(zero_ids=["class00-001"]))
+    with pytest.raises(BundleError, match=re.escape(f"{sidecar}: field 'meta.zero_ids'")):
+        load_index(idx)
+    capsys.readouterr()
+    assert run("query", "--index", idx, "--id", "class00-000", "--out", tmp_path / "q.csv") == 1
+    assert f"{sidecar}: field 'meta.zero_ids'" in capsys.readouterr().err
+    assert not (tmp_path / "q.csv").exists()
 
 
 def test_feature_set_missing_meta_field(dataset, tmp_path, capsys):

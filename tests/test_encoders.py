@@ -5,6 +5,7 @@ import pytest
 
 from hrrs.codebooks import Codebook, GmmModel, gmm_fit
 from hrrs.encoders import (
+    EncodedFeature,
     encode_bovw,
     encode_fc,
     encode_ifk,
@@ -15,6 +16,7 @@ from hrrs.encoders import (
     load_features,
     power_normalize,
     save_features,
+    stack_features,
     vlad_residuals,
 )
 
@@ -354,3 +356,17 @@ class TestFeatureSerialization:
         }
         with pytest.raises(ValueError, match="mixed"):
             save_features(tmp_path / "f", feats)
+
+
+class TestStackFeatures:
+    def test_rows_follow_the_given_ids(self):
+        feats = {"b": EncodedFeature(np.full(3, 2.0), "vlad", True),
+                 "a": EncodedFeature(np.full(3, 1.0), "vlad", True)}
+        tag, matrix = stack_features(feats, ["b", "a"], np.float32)
+        assert tag == "vlad" and matrix.dtype == np.float32
+        np.testing.assert_array_equal(matrix, [[2.0] * 3, [1.0] * 3])
+        assert stack_features(feats, ["a"])[1].dtype == np.float64
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="empty feature set"):
+            stack_features({}, [])

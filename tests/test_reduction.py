@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from hrrs.reduction import load_pca, pca_apply, pca_fit, save_pca
+from hrrs.tensor_store import BundleError, write_tensor
 
 
 class TestPcaFit:
@@ -124,3 +127,19 @@ class TestSerialization:
         np.testing.assert_allclose(back.mean, model.mean, atol=1e-6)
         np.testing.assert_allclose(back.components, model.components, atol=1e-6)
         np.testing.assert_allclose(back.explained_variance, model.explained_variance, rtol=1e-6)
+
+    @pytest.mark.parametrize(
+        ("name", "shape"),
+        [("mean", (9,)), ("components", (3, 9)), ("components", (2, 8)),
+         ("explained_variance", (2,)), ("mean", (8, 1))],
+    )
+    def test_pca_tensors_must_agree(self, tmp_path, name, shape):
+        model = pca_fit(np.random.default_rng(12).standard_normal((40, 8)), 3)
+        save_pca(tmp_path / "pca", model)
+        sidecar = tmp_path / "pca" / "bundle.json"
+        doc = json.loads(sidecar.read_text())
+        doc["tensors"][name] = list(shape)
+        sidecar.write_text(json.dumps(doc))
+        write_tensor(tmp_path / "pca" / f"{name}.ftns", np.zeros(shape))
+        with pytest.raises(BundleError, match="bundle.json: PCA tensors disagree"):
+            load_pca(tmp_path / "pca")

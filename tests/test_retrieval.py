@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from hrrs.encoders import EncodedFeature
 from hrrs.retrieval import build_index, load_index, rank, save_index
+from hrrs.tensor_store import BundleError
 from hrrs.tensor_store import ManifestEntry, make_manifest
 
 from oracles import ranked_scan
@@ -60,7 +62,7 @@ class TestBuildIndex:
     def test_zero_rows_flagged(self):
         feats = _features({"a": [1, 0], "b": [0, 0]})
         idx = build_index(feats, _manifest(["a", "b"]))
-        assert idx.zero_ids == {"b"}
+        assert idx.zero.tolist() == [False, True]
         np.testing.assert_allclose(idx.matrix[idx.ids.index("b")], [0, 0])
 
     def test_normalization_idempotent(self):
@@ -152,7 +154,7 @@ class TestQuery:
             vecs[dup] = vecs[rng.integers(0, n, int(dup.sum()))]
             vecs[rng.random(n) < 0.15] = 0.0
             idx = build_index(_features(dict(zip(ids, vecs))), _manifest(ids))
-            rows = [r for r, i in enumerate(idx.ids) if i not in idx.zero_ids]
+            rows = np.flatnonzero(~idx.zero)
             for include_self in (True, False):
                 for row, order, _ in rank(idx, rows, include_self):
                     oracle = ranked_scan(idx.ids, idx.matrix, idx.ids[row], include_self)
@@ -189,3 +191,31 @@ class TestIndexSerialization:
             b = _ranked(back, q_id)
             assert [i for i, _ in a] == [i for i, _ in b]
             np.testing.assert_allclose([d for _, d in a], [d for _, d in b], atol=1e-6)
+
+    def test_round_trip_keeps_rows_labels_and_zero_rows(self, tmp_path):
+        ids = ["z", "a", "b", "y"]
+        feats = _features({"z": [0, 0], "a": [3, 4], "b": [1, 0], "y": [0, 0]})
+        idx = build_index(feats, _manifest(ids, dict(zip(ids, ["c1", "c0", "c1", "c0"]))))
+        save_index(tmp_path / "idx", idx)
+        meta = json.loads((tmp_path / "idx" / "bundle.json").read_text())["meta"]
+        assert meta["classes"] == ["c1", "c0", "c1", "c0"]
+        assert meta["zero_ids"] == ["y", "z"]
+        back = load_index(tmp_path / "idx")
+        assert back.labels == idx.labels == ("c1", "c0", "c1", "c0")
+        assert back.zero.tolist() == idx.zero.tolist() == [True, False, False, True]
+
+    @pytest.mark.parametrize("zero_ids", [["a"], [], ["y", "z", "z"], "y,z"])
+    def test_zero_ids_must_name_the_zero_rows(self, tmp_path, zero_ids):
+        ids = ["z", "a", "y"]
+        idx = build_index(_features({"z": [0, 0], "a": [3, 4], "y": [0, 0]}), _manifest(ids))
+        save_index(tmp_path / "idx", idx)
+        sidecar = tmp_path / "idx" / "bundle.json"
+        doc = json.loads(sidecar.read_text())
+        doc["meta"]["zero_ids"] = zero_ids
+        sidecar.write_text(json.dumps(doc))
+        message = r"'meta.zero_ids' must .* zero rows of matrix.ftns \(2 of 3 rows\)"
+        with pytest.raises(BundleError, match=message):
+            load_index(tmp_path / "idx")
+        doc["meta"]["zero_ids"] = ["z", "y"]  # any order
+        sidecar.write_text(json.dumps(doc))
+        assert load_index(tmp_path / "idx").zero.tolist() == [True, False, True]
