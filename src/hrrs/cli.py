@@ -45,7 +45,7 @@ from .head import (
     save_head,
 )
 from .reduction import load_pca, pca_apply, pca_fit, save_pca
-from .retrieval import build_index, load_index, rank, save_index
+from .retrieval import build_index, distances, load_index, rank, save_index
 from .tensor_store import (
     BUNDLE_SIDECAR,
     DatasetManifest,
@@ -65,6 +65,7 @@ class EncoderSpec(NamedTuple):
     fit: Callable | None = None  # sweep: seeded fit on the descriptor pool
     default_k: int | None = None  # sweep: dictionary size when encoder.k is unset
     reads_relu: bool = True  # False: `encode --relu` is an error, the sweep keeps relu 0
+    reads_alpha: bool = False  # True only for ifk: its sweep cells key on encoder.alpha
 
 
 # The only list of encoder kinds: `encode --encoder`, the sweep config check
@@ -81,7 +82,7 @@ ENCODERS = {
     ),
     "ifk": EncoderSpec(
         lambda gmm, fmap, relu, alpha: encode_ifk(gmm, extract_descriptors(fmap, relu), alpha),
-        "model", load_gmm, gmm_fit, 100,
+        "model", load_gmm, gmm_fit, 100, reads_alpha=True,
     ),
     "fc_raw": EncoderSpec(lambda _, fc, relu, alpha: encode_fc(fc, relu)),
     "ldcnn": EncoderSpec(
@@ -112,6 +113,14 @@ def _positive_ints(key: str, values) -> list[int]:
     return [_int(key, v) for v in values]
 
 
+def _distinct(key: str, values: list) -> list:
+    """A list that names each value once: a repeat would score one cell twice."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise CliError(f"{key} repeats {repeated}")
+    return values
+
+
 def _parse_int_list(flag: str, text: str) -> tuple[int, ...]:
     try:
         values = [int(v) for v in text.split(",") if v.strip()]
@@ -120,6 +129,11 @@ def _parse_int_list(flag: str, text: str) -> tuple[int, ...]:
     if not values:
         raise CliError(f"{flag}: empty integer list {text!r}")
     return tuple(_positive_ints(flag, values))
+
+
+def _parse_distinct(flag: str, text: str) -> tuple[int, ...]:
+    """`_parse_int_list` for a flag listing scored cells, which may not repeat."""
+    return tuple(_distinct(flag, list(_parse_int_list(flag, text))))
 
 
 def _write_effective_config(out: Path, command: str, params: dict) -> None:
@@ -258,8 +272,8 @@ def cmd_pca_apply(args) -> int:
 def cmd_pca_sweep(args) -> int:
     features = load_features(args.features)
     manifest = load_manifest(args.manifest)
-    dims = _parse_int_list("--dims", args.dims)
-    k_list = _parse_int_list("--k-list", args.k_list)
+    dims = _parse_distinct("--dims", args.dims)
+    k_list = _parse_distinct("--k-list", args.k_list)
     protocol = EvalProtocol(self_included=args.self_included, k_list=k_list)
     matrix = _fit_set_matrix(features, args)
     cap = min(matrix.shape)
@@ -345,12 +359,14 @@ def cmd_index_build(args) -> int:
 
 
 def _write_rankings(path: Path, idx, ranking, query_column: bool) -> None:
-    """One CSV of ranked rows from `rank`; `query_column` prefixes the query id."""
+    """One CSV of ranked rows from `rank`, with exact `distances`; `query_column`
+    prefixes the query id."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query_id"] * query_column + ["rank", "id", "class", "distance"])
-        for row, order, dists in ranking:
+        for row, order in ranking:
             prefix = [idx.ids[row]] * query_column
+            dists = distances(idx, row, order)
             for pos, (hit, dist) in enumerate(zip(order.tolist(), dists.tolist()), start=1):
                 writer.writerow(prefix + [pos, idx.ids[hit], idx.labels[hit], f"{dist:.6f}"])
 
@@ -387,7 +403,7 @@ def cmd_eval(args) -> int:
     manifest = load_manifest(args.manifest)
     features = load_features(args.features)
     protocol = EvalProtocol(
-        self_included=args.self_included, k_list=_parse_int_list("--k-list", args.k_list)
+        self_included=args.self_included, k_list=_parse_distinct("--k-list", args.k_list)
     )
     report = evaluate_dataset(build_index(features, manifest), manifest, protocol)
     out = Path(args.out)
@@ -425,10 +441,7 @@ def _axis(key: str, value) -> list:
     values = value if isinstance(value, list) else [value]
     if not values:
         raise CliError(f"{key} must not be empty")
-    repeated = [v for i, v in enumerate(values) if v in values[:i]]
-    if repeated:
-        raise CliError(f"{key} repeats {repeated}")
-    return values
+    return _distinct(key, values)
 
 
 def validate_config(doc: dict) -> dict:
@@ -477,6 +490,7 @@ def validate_config(doc: dict) -> dict:
     self_included = ev.get("self_included", True)
     if not isinstance(self_included, bool):
         raise CliError(f"eval.self_included must be a boolean, got {self_included!r}")
+    k_list = ev.get("k_list", list(DEFAULT_K_LIST))
     return {
         "manifest": _path("dataset.manifest", doc["dataset"]["manifest"]),
         "kinds": kinds,
@@ -486,7 +500,7 @@ def validate_config(doc: dict) -> dict:
         "alpha": float(alpha),
         "head_checkpoint": head.get("checkpoint"),
         "self_included": self_included,
-        "k_list": tuple(_positive_ints("eval.k_list", ev.get("k_list", list(DEFAULT_K_LIST)))),
+        "k_list": tuple(_distinct("eval.k_list", _positive_ints("eval.k_list", k_list))),
         "seed": _int("seed", doc.get("seed", 0), minimum=0),
     }
 
@@ -553,15 +567,16 @@ def run_sweep(config_path: Path, out_dir: Path, workers: int = 1) -> Path:
     cells = []
     for kind in cfg["kinds"]:
         spec = ENCODERS[kind]
-        # A kind that reads no ReLU gets one relu-0 cell whatever the relu axis holds.
+        # A kind that reads no ReLU gets one relu-0 cell whatever the relu axis holds;
+        # k (read only by kinds with a fit) and alpha are None in cells that do not read them.
         for use_relu in cfg["relus"] if spec.reads_relu else [False]:
             for dim in cfg["dims"]:
                 cell = {
                     "kind": kind,
                     "relu": use_relu,
                     "dim": dim,
-                    "k": cfg["k"] or spec.default_k,
-                    "alpha": cfg["alpha"],
+                    "k": (cfg["k"] or spec.default_k) if spec.fit else None,
+                    "alpha": cfg["alpha"] if spec.reads_alpha else None,
                     "head_checkpoint": head_key if spec.model_flag == "head" else None,
                     "self_included": cfg["self_included"],
                     "k_list": list(cfg["k_list"]),

@@ -10,13 +10,14 @@ with same-class relevance.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .retrieval import Index, rank
+from .retrieval import TILE_BYTES, Index, rank
 from .tensor_store import DatasetManifest
 
 DEFAULT_K_LIST = (5, 10, 50, 100, 1000)
@@ -103,21 +104,29 @@ def evaluate_dataset(
     """Query every indexed image; relevance is same-class membership.
 
     Under self-exclusion a query whose class has a single member has no
-    ground truth; such queries are skipped and listed in the report.
+    ground truth; such queries are skipped and listed in the report. Scores
+    are computed for blocks of rankings as arrays, with the same float
+    operations, in the same order, as `nmrr`, `average_precision` and
+    `precision_at_k` on each query's hit ranks.
     """
     protocol = protocol or EvalProtocol()
     cls = np.unique(idx.labels, return_inverse=True)[1]
     class_size = np.bincount(cls)
     ng = class_size[cls] - (not protocol.self_included)
     skipped = [i for i, n in zip(idx.ids, ng) if n < 1]
+    rows = np.flatnonzero(ng >= 1)
+    ranking = rank(idx, rows, protocol.self_included)
+    length = idx.size - (not protocol.self_included)
+    block = max(1, TILE_BYTES // (8 * idx.size))  # rankings per block, as one int64 array
     per_query: list[PerQueryResult] = []
-    for row, order, _ in rank(idx, np.flatnonzero(ng >= 1), protocol.self_included):
-        hits = np.flatnonzero(cls[order] == cls[row]) + 1
-        j = QueryJudgment(idx.ids[row], tuple(hits.tolist()), int(ng[row]), len(order))
-        p_at_k = {k: precision_at_k(j, k) for k in protocol.k_list if k <= j.list_length}
-        per_query.append(
-            PerQueryResult(j.query_id, idx.labels[row], nmrr(j), average_precision(j), p_at_k)
-        )
+    for b0 in range(0, rows.size, block):
+        blk = rows[b0 : b0 + block]
+        orders = np.empty((blk.size, length), dtype=np.intp)
+        for i, (_, order) in enumerate(itertools.islice(ranking, blk.size)):
+            orders[i] = order
+        scores = _block_scores(cls[orders] == cls[blk, None], ng[blk], protocol.k_list)
+        for row, nmrr_q, avep_q, p_at_k in zip(blk.tolist(), *scores):
+            per_query.append(PerQueryResult(idx.ids[row], idx.labels[row], nmrr_q, avep_q, p_at_k))
     if not per_query:
         raise ValueError("no evaluable queries (every class has a single member?)")
     agg_p = {}
@@ -133,6 +142,27 @@ def evaluate_dataset(
         protocol=protocol,
         skipped=tuple(skipped),
     )
+
+
+def _block_scores(rel: np.ndarray, ng: np.ndarray, k_list) -> tuple[list, list, list]:
+    """NMRR, AveP and P@k dicts of a (queries, list length) relevance block.
+
+    Each ranking holds the whole index, so every ground-truth image is
+    found. NMRR totals are integers and half-integers, exact in any order;
+    AveP adds its masked `hits so far / rank` terms with a sequential cumsum
+    (adding 0.0 is exact), as `average_precision`'s left-to-right sum does.
+    """
+    length = rel.shape[1]
+    ranks = np.arange(1, length + 1)
+    hits = np.cumsum(rel, axis=1)  # hits so far at each rank
+    big_k = 2 * ng
+    penalty = 1.25 * big_k
+    total = (np.where(ranks <= big_k[:, None], ranks, penalty[:, None]) * rel).sum(axis=1)
+    nmrr_b = (total / ng - 0.5 * (1 + ng)) / (penalty - 0.5 * (1 + ng))
+    avep_b = np.cumsum(np.where(rel, hits / ranks, 0.0), axis=1)[:, -1] / ng
+    p_cols = {k: (hits[:, k - 1] / k).tolist() for k in k_list if k <= length}
+    p_at_k = [{k: col[i] for k, col in p_cols.items()} for i in range(len(ng))]
+    return nmrr_b.tolist(), avep_b.tolist(), p_at_k
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,14 @@ first when included. Distances that are mathematically equal but round
 differently (for example permuted BOVW histograms) follow their computed
 value. A zero query row sits at exactly 1 from every unit row, so zero-row
 queries list the other zero rows (distance 0) first, then the unit rows by id.
+
+"The computed distance" is `distances`, the one exact expression:
+`sqrt(sum((M[j] - M[q])**2))` per row. `rank` does not evaluate it for every
+pair. It screens blocks of queries with one Gram tile, `|q|^2 + |m|^2 - 2 q.m`
+(one matrix product per block, as in exhaustive GEMM search), and calls
+`distances` only for runs of columns whose Gram values lie too close to order
+safely (`_tie_margin` bounds both rounding errors). The orders equal those of
+the exact expression everywhere; printed distances come from `distances`.
 """
 
 from __future__ import annotations
@@ -69,29 +77,107 @@ def build_index(features: Mapping[str, EncodedFeature], manifest: DatasetManifes
     return Index(tuple(order), labels, matrix, zero, tag)
 
 
+# Byte budget of one ranking block: its Gram tile plus any copy of its query
+# rows (and, in `distances`, one chunk of difference rows). Few large blocks
+# beat many small ones: each multithreaded BLAS call has a fixed cost.
+TILE_BYTES = 8 << 20
+
+
+def distances(idx: Index, row: int, cols) -> np.ndarray:
+    """Euclidean distances from row `row` to rows `cols`: the exact expression.
+
+    `sqrt(sum((M[cols] - M[row])**2))`, row by row, in chunks of at most
+    TILE_BYTES; a zero query sits at exactly 1 from every unit row.
+    """
+    matrix, cols = idx.matrix, np.asarray(cols, dtype=np.intp)
+    out = np.ones(cols.size)
+    todo = np.flatnonzero(idx.zero[cols]) if idx.zero[row] else np.arange(cols.size)
+    step = max(1, TILE_BYTES // (8 * idx.dim))
+    for start in range(0, todo.size, step):
+        part = todo[start : start + step]
+        diffs = matrix[cols[part]] - matrix[row]
+        out[part] = np.sqrt(np.einsum("nd,nd->n", diffs, diffs))
+    return out
+
+
+def _tie_margin(dim: int, sq_max: float) -> float:
+    """Gap between two sorted Gram values above which `distances` orders them alike.
+
+    Let u be the unit roundoff, g = (d+2)u / (1 - (d+2)u) and r^2 = sq_max /
+    (1 - g) a bound on every squared row norm. A computed dot product of
+    length d errs by at most g * sum|x_i y_i| <= g r^2 in any summation order
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1). For
+    the true squared distance D = |q|^2 + |m|^2 - 2 q.m:
+    - the Gram value S = (-2G + sq_m) + sq_q errs by at most 4g r^2 from its
+      three dot products and 8u r^2 <= 8g r^2 from its two additions (operands
+      below 3r^2 and 4r^2, with slack): |S - D| <= 12 g r^2;
+    - the exact expression rounds each difference once and then sums d
+      squares, so its squared sum a errs by at most g D <= 4g r^2;
+    - sqrt is correctly rounded and monotone; for a < b <= 4r^2(1 + g) it
+      keeps the order strict once b - a > u (sqrt(a) + sqrt(b))^2, which
+      holds for b - a > 17u r^2 <= 6g r^2.
+    So S_k - S_j > 2(12 + 4) g r^2 + 6g r^2 = 38 g r^2 implies a strictly
+    smaller exact distance for j. The margin is 2 * 20 g sq_max, which covers
+    the factors 1/(1 - g) and (1 + u) from r^2 and the rounding of the gap.
+    """
+    u = np.finfo(np.float64).eps / 2
+    g = (dim + 2) * u / (1 - (dim + 2) * u)
+    return 2 * 20 * g * sq_max
+
+
 def rank(
     idx: Index, rows: Iterable[int], include_self: bool = True
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Rank the whole index against each query row, one row at a time.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Rank the whole index against each query row; yields `(row, order)`.
 
-    Yields `(row, order, dists)`: `order` holds the ranked row indices and
-    `dists` their float64 distances, ascending, under the module's tie rule.
-    With include_self=False the query row is left out of `order`.
+    `order` holds the ranked row indices under the module's tie rule; with
+    include_self=False the query row is left out. Blocks of query rows go
+    through one Gram tile `S = sq[q] + sq - 2 M[q] @ M.T`; every run of
+    sorted Gram values whose adjacent gaps are within `_tie_margin` is
+    re-sorted by (`distances`, id). Zero-row queries use `distances` alone.
     """
-    matrix, zero = idx.matrix, idx.zero
-    id_rank = np.argsort(np.argsort(np.asarray(idx.ids)))
-    diffs = np.empty_like(matrix)  # one N x d buffer, reused by every query
-    for row in rows:
-        np.subtract(matrix, matrix[row], out=diffs)
-        dists = np.sqrt(np.einsum("nd,nd->n", diffs, diffs))
-        if zero[row]:
-            dists[~zero] = 1.0
-        key = id_rank.copy()
-        key[row] = -1  # the query wins its distance-0 tie
-        order = np.lexsort((key, dists))
-        if not include_self:
-            order = order[order != row]
-        yield row, order, dists[order]
+    matrix, zero, n = idx.matrix, idx.zero, idx.size
+    rows = np.fromiter(rows, dtype=np.intp)
+    by_id = np.argsort(np.asarray(idx.ids))  # column permutation into id order
+    id_pos = np.argsort(by_id)  # each row's column in id order
+    sq = np.einsum("nd,nd->n", matrix, matrix)
+    margin = _tie_margin(idx.dim, sq.max(initial=0.0))
+    # A consecutive run of rows is sliced, not copied, block by block.
+    sliced = bool(rows.size) and bool((np.diff(rows) == 1).all())
+    block = max(1, TILE_BYTES // (8 * (n + (0 if sliced else idx.dim))))
+    for b0 in range(0, rows.size, block):
+        blk = rows[b0 : b0 + block]
+        queries = matrix[blk[0] : blk[-1] + 1] if sliced else matrix[blk]
+        tile = queries @ matrix.T
+        tile *= -2.0
+        tile += sq
+        tile += sq[blk, None]
+        for gram, row in zip(tile, blk.tolist()):
+            # A zero query's distances are exact and cheap: 1 to every unit row.
+            key = distances(idx, row, by_id) if zero[row] else gram[by_id]
+            key[id_pos[row]] = -np.inf  # the query wins its distance-0 tie
+            order = np.argsort(key, kind="stable")
+            if not zero[row]:
+                close = np.diff(key[order]) <= margin
+                if close.any():
+                    _refine(idx, row, order, close, by_id)
+            order = by_id[order]
+            yield row, order if include_self else order[1:]
+
+
+def _refine(idx: Index, row: int, order: np.ndarray, close: np.ndarray, by_id: np.ndarray):
+    """Re-sort, in place, the slots of `order` (id positions) in runs of near
+    ties (`close[k]` joins slots k and k+1) by (exact distance, id).
+
+    One sort serves every run: runs are separated by more than the margin, so
+    each run's exact distances lie strictly below the next run's.
+    """
+    member = np.zeros(order.size, dtype=bool)
+    member[:-1] = close
+    member[1:] |= close
+    slots = np.flatnonzero(member)
+    pos = np.sort(order[slots])
+    order[slots] = pos[np.argsort(distances(idx, row, by_id[pos]), kind="stable")]
 
 
 def save_index(out_dir: str | Path, idx: Index) -> None:

@@ -268,6 +268,29 @@ def test_sweep_with_ldcnn_checkpoint(dataset, tmp_path):
     assert run("sweep", "--config", path, "--out", tmp_path / "x") == 1
 
 
+def test_sweep_keys_only_values_a_kind_reads(dataset, tmp_path, capsys):
+    """fc_raw fits no codebook and ignores alpha: editing k or alpha hits the cache."""
+    path = tmp_path / "c.json"
+    out = tmp_path / "sweep"
+    for k, alpha in ((2, 0.5), (3, 0.5), (3, 0.25)):
+        config = {
+            "dataset": {"manifest": str(dataset)},
+            "encoder": {"kind": "fc_raw", "k": k, "alpha": alpha},
+            "eval": {"k_list": [1]},
+        }
+        path.write_text(json.dumps(config))
+        assert run("sweep", "--config", path, "--out", out) == 0
+    assert capsys.readouterr().out.count("cache hit") == 2
+    assert len(list((out / "cache").glob("*.json"))) == 1
+    # ifk reads both: each edit is a new cell
+    for k, alpha in ((2, 0.5), (3, 0.5), (3, 0.25)):
+        config["encoder"] = {"kind": "ifk", "k": k, "alpha": alpha}
+        path.write_text(json.dumps(config))
+        assert run("sweep", "--config", path, "--out", out) == 0
+    assert "cache hit" not in capsys.readouterr().out
+    assert len(list((out / "cache").glob("*.json"))) == 4
+
+
 def test_pca_fit_set_restriction(dataset, tmp_path):
     cb = tmp_path / "cb"
     run("codebook", "train", "--kind", "kmeans", "--k", 3, "--manifest", dataset, "--out", cb)
@@ -297,6 +320,8 @@ def test_pca_fit_set_restriction(dataset, tmp_path):
                      id="alpha-above-1"),
         pytest.param({"eval": {"k_list": [5, 0]}}, [], "eval.k_list must be >= 1",
                      id="k-list-below-1"),
+        pytest.param({"eval": {"k_list": [5, 1, 5]}}, [], "eval.k_list repeats [5]",
+                     id="repeated-k-list"),
         pytest.param({}, ["--workers", 0], "--workers must be >= 1", id="workers-below-1"),
         pytest.param({"encoder": {"kind": []}}, [], "encoder.kind must not be empty",
                      id="empty-kind"),
@@ -458,6 +483,11 @@ def test_exit_codes(tmp_path, capsys):
         pytest.param(["pca", "sweep", "--features", "{feats}", "--manifest", "{ds}",
                       "--dims", "0,2", "--out", "{out}"], "--dims must be >= 1, got 0",
                      id="pca-sweep-dims-0"),
+        pytest.param(["eval", "--manifest", "{ds}", "--features", "{feats}", "--k-list", "1,1",
+                      "--out", "{out}"], "--k-list repeats [1]", id="eval-k-list-repeat"),
+        pytest.param(["pca", "sweep", "--features", "{feats}", "--manifest", "{ds}",
+                      "--dims", "2,2", "--out", "{out}"], "--dims repeats [2]",
+                     id="pca-sweep-dims-repeat"),
         pytest.param(["synth", "--classes", 2, "--per-class", 2, "--shape", "1,2",
                       "--out", "{out}"], "--shape must be h,w,c", id="synth-shape-rank-2"),
         pytest.param(["encode", "--manifest", "{ds}", "--encoder", "vlad", "--out", "{out}"],

@@ -293,6 +293,43 @@ class TestEvaluateDataset:
         assert abs(r1.mean_ap - r2.mean_ap) < 1e-12
 
 
+class TestArrayMetrics:
+    """Block scores equal the scalar functions on each query's hit ranks, bit for bit."""
+
+    @pytest.mark.parametrize("self_included", [True, False])
+    @pytest.mark.parametrize(("seed", "tile_bytes"), [(51, None), (52, None), (53, 4096)])
+    def test_per_query_scores_equal_scalar_functions(
+        self, monkeypatch, seed, tile_bytes, self_included
+    ):
+        from hrrs import evaluation, retrieval
+
+        if tile_bytes:  # blocks of a few queries
+            monkeypatch.setattr(retrieval, "TILE_BYTES", tile_bytes)
+            monkeypatch.setattr(evaluation, "TILE_BYTES", tile_bytes)
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 30, 12)  # singleton classes have no ground truth when excluded
+        labels = [f"c{c:02d}" for c, size in enumerate(sizes) for _ in range(size)]
+        ids = [f"i{k:03d}" for k in rng.permutation(len(labels))]
+        vecs = rng.standard_normal((len(ids), 5))
+        vecs[rng.random(len(ids)) < 0.2] = vecs[0]  # exact ties
+        manifest = _dataset(ids, dict(zip(ids, labels)))
+        idx = build_index(_unit_features(dict(zip(ids, vecs))), manifest)
+        k_list = (1, 2, 7, 50, len(ids) - 1, len(ids), 1000)  # the last ones pass the list length
+        report = evaluate_dataset(idx, manifest, EvalProtocol(self_included, k_list))
+        scored = {r.query_id: r for r in report.per_query}
+        assert len(scored) + len(report.skipped) == len(ids)
+        for row, order in retrieval.rank(idx, range(idx.size), self_included):
+            same = [idx.labels[hit] == idx.labels[row] for hit in order.tolist()]
+            hits = [pos for pos, hit in enumerate(same, start=1) if hit]
+            if not hits:
+                assert idx.ids[row] in report.skipped
+                continue
+            j = QueryJudgment(idx.ids[row], tuple(hits), len(hits), len(order))
+            r = scored[idx.ids[row]]
+            assert r.nmrr == nmrr(j) and r.avep == average_precision(j)
+            assert r.p_at_k == {k: precision_at_k(j, k) for k in k_list if k <= len(order)}
+
+
 class TestWriteReport:
     def test_report_files(self, tmp_path):
         rng = np.random.default_rng(50)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hrrs.encoders import EncodedFeature
-from hrrs.retrieval import build_index, load_index, rank, save_index
+from hrrs.retrieval import build_index, distances, load_index, rank, save_index
 from hrrs.tensor_store import BundleError
 from hrrs.tensor_store import ManifestEntry, make_manifest
 
@@ -25,9 +25,10 @@ def _features(vectors, tag="fc_raw"):
 
 
 def _ranked(idx, query_id, include_self=True):
-    """One query through `rank`, as (id, distance) pairs in rank order."""
-    [(row, order, dists)] = rank(idx, [idx.row(query_id)], include_self)
+    """One query through `rank`, as (id, exact distance) pairs in rank order."""
+    [(row, order)] = rank(idx, [idx.row(query_id)], include_self)
     assert idx.ids[row] == query_id
+    dists = distances(idx, row, order)
     return [(idx.ids[r], d) for r, d in zip(order.tolist(), dists.tolist())]
 
 
@@ -156,7 +157,7 @@ class TestQuery:
             idx = build_index(_features(dict(zip(ids, vecs))), _manifest(ids))
             rows = np.flatnonzero(~idx.zero)
             for include_self in (True, False):
-                for row, order, _ in rank(idx, rows, include_self):
+                for row, order in rank(idx, rows, include_self):
                     oracle = ranked_scan(idx.ids, idx.matrix, idx.ids[row], include_self)
                     assert [idx.ids[r] for r in order] == [i for i, _ in oracle]
 
@@ -172,6 +173,92 @@ class TestQuery:
             r1 = _ranked(idx1, q_id)
             r2 = _ranked(idx2, q_id)
             assert [i for i, _ in r1] == [i for i, _ in r2]
+
+
+def _rank_by_difference_rows(idx, rows, include_self):
+    """The ranking loop the Gram screen replaced, kept as its reference: one
+    N x d difference array per query, lexsort on (distance, self first, id)."""
+    matrix, zero = idx.matrix, idx.zero
+    id_rank = np.argsort(np.argsort(np.asarray(idx.ids)))
+    diffs = np.empty_like(matrix)
+    for row in rows:
+        np.subtract(matrix, matrix[row], out=diffs)
+        dists = np.sqrt(np.einsum("nd,nd->n", diffs, diffs))
+        if zero[row]:
+            dists[~zero] = 1.0
+        key = id_rank.copy()
+        key[row] = -1
+        order = np.lexsort((key, dists))
+        if not include_self:
+            order = order[order != row]
+        yield row, order, dists
+
+
+def _screen_fixture(name, rng):
+    """(row vectors, ids) whose Gram values tie or nearly tie in many places."""
+    if name == "perturbed":  # copies of 12 vectors, moved by 1e-9 .. 1e-14
+        base = rng.standard_normal((12, 16))
+        vecs = base[rng.integers(0, 12, 120)]
+        vecs = vecs + 10.0 ** rng.integers(-14, -8, (120, 1)) * rng.standard_normal((120, 16))
+    elif name == "near-zero":  # norms around ZERO_NORM_EPS, exact zeros, duplicates
+        vecs = rng.standard_normal((80, 8))
+        scale = rng.choice([0.0, 0.5e-12, 1e-12, 2e-12], 30)
+        vecs[:30] *= (scale / np.linalg.norm(vecs[:30], axis=1))[:, None]
+        vecs[30:40] = vecs[rng.integers(0, 30, 10)]
+    elif name == "histograms":  # permuted count vectors and duplicates
+        base = rng.multinomial(169, np.full(16, 1 / 16), size=40).astype(float)
+        vecs = np.concatenate([base] + [base[:, rng.permutation(16)] for _ in range(2)])
+        vecs[rng.random(120) < 0.2] = base[0]
+    elif name == "integer-ties":
+        vecs = rng.integers(0, 3, (150, 6)).astype(float)
+    elif name == "block-boundary":  # more rows than one tile holds
+        vecs = rng.standard_normal((1100, 4))
+        vecs[rng.random(1100) < 0.05] = vecs[0]
+    ids = [f"r{k:04d}" for k in rng.permutation(len(vecs))]  # ids out of row order
+    return vecs, ids
+
+
+class TestGramScreen:
+    """`rank` gives the orders of the loop it replaced, row for row, bit for bit."""
+
+    @pytest.mark.parametrize(
+        ("name", "seed"),
+        [("perturbed", 1), ("near-zero", 2), ("histograms", 3), ("integer-ties", 4),
+         ("block-boundary", 5)],
+    )
+    def test_orders_match_difference_rows(self, name, seed):
+        rng = np.random.default_rng(seed)
+        vecs, ids = _screen_fixture(name, rng)
+        idx = build_index(_features(dict(zip(ids, vecs))), _manifest(ids))
+        every, odd = np.arange(idx.size), np.arange(1, idx.size, 2)  # sliced and copied rows
+        for rows in (every, odd):
+            for include_self in (True, False):
+                got = list(rank(idx, rows, include_self))
+                want = _rank_by_difference_rows(idx, rows, include_self)
+                assert [r for r, _ in got] == rows.tolist()
+                assert np.array_equal([o for _, o in got], [o for _, o, _ in want])
+        for row, _, dists in _rank_by_difference_rows(idx, rng.choice(idx.size, 8), True):
+            assert distances(idx, row, every).tobytes() == dists.tobytes()
+            cols = rng.permutation(idx.size)[: idx.size // 2]
+            assert distances(idx, row, cols).tobytes() == dists[cols].tobytes()
+        # the brute-force oracle agrees up to its own rounding of near-ties
+        for row in rng.choice(np.flatnonzero(~idx.zero), 3):
+            oracle = dict(ranked_scan(idx.ids, idx.matrix, idx.ids[row], True))
+            ranked = [oracle[i] for i, _ in _ranked(idx, idx.ids[row])]
+            assert ranked[0] == 0.0 and np.all(np.diff(ranked) >= -1e-12)
+
+    def test_small_tiles_split_every_block(self, monkeypatch):
+        """With a tile of a few rows, blocks and distance chunks split everywhere."""
+        from hrrs import retrieval
+
+        rng = np.random.default_rng(7)
+        vecs, ids = _screen_fixture("perturbed", rng)
+        vecs[rng.random(len(vecs)) < 0.1] = 0.0
+        idx = build_index(_features(dict(zip(ids, vecs))), _manifest(ids))
+        rows = rng.permutation(idx.size)
+        want = [o.tolist() for _, o, _ in _rank_by_difference_rows(idx, rows, False)]
+        monkeypatch.setattr(retrieval, "TILE_BYTES", 8 * (idx.size + idx.dim) * 3)
+        assert [o.tolist() for _, o in rank(idx, rows, False)] == want
 
 
 class TestIndexSerialization:
