@@ -155,10 +155,18 @@ def _load_split_maps(manifest: DatasetManifest, split: str):
 
 
 def _descriptor_pool(manifest: DatasetManifest, split: str, apply_relu: bool) -> np.ndarray:
-    chunks = [
-        extract_descriptors(fmap, apply_relu) for _, _, fmap in _load_split_maps(manifest, split)
-    ]
-    return np.concatenate(chunks, axis=0)
+    """Every map's descriptors stacked in manifest order, filled into one float64 array."""
+    maps = _load_split_maps(manifest, split)
+    shapes = [np.shape(fmap) for _, _, fmap in maps]
+    if any(len(shape) != 3 or shape[2] != shapes[0][2] for shape in shapes):
+        raise CliError(f"feature maps of split {split!r} differ in rank or channels: {shapes}")
+    pool = np.empty((sum(h * w for h, w, _ in shapes), shapes[0][2]))
+    lo = 0
+    for _, _, fmap in maps:
+        descriptors = extract_descriptors(fmap, apply_relu)
+        pool[lo : lo + len(descriptors)] = descriptors
+        lo += len(descriptors)
+    return pool
 
 
 def _encode_entries(
@@ -219,6 +227,10 @@ def cmd_encode(args) -> int:
     spec = ENCODERS[args.encoder]
     if args.relu and not spec.reads_relu:
         raise CliError(f"--relu does not apply to encoder {args.encoder!r}")
+    if args.alpha is None:
+        args.alpha = 0.5
+    elif not spec.reads_alpha:
+        raise CliError(f"--alpha does not apply to encoder {args.encoder!r}")
     manifest = load_manifest(args.manifest)
     model = None
     if spec.model_flag:
@@ -663,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encoder", choices=tuple(ENCODERS), required=True)
     p.add_argument("--model", help="codebook/GMM bundle (bovw, vlad, ifk)")
     p.add_argument("--head", help="head checkpoint directory (ldcnn)")
-    p.add_argument("--alpha", type=float, default=0.5, help="power-normalization exponent (ifk)")
+    p.add_argument("--alpha", type=float, help="power-normalization exponent (ifk; default 0.5)")
     p.add_argument("--relu", action="store_true")
     p.add_argument("--split", choices=("train", "test", "all"), default="all")
     p.add_argument("--out", required=True)

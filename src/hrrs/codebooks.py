@@ -63,33 +63,92 @@ def _as_points(X) -> np.ndarray:
     return X
 
 
-def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances (N, k), chunked to bound peak memory."""
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    return np.einsum("nd,nd->n", X, X)
+
+
+def _dist_blocks(X: np.ndarray, C: np.ndarray, x2: np.ndarray):
+    """Clamped squared distances to C, yielded as (lo, hi, block) row chunks.
+
+    `x2` holds the squared row norms of X. The chunk step bounds a block at
+    2**24 values; it is fixed so that every row sees the same BLAS product.
+    """
     n, k = X.shape[0], C.shape[0]
-    x2 = np.einsum("nd,nd->n", X, X)
     c2 = np.einsum("kd,kd->k", C, C)
-    out = np.empty((n, k))
     step = max(1, (1 << 24) // max(k, 1))
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        block = x2[lo:hi, None] - 2.0 * (X[lo:hi] @ C.T) + c2[None, :]
-        np.maximum(block, 0.0, out=out[lo:hi])
+        block = X[lo:hi] @ C.T
+        block *= -2.0
+        block += x2[lo:hi, None]
+        block += c2
+        yield lo, hi, np.maximum(block, 0.0, out=block)
+
+
+def _nearest(X: np.ndarray, C: np.ndarray, x2: np.ndarray | None = None) -> np.ndarray:
+    """Index of the nearest centroid per row; ties resolve to the lowest index."""
+    if x2 is None:
+        x2 = _row_norms(X)
+    labels = np.empty(X.shape[0], dtype=np.intp)
+    for lo, hi, block in _dist_blocks(X, C, x2):
+        np.argmin(block, axis=1, out=labels[lo:hi])
+    return labels
+
+
+def _assign(X: np.ndarray, C: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-centroid labels and exact squared point-to-centroid distances.
+
+    The expansion in `_dist_blocks` leaves float crumbs, so the point
+    distances are recomputed as |x - c|^2 in row chunks of one reused buffer.
+    """
+    labels = _nearest(X, C, x2)
+    n, d = X.shape
+    point_d2 = np.empty(n)
+    step = max(1, (1 << 16) // max(d, 1))
+    buf = np.empty((min(n, step), d))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        diffs = np.subtract(X[lo:hi], C[labels[lo:hi]], out=buf[: hi - lo])
+        point_d2[lo:hi] = np.einsum("nd,nd->n", diffs, diffs)
+    return labels, point_d2
+
+
+def _segment_sum(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Per-label row sums (k, d), bit-identical to an unbuffered scatter-add into zeros.
+
+    Rows are stable-sorted by label; step r adds the r-th row of every label
+    that has more than r rows, so each sum adds its rows in input order from
+    0.0, one rounding per row, as numpy's `ufunc.at` does. np.add.reduceat
+    and a per-segment np.add.reduce (pairwise when the reduced axis is
+    innermost) round differently.
+    """
+    counts = np.bincount(labels, minlength=k)
+    order = np.argsort(labels, kind="stable")
+    starts = np.cumsum(counts) - counts
+    by_size = np.argsort(-counts, kind="stable")  # active labels form a prefix
+    sizes, firsts = counts[by_size], starts[by_size]
+    out = np.empty((k, X.shape[1]))
+    acc = np.zeros_like(out)
+    rows = np.empty_like(out)
+    active = k
+    for r in range(int(sizes[0])):
+        while sizes[active - 1] <= r:
+            active -= 1
+        np.take(X, order[firsts[:active] + r], axis=0, out=rows[:active])
+        np.add(acc[:active], rows[:active], out=acc[:active])
+    out[by_size] = acc
     return out
 
 
-def _assign(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d2 = _sq_dists(X, C)
-    labels = np.argmin(d2, axis=1)  # ties resolve to the lowest index
-    # Exact per-point distances (the expansion above leaves float crumbs).
-    diffs = X - C[labels]
-    return labels, np.einsum("nd,nd->n", diffs, diffs)
-
-
-def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(
+    X: np.ndarray, x2: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]
-    d2 = _sq_dists(X, centers[:1])[:, 0]
+    d2 = np.empty(n)
+    for lo, hi, block in _dist_blocks(X, centers[:1], x2):
+        d2[lo:hi] = block[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -97,7 +156,8 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = rng.integers(n)
         centers[j] = X[idx]
-        np.minimum(d2, _sq_dists(X, centers[j : j + 1])[:, 0], out=d2)
+        for lo, hi, block in _dist_blocks(X, centers[j : j + 1], x2):
+            np.minimum(d2[lo:hi], block[:, 0], out=d2[lo:hi])
     return centers
 
 
@@ -105,8 +165,7 @@ def _update_centroids(
     X: np.ndarray, labels: np.ndarray, point_d2: np.ndarray, k: int, old: np.ndarray
 ) -> np.ndarray:
     counts = np.bincount(labels, minlength=k)
-    sums = np.zeros_like(old)
-    np.add.at(sums, labels, X)
+    sums = _segment_sum(X, labels, k)
     new = old.copy()
     nonempty = counts > 0
     new[nonempty] = sums[nonempty] / counts[nonempty, None]
@@ -133,7 +192,13 @@ def kmeans_fit(X, k: int, seed: int = 0, max_iter: int = 100, tol: float = 1e-4)
     Stops when the relative inertia decrease falls below `tol` or after
     `max_iter` update steps. Deterministic given (X, k, seed, max_iter, tol).
     """
-    X = _as_points(X)
+    return _lloyd(_as_points(X), k, seed, max_iter, tol)[0]
+
+
+def _lloyd(
+    X: np.ndarray, k: int, seed: int, max_iter: int, tol: float
+) -> tuple[Codebook, np.ndarray]:
+    """`kmeans_fit` on 2-D points; also returns the labels of the final centroids."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if tol < 0:
@@ -142,12 +207,13 @@ def kmeans_fit(X, k: int, seed: int = 0, max_iter: int = 100, tol: float = 1e-4)
     X = _maybe_subsample(X, rng)
     if X.shape[0] < k:
         raise ValueError(f"insufficient data: {X.shape[0]} points for k={k}")
-    centers = _kmeans_pp_init(X, k, rng)
-    labels, d2 = _assign(X, centers)
+    x2 = _row_norms(X)
+    centers = _kmeans_pp_init(X, x2, k, rng)
+    labels, d2 = _assign(X, centers, x2)
     history = [float(d2.sum())]
     for _ in range(max_iter):
         centers = _update_centroids(X, labels, d2, k, centers)
-        labels, d2 = _assign(X, centers)
+        labels, d2 = _assign(X, centers, x2)
         inertia = float(d2.sum())
         history.append(inertia)
         prev = history[-2]
@@ -155,21 +221,21 @@ def kmeans_fit(X, k: int, seed: int = 0, max_iter: int = 100, tol: float = 1e-4)
             break
     centers = centers.copy()
     centers.flags.writeable = False
-    return Codebook(centers, tuple(history))
+    return Codebook(centers, tuple(history)), labels
 
 
-def _log_joint(X: np.ndarray, weights, means, variances) -> np.ndarray:
-    """log(w_j) + log N(x | mu_j, diag var_j) for every point/component pair."""
+def _log_joint(X: np.ndarray, XX: np.ndarray, weights, means, variances) -> np.ndarray:
+    """log(w_j) + log N(x | mu_j, diag var_j) for every point/component pair; XX = X*X."""
     inv = 1.0 / variances
     const = -0.5 * (means.shape[1] * math.log(2.0 * math.pi) + np.log(variances).sum(axis=1))
-    quad = (X * X) @ inv.T - 2.0 * (X @ (means * inv).T) + (means * means * inv).sum(axis=1)
+    quad = XX @ inv.T - 2.0 * (X @ (means * inv).T) + (means * means * inv).sum(axis=1)
     with np.errstate(divide="ignore"):
         logw = np.log(weights)
     return logw + const - 0.5 * quad
 
 
-def _e_step(X, weights, means, variances) -> tuple[np.ndarray, float]:
-    logj = _log_joint(X, weights, means, variances)
+def _e_step(X, XX, weights, means, variances) -> tuple[np.ndarray, float]:
+    logj = _log_joint(X, XX, weights, means, variances)
     m = logj.max(axis=1, keepdims=True)
     ll = m[:, 0] + np.log(np.exp(logj - m).sum(axis=1))
     resp = np.exp(logj - ll[:, None])
@@ -189,8 +255,7 @@ def gmm_fit(X, k: int, seed: int = 0, max_iter: int = 100, tol: float = 1e-4) ->
     if X.shape[0] < k:
         raise ValueError(f"insufficient data: {X.shape[0]} points for k={k}")
     n, d = X.shape
-    cb = kmeans_fit(X, k, seed=seed, max_iter=max_iter, tol=tol)
-    labels, _ = _assign(X, cb.centroids)
+    cb, labels = _lloyd(X, k, seed, max_iter, tol)
     counts = np.bincount(labels, minlength=k)
     weights = counts / n
     means = cb.centroids.copy()
@@ -201,9 +266,10 @@ def gmm_fit(X, k: int, seed: int = 0, max_iter: int = 100, tol: float = 1e-4) ->
             variances[j] = np.maximum(
                 ((members - means[j]) ** 2).mean(axis=0), VARIANCE_FLOOR
             )
+    XX = X * X
     history: list[float] = []
     for it in range(max_iter):
-        resp, mean_ll = _e_step(X, weights, means, variances)
+        resp, mean_ll = _e_step(X, XX, weights, means, variances)
         history.append(mean_ll)
         if it >= 1 and history[-1] - history[-2] < tol:
             break
@@ -212,7 +278,7 @@ def gmm_fit(X, k: int, seed: int = 0, max_iter: int = 100, tol: float = 1e-4) ->
         active = nk > 0
         if active.any():
             mu_new = (resp.T @ X)[active] / nk[active, None]
-            ex2 = (resp.T @ (X * X))[active] / nk[active, None]
+            ex2 = (resp.T @ XX)[active] / nk[active, None]
             means[active] = mu_new
             variances[active] = np.maximum(ex2 - mu_new**2, VARIANCE_FLOOR)
     for arr in (weights, means, variances):
@@ -225,7 +291,7 @@ def gmm_responsibilities(g: GmmModel, X) -> np.ndarray:
     X = _as_points(X)
     if X.shape[1] != g.dim:
         raise ValueError(f"expected descriptors of dim {g.dim}, got {X.shape[1]}")
-    resp, _ = _e_step(X, g.weights, g.means, g.variances)
+    resp, _ = _e_step(X, X * X, g.weights, g.means, g.variances)
     return resp
 
 

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .codebooks import Codebook, GmmModel, _assign, gmm_responsibilities
+from .codebooks import Codebook, GmmModel, _nearest, _segment_sum, gmm_responsibilities
 from .tensor_store import load_bundle, save_bundle
 
 ZERO_NORM_EPS = 1e-12
@@ -77,8 +77,7 @@ def _check_descriptors(descriptors: np.ndarray, dim: int) -> np.ndarray:
 def encode_bovw(cb: Codebook, descriptors: np.ndarray) -> EncodedFeature:
     """L2-normalized histogram of hard assignments over the codebook."""
     X = _check_descriptors(descriptors, cb.dim)
-    labels, _ = _assign(X, cb.centroids)
-    counts = np.bincount(labels, minlength=cb.k).astype(np.float64)
+    counts = np.bincount(_nearest(X, cb.centroids), minlength=cb.k).astype(np.float64)
     vec, normalized = l2_normalize(counts)
     return EncodedFeature(vec, "bovw", normalized)
 
@@ -86,10 +85,8 @@ def encode_bovw(cb: Codebook, descriptors: np.ndarray) -> EncodedFeature:
 def vlad_residuals(cb: Codebook, descriptors: np.ndarray) -> np.ndarray:
     """Raw VLAD matrix (k, d): per-cluster sums of (x - centroid) residuals."""
     X = _check_descriptors(descriptors, cb.dim)
-    labels, _ = _assign(X, cb.centroids)
-    residuals = np.zeros_like(cb.centroids)
-    np.add.at(residuals, labels, X - cb.centroids[labels])
-    return residuals
+    labels = _nearest(X, cb.centroids)
+    return _segment_sum(X - cb.centroids[labels], labels, cb.k)
 
 
 def encode_vlad(cb: Codebook, descriptors: np.ndarray) -> EncodedFeature:

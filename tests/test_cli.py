@@ -7,12 +7,14 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrrs import tensor_store
-from hrrs.cli import ENCODERS, main
+from hrrs.cli import ENCODERS, CliError, _descriptor_pool, main
+from hrrs.encoders import extract_descriptors
 from hrrs.head import load_head
 from hrrs.retrieval import load_index
 from hrrs.tensor_store import (
@@ -495,6 +497,12 @@ def test_exit_codes(tmp_path, capsys):
         pytest.param(["encode", "--manifest", "{ds}", "--encoder", "ldcnn", "--head", "{out}",
                       "--relu", "--out", "{out}"], "--relu does not apply to encoder 'ldcnn'",
                      id="encode-ldcnn-relu"),
+        pytest.param(["encode", "--manifest", "{ds}", "--encoder", "vlad", "--model", "{out}",
+                      "--alpha", 0.2, "--out", "{out}"], "--alpha does not apply to encoder 'vlad'",
+                     id="encode-vlad-alpha"),
+        pytest.param(["encode", "--manifest", "{ds}", "--encoder", "fc_raw", "--alpha", 0.5,
+                      "--out", "{out}"], "--alpha does not apply to encoder 'fc_raw'",
+                     id="encode-fc_raw-alpha"),
         pytest.param(["query", "--index", "{out}", "--out", "{out}"],
                      "pass exactly one of --id or --all", id="query-without-id-or-all"),
         pytest.param(["pca", "fit", "--features", "{feats}", "--d", 2, "--manifest", "{ds}",
@@ -565,6 +573,58 @@ def test_effective_config_written(dataset, tmp_path):
     assert doc["command"] == "codebook train"
     assert doc["k"] == 3
     assert doc["seed"] == 0  # default filled in
+
+
+def test_encode_alpha_defaults_only_where_read(dataset, tmp_path):
+    """`--alpha` resolves to 0.5 when omitted and reaches ifk when given."""
+    cb, g = tmp_path / "cb", tmp_path / "gmm"
+    run("codebook", "train", "--kind", "kmeans", "--k", 2, "--manifest", dataset, "--out", cb)
+    run("codebook", "train", "--kind", "gmm", "--k", 2, "--manifest", dataset, "--out", g)
+    assert run("encode", "--manifest", dataset, "--encoder", "vlad", "--model", cb,
+               "--out", tmp_path / "vlad") == 0
+    assert json.loads((tmp_path / "vlad" / "effective_config.json").read_text())["alpha"] == 0.5
+    outs = {}
+    for name, flag in (("default", ()), ("half", ("--alpha", 0.5)), ("low", ("--alpha", 0.2))):
+        assert run("encode", "--manifest", dataset, "--encoder", "ifk", "--model", g,
+                   *flag, "--out", tmp_path / name) == 0
+        config = json.loads((tmp_path / name / "effective_config.json").read_text())
+        outs[name] = ((tmp_path / name / "matrix.ftns").read_bytes(), config["alpha"])
+    assert outs["default"] == outs["half"]
+    assert outs["low"][0] != outs["half"][0] and outs["low"][1] == 0.2
+
+
+def _mixed_manifest(tmp_path, shapes):
+    """A manifest over random float32 maps of the given shapes, with some -0.0 entries."""
+    rng = np.random.default_rng(11)
+    entries = []
+    for i, shape in enumerate(shapes):
+        fmap = rng.standard_normal(shape).astype(np.float32)
+        fmap.flat[::7] = -0.0
+        tensor_store.write_tensor(tmp_path / f"m{i}.ftns", fmap)
+        entries.append({"id": f"m{i}", "class": f"c{i % 2}", "path": f"m{i}.ftns", "split": "all"})
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"entries": entries}))
+    return load_manifest(path)
+
+
+@pytest.mark.parametrize("relu", [False, True])
+def test_descriptor_pool_matches_concatenation(dataset, tmp_path, relu):
+    """The preallocated pool holds the bytes of concatenating every map's descriptors."""
+    for manifest in (load_manifest(dataset),
+                     _mixed_manifest(tmp_path, [(3, 3, 5), (1, 4, 5), (2, 1, 5), (4, 4, 5)])):
+        expected = np.concatenate([
+            extract_descriptors(tensor_store.read_tensor(e.tensor_path), relu)
+            for e in manifest.select("all")
+        ])
+        pool = _descriptor_pool(manifest, "all", relu)
+        assert pool.dtype == np.float64 and pool.shape == expected.shape
+        assert pool.tobytes() == expected.tobytes()
+
+
+def test_descriptor_pool_rejects_mixed_channels(tmp_path):
+    manifest = _mixed_manifest(tmp_path, [(2, 2, 4), (2, 2, 3)])
+    with pytest.raises(CliError, match="differ in rank or channels"):
+        _descriptor_pool(manifest, "all", False)
 
 
 def test_sweep_resolves_checkpoint_against_config(dataset, tmp_path, monkeypatch):

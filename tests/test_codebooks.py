@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from hrrs import codebooks
 from hrrs.codebooks import (
     VARIANCE_FLOOR,
+    _segment_sum,
     gmm_fit,
     gmm_responsibilities,
     kmeans_fit,
@@ -13,10 +16,226 @@ from hrrs.codebooks import (
     save_codebook,
     save_gmm,
 )
-from hrrs.encoders import encode_bovw
+from hrrs.encoders import encode_bovw, vlad_residuals
 from hrrs.tensor_store import BundleError, write_tensor
 
 from oracles import best_two_partition, nearest_centroid_scan
+
+# ---------------------------------------------------------------------------
+# Reference: the codebook layer as it was before segment sums and chunked
+# assignment (np.add.at, one (n, k) distance matrix, an n x d difference
+# array, X*X formed per use). The current code must reproduce its bytes.
+
+
+def _ref_sq_dists(X, C):
+    n, k = X.shape[0], C.shape[0]
+    x2 = np.einsum("nd,nd->n", X, X)
+    c2 = np.einsum("kd,kd->k", C, C)
+    out = np.empty((n, k))
+    step = max(1, (1 << 24) // max(k, 1))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        block = x2[lo:hi, None] - 2.0 * (X[lo:hi] @ C.T) + c2[None, :]
+        np.maximum(block, 0.0, out=out[lo:hi])
+    return out
+
+
+def _ref_assign(X, C):
+    labels = np.argmin(_ref_sq_dists(X, C), axis=1)
+    diffs = X - C[labels]
+    return labels, np.einsum("nd,nd->n", diffs, diffs)
+
+
+def _ref_kmeans(X, k, seed, max_iter, tol):
+    rng = np.random.default_rng(seed)
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    d2 = _ref_sq_dists(X, centers[:1])[:, 0]
+    for j in range(1, k):
+        total = d2.sum()
+        idx = rng.choice(n, p=d2 / total) if total > 0 else rng.integers(n)
+        centers[j] = X[idx]
+        np.minimum(d2, _ref_sq_dists(X, centers[j : j + 1])[:, 0], out=d2)
+    labels, d2 = _ref_assign(X, centers)
+    history = [float(d2.sum())]
+    for _ in range(max_iter):
+        counts = np.bincount(labels, minlength=k)
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, X)
+        new = centers.copy()
+        nonempty = counts > 0
+        new[nonempty] = sums[nonempty] / counts[nonempty, None]
+        if not nonempty.all():
+            far_d2 = d2.copy()
+            for j in np.flatnonzero(~nonempty):
+                far = int(np.argmax(far_d2))
+                new[j] = X[far]
+                far_d2[far] = 0.0
+        centers = new
+        labels, d2 = _ref_assign(X, centers)
+        history.append(float(d2.sum()))
+        if history[-2] == 0.0 or (history[-2] - history[-1]) < tol * history[-2]:
+            break
+    return centers, history
+
+
+def _ref_e_step(X, weights, means, variances):
+    inv = 1.0 / variances
+    const = -0.5 * (means.shape[1] * math.log(2.0 * math.pi) + np.log(variances).sum(axis=1))
+    quad = (X * X) @ inv.T - 2.0 * (X @ (means * inv).T) + (means * means * inv).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        logj = np.log(weights) + const - 0.5 * quad
+    m = logj.max(axis=1, keepdims=True)
+    ll = m[:, 0] + np.log(np.exp(logj - m).sum(axis=1))
+    return np.exp(logj - ll[:, None]), float(ll.mean())
+
+
+def _ref_gmm(X, k, seed, max_iter, tol):
+    n, d = X.shape
+    centroids, _ = _ref_kmeans(X, k, seed, max_iter, tol)
+    labels, _ = _ref_assign(X, centroids)
+    weights = np.bincount(labels, minlength=k) / n
+    means = centroids.copy()
+    variances = np.full((k, d), VARIANCE_FLOOR)
+    for j in range(k):
+        members = X[labels == j]
+        if len(members):
+            variances[j] = np.maximum(((members - means[j]) ** 2).mean(axis=0), VARIANCE_FLOOR)
+    history = []
+    for it in range(max_iter):
+        resp, mean_ll = _ref_e_step(X, weights, means, variances)
+        history.append(mean_ll)
+        if it >= 1 and history[-1] - history[-2] < tol:
+            break
+        nk = resp.sum(axis=0)
+        weights = nk / n
+        active = nk > 0
+        if active.any():
+            mu_new = (resp.T @ X)[active] / nk[active, None]
+            ex2 = (resp.T @ (X * X))[active] / nk[active, None]
+            means[active] = mu_new
+            variances[active] = np.maximum(ex2 - mu_new**2, VARIANCE_FLOOR)
+    return weights, means, variances, history
+
+
+def _ref_vlad(C, X):
+    labels, _ = _ref_assign(X, C)
+    residuals = np.zeros_like(C)
+    np.add.at(residuals, labels, X - C[labels])
+    return residuals
+
+
+def _add_at(X, labels, k):
+    out = np.zeros((k, X.shape[1]))
+    np.add.at(out, labels, X)
+    return out
+
+
+def _fixture(name):
+    """(points, k) pools; "relu-d64" spans four point-distance chunks of 2**16 // 64 rows."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "d1":
+        return rng.standard_normal((3000, 1)) * 1e3, 8
+    if name == "duplicates":  # 5 distinct rows for k=9: empty clusters are re-seeded every step
+        return np.repeat(rng.standard_normal((5, 4)), 40, axis=0), 9
+    if name == "magnitudes":
+        return rng.standard_normal((2500, 7)) * np.logspace(-3, 6, 7), 12
+    if name == "relu-d64":
+        X = np.maximum(rng.standard_normal((3500, 64)), 0.0)
+        X[::5, :3] = -0.0
+        return X, 16
+    raise KeyError(name)
+
+
+FIXTURES = ["d1", "duplicates", "magnitudes", "relu-d64"]
+
+
+class TestSegmentSum:
+    @pytest.mark.parametrize("d", [1, 512])
+    @pytest.mark.parametrize(
+        "case", ["shuffled", "empty-clusters", "one-cluster", "sorted", "negative-zero"]
+    )
+    def test_matches_add_at_bytes(self, d, case):
+        rng = np.random.default_rng(d)
+        n, k = 700, 9
+        X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 6, (n, 1))
+        labels = rng.integers(0, k, n)
+        if case == "empty-clusters":
+            labels = rng.choice([1, 4, 5], n)
+        elif case == "one-cluster":
+            labels = np.full(n, 3)
+        elif case == "sorted":
+            labels = np.sort(labels)
+        elif case == "negative-zero":
+            X[rng.random((n, d)) < 0.3] = -0.0
+            X[labels == 2] = -0.0  # a cluster whose every entry is -0.0 sums to +0.0
+        assert _segment_sum(X, labels, k).tobytes() == _add_at(X, labels, k).tobytes()
+
+    def test_cancellation_keeps_input_order(self):
+        # Reordering these rows changes the float64 sum; input order must be kept.
+        X = np.array([[1e16], [2.0], [1.0], [-1e16]])
+        labels = np.array([0, 1, 0, 0])
+        out = _segment_sum(X, labels, 2)
+        assert out.tobytes() == _add_at(X, labels, 2).tobytes()
+        assert out[:, 0].tolist() == [0.0, 2.0]  # (1e16 + 1) - 1e16, not 1e16 - 1e16 + 1
+
+    def test_no_rows(self):
+        assert _segment_sum(np.empty((0, 3)), np.empty(0, dtype=np.intp), 4).tobytes() == bytes(96)
+
+
+class TestByteIdentityWithReference:
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_kmeans_fit(self, name):
+        X, k = _fixture(name)
+        cb = kmeans_fit(X, k, seed=3, max_iter=6, tol=0.0)
+        centroids, history = _ref_kmeans(X, k, 3, 6, 0.0)
+        assert cb.centroids.tobytes() == centroids.tobytes()
+        assert cb.inertia_history == tuple(history)
+
+    def test_kmeans_fit_across_distance_blocks(self):
+        # k=4096 gives distance blocks of 2**24 // 4096 = 4096 rows: three blocks here.
+        X = np.random.default_rng(12).standard_normal((8300, 2))
+        cb = kmeans_fit(X, 4096, seed=1, max_iter=1)
+        centroids, history = _ref_kmeans(X, 4096, 1, 1, 1e-4)
+        assert cb.centroids.tobytes() == centroids.tobytes()
+        assert cb.inertia_history == tuple(history)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_gmm_fit(self, name):
+        X, k = _fixture(name)
+        g = gmm_fit(X, k, seed=5, max_iter=5, tol=0.0)
+        weights, means, variances, history = _ref_gmm(X, k, 5, 5, 0.0)
+        assert g.weights.tobytes() == weights.tobytes()
+        assert g.means.tobytes() == means.tobytes()
+        assert g.variances.tobytes() == variances.tobytes()
+        assert g.loglik_history == tuple(history)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_vlad_residuals(self, name):
+        X, k = _fixture(name)
+        cb = kmeans_fit(X[::3], k, seed=2, max_iter=3)
+        for rows in (X[:169], X[169:1200], X):
+            assert vlad_residuals(cb, rows).tobytes() == _ref_vlad(cb.centroids, rows).tobytes()
+
+
+def test_gmm_fit_assigns_once_per_lloyd_step(monkeypatch):
+    """The EM initialisation reuses the k-means fit's final labels."""
+    X, k = _fixture("relu-d64")
+    calls = {"_assign": 0, "_nearest": 0}
+    for name in calls:
+        original = getattr(codebooks, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(codebooks, name, counted)
+    passes = len(kmeans_fit(X, k, seed=4, max_iter=4, tol=0.0).inertia_history)
+    assert passes == 5  # the seeding assignment plus one per Lloyd step
+    calls.update(_assign=0, _nearest=0)
+    gmm_fit(X, k, seed=4, max_iter=4, tol=0.0)
+    assert calls == {"_assign": passes, "_nearest": passes}
 
 
 class TestKmeansFit:
