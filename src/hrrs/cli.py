@@ -231,6 +231,9 @@ def cmd_encode(args) -> int:
         args.alpha = 0.5
     elif not spec.reads_alpha:
         raise CliError(f"--alpha does not apply to encoder {args.encoder!r}")
+    for flag in ("model", "head"):
+        if getattr(args, flag) and flag != spec.model_flag:
+            raise CliError(f"--{flag} does not apply to encoder {args.encoder!r}")
     manifest = load_manifest(args.manifest)
     model = None
     if spec.model_flag:
@@ -260,6 +263,10 @@ def _fit_set_matrix(features, args) -> np.ndarray:
 
 
 def cmd_pca_fit(args) -> int:
+    if args.split is None:
+        args.split = "all"
+    elif not args.manifest:
+        raise CliError("--split selects fit-set entries of --manifest; pass --manifest too")
     features = load_features(args.features)
     matrix = _fit_set_matrix(features, args)
     model = pca_fit(matrix, args.d)
@@ -687,7 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--manifest", help="explicit fit-set manifest (optional)")
-    p.add_argument("--split", choices=("train", "test", "all"), default="all")
+    p.add_argument("--split", choices=("train", "test", "all"),
+                   help="fit-set split of --manifest (default all)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pca_fit)
     p = pca_sub.add_parser("apply", help="project a feature set with a fitted model")

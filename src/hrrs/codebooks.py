@@ -201,6 +201,8 @@ def _lloyd(
     """`kmeans_fit` on 2-D points; also returns the labels of the final centroids."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if tol < 0:
         raise ValueError("tol must be >= 0")
     rng = np.random.default_rng(seed)
@@ -260,12 +262,10 @@ def gmm_fit(X, k: int, seed: int = 0, max_iter: int = 100, tol: float = 1e-4) ->
     weights = counts / n
     means = cb.centroids.copy()
     variances = np.full((k, d), VARIANCE_FLOOR)
-    for j in range(k):
-        members = X[labels == j]
-        if len(members):
-            variances[j] = np.maximum(
-                ((members - means[j]) ** 2).mean(axis=0), VARIANCE_FLOOR
-            )
+    # One stable sort groups each cluster's rows, in input order, into a slice.
+    groups = np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
+    for j in np.flatnonzero(counts):
+        variances[j] = np.maximum(((X[groups[j]] - means[j]) ** 2).mean(axis=0), VARIANCE_FLOOR)
     XX = X * X
     history: list[float] = []
     for it in range(max_iter):

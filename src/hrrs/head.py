@@ -75,17 +75,6 @@ class MlpconvHead:
     def copy(self) -> "MlpconvHead":
         return MlpconvHead(self.config, {k: v.copy() for k, v in self.params.items()})
 
-    def __getattr__(self, name):
-        if name in PARAM_NAMES:
-            return self.params[name]
-        raise AttributeError(name)
-
-
-@dataclass(frozen=True)
-class ForwardResult:
-    gap_feature: np.ndarray  # (n,) — the logits
-    class_maps: np.ndarray  # (h, w, n)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -241,33 +230,6 @@ def _loss_and_grads(head, maps, labels, train, rng) -> tuple[float, dict[str, np
     return float(losses.mean()), grads
 
 
-def head_forward(head: MlpconvHead, feature_map, mode: str = "eval", rng=None) -> ForwardResult:
-    """Run the head on one feature map.
-
-    Eval mode is deterministic (no dropout); train mode applies inverted
-    dropout after each of the first two ReLUs and needs an rng.
-    """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    fmap = np.asarray(feature_map, dtype=np.float64)
-    if fmap.ndim != 3:
-        raise ValueError(f"feature map must be rank 3, got rank {fmap.ndim}")
-    cache = _forward(head, fmap[None], mode == "train", rng)
-    h, w = head.config.in_spatial
-    gap = cache["gap"][0]
-    class_maps = cache["a3"].reshape(h, w, head.config.classes)
-    return ForwardResult(gap.copy(), class_maps)
-
-
-def softmax_xent(logits, label: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy loss -log softmax(logits)[label] and its logit gradient."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= label < logits.shape[0]:
-        raise ValueError(f"label {label} out of range for {logits.shape[0]} classes")
-    losses, dlogits = _softmax_xent_batch(logits[None], np.array([label]))
-    return float(losses[0]), dlogits[0]
-
-
 def head_backward(head: MlpconvHead, feature_map, label: int, dropout_mask_seed: int) -> dict[str, np.ndarray]:
     """Exact loss gradients for one sample with dropout masks fixed by seed."""
     _, grads = _train_sample(head, feature_map, label, dropout_mask_seed)
@@ -372,8 +334,9 @@ def head_train(
 
 def head_feature(head: MlpconvHead, feature_map) -> EncodedFeature:
     """Eval-mode GAP vector (pre-softmax), L2-normalized; dimension = classes."""
-    result = head_forward(head, feature_map, mode="eval")
-    vec, normalized = l2_normalize(result.gap_feature)
+    fmap = np.asarray(feature_map, dtype=np.float64)
+    gap = _forward(head, fmap[None], train=False, rng=None)["gap"][0]
+    vec, normalized = l2_normalize(gap)
     return EncodedFeature(vec, "ldcnn", normalized)
 
 

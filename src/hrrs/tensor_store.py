@@ -289,31 +289,6 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise ManifestError(f"{path}: {exc}") from None
 
 
-def save_manifest(path: str | Path, manifest: DatasetManifest) -> None:
-    """Write a manifest as JSON with tensor paths relative to the target directory."""
-    path = Path(path)
-    root = path.parent
-    payload = {
-        "entries": [
-            {
-                "id": e.image_id,
-                "class": e.class_label,
-                "path": _relative_to(e.tensor_path, root),
-                "split": e.split,
-            }
-            for e in manifest.entries
-        ]
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def _relative_to(target: Path, root: Path) -> str:
-    try:
-        return target.relative_to(root).as_posix()
-    except ValueError:
-        return target.as_posix()
-
-
 def gen_synthetic(
     classes: int,
     per_class: int,
@@ -382,11 +357,11 @@ def write_synthetic(
     """Write synthetic maps and the manifest to a directory; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    resolved = []
+    entries = []
     for e in manifest.entries:
-        target = out_dir / f"{e.image_id}.ftns"
-        write_tensor(target, maps[e.image_id])
-        resolved.append(ManifestEntry(e.image_id, e.class_label, target, e.split))
+        path = f"{e.image_id}.ftns"
+        write_tensor(out_dir / path, maps[e.image_id])
+        entries.append({"id": e.image_id, "class": e.class_label, "path": path, "split": e.split})
     manifest_path = out_dir / "manifest.json"
-    save_manifest(manifest_path, make_manifest(resolved))
+    manifest_path.write_text(json.dumps({"entries": entries}, indent=2) + "\n")
     return manifest_path

@@ -2,7 +2,11 @@ import csv
 import io
 import json
 import re
+import os
+import pkgutil
 import shutil
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hrrs
 from hrrs import tensor_store
 from hrrs.cli import ENCODERS, CliError, _descriptor_pool, main
 from hrrs.encoders import extract_descriptors
@@ -164,6 +169,7 @@ def test_pca_commands(dataset, tmp_path, capsys):
 
     model = tmp_path / "pca"
     assert run("pca", "fit", "--features", feats, "--d", 4, "--out", model) == 0
+    assert json.loads((model / "effective_config.json").read_text())["split"] == "all"
     projected = tmp_path / "proj"
     assert run("pca", "apply", "--features", feats, "--model", model, "--out", projected) == 0
     doc = json.loads((projected / "bundle.json").read_text())
@@ -477,6 +483,21 @@ def test_exit_codes(tmp_path, capsys):
     assert "--long requires --all" in capsys.readouterr().err
 
 
+def test_modules_import_alone_and_version_matches_pyproject():
+    """Each hrrs module imports in a fresh interpreter; `hrrs --version` reads pyproject's."""
+    src = Path(hrrs.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for module in pkgutil.iter_modules(hrrs.__path__):
+        proc = subprocess.run([sys.executable, "-c", f"import hrrs.{module.name}"],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, f"hrrs.{module.name}: {proc.stderr}"
+    pyproject = (src.parent / "pyproject.toml").read_text()
+    version = re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)
+    proc = subprocess.run([sys.executable, "-m", "hrrs.cli", "--version"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == f"hrrs {version}\n"
+
+
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
@@ -503,8 +524,26 @@ def test_exit_codes(tmp_path, capsys):
         pytest.param(["encode", "--manifest", "{ds}", "--encoder", "fc_raw", "--alpha", 0.5,
                       "--out", "{out}"], "--alpha does not apply to encoder 'fc_raw'",
                      id="encode-fc_raw-alpha"),
+        pytest.param(["encode", "--manifest", "{ds}", "--encoder", "fc_raw", "--model", "{out}",
+                      "--out", "{out}"], "--model does not apply to encoder 'fc_raw'",
+                     id="encode-fc_raw-model"),
+        pytest.param(["encode", "--manifest", "{ds}", "--encoder", "vlad", "--model", "{out}",
+                      "--head", "{out}", "--out", "{out}"],
+                     "--head does not apply to encoder 'vlad'", id="encode-vlad-head"),
+        pytest.param(["encode", "--manifest", "{ds}", "--encoder", "ldcnn", "--model", "{out}",
+                      "--out", "{out}"], "--model does not apply to encoder 'ldcnn'",
+                     id="encode-ldcnn-model"),
         pytest.param(["query", "--index", "{out}", "--out", "{out}"],
                      "pass exactly one of --id or --all", id="query-without-id-or-all"),
+        pytest.param(["pca", "fit", "--features", "{feats}", "--d", 2, "--split", "train",
+                      "--out", "{out}"], "--split selects fit-set entries of --manifest",
+                     id="pca-fit-split-without-manifest"),
+        pytest.param(["codebook", "train", "--kind", "gmm", "--k", 2, "--manifest", "{ds}",
+                      "--max-iter", 0, "--out", "{out}"], "max_iter must be >= 1, got 0",
+                     id="codebook-gmm-max-iter-0"),
+        pytest.param(["codebook", "train", "--kind", "kmeans", "--k", 2, "--manifest", "{ds}",
+                      "--max-iter", -1, "--out", "{out}"], "max_iter must be >= 1, got -1",
+                     id="codebook-kmeans-max-iter-negative"),
         pytest.param(["pca", "fit", "--features", "{feats}", "--d", 2, "--manifest", "{ds}",
                       "--split", "all", "--out", "{out}"], "fit-set ids missing from features",
                      id="pca-fit-set-not-encoded"),

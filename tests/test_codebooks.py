@@ -268,6 +268,13 @@ class TestKmeansFit:
         with pytest.raises(ValueError, match="insufficient"):
             kmeans_fit(np.zeros((3, 2)), 4, seed=0)
 
+    @pytest.mark.parametrize("fit", [kmeans_fit, gmm_fit])
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, fit, max_iter):
+        X = np.random.default_rng(5).standard_normal((20, 2))
+        with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {max_iter}"):
+            fit(X, 2, seed=0, max_iter=max_iter)
+
     def test_inertia_nonincreasing(self):
         rng = np.random.default_rng(3)
         for trial in range(10):

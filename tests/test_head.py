@@ -11,16 +11,16 @@ from hrrs.head import (
     MlpconvHead,
     TrainConfig,
     _dropout_mask,
+    _forward,
+    _softmax_xent_batch,
     head_backward,
     head_feature,
-    head_forward,
     head_init,
     head_loss,
     head_train,
     load_head,
     param_count,
     save_head,
-    softmax_xent,
 )
 from hrrs.tensor_store import gen_synthetic
 
@@ -34,6 +34,17 @@ SMALL_CFG = HeadConfig(
 
 def _zero_head(cfg):
     return MlpconvHead(cfg, {k: np.zeros(s) for k, s in cfg.param_shapes().items()})
+
+
+def _eval_forward(head, fmap):
+    """Eval-mode forward cache of one map: `gap` (1, classes), `a3` (h*w, classes)."""
+    return _forward(head, np.asarray(fmap)[None], train=False, rng=None)
+
+
+def _xent(logits, label):
+    """Cross-entropy loss and logit gradient of one logit row."""
+    losses, dlogits = _softmax_xent_batch(np.asarray(logits)[None], np.array([label]))
+    return float(losses[0]), dlogits[0]
 
 
 def _synthetic_dataset(separation, seed=42, shape=(6, 6, 32)):
@@ -52,7 +63,7 @@ class TestHeadInit:
     def test_gaussian_statistics(self):
         cfg = HeadConfig(in_channels=128, in_spatial=(4, 4), hidden1=100, hidden2=8, classes=3)
         head = head_init(cfg, seed=0)
-        w = head.W1.ravel()
+        w = head.params["W1"].ravel()
         assert w.size >= 1e5
         assert abs(w.mean()) < 3 * 0.01 / math.sqrt(w.size)
         assert abs(w.std() - 0.01) < 0.05 * 0.01
@@ -85,10 +96,10 @@ class TestHeadForward:
     def test_zero_network_uniform_softmax(self):
         head = _zero_head(SMALL_CFG)
         fmap = np.random.default_rng(0).standard_normal((8, 8, 4))
-        out = head_forward(head, fmap)
-        np.testing.assert_array_equal(out.gap_feature, np.zeros(3))
-        np.testing.assert_array_equal(out.class_maps, np.zeros((8, 8, 3)))
-        loss, dlogits = softmax_xent(out.gap_feature, 0)
+        cache = _eval_forward(head, fmap)
+        np.testing.assert_array_equal(cache["gap"], np.zeros((1, 3)))
+        np.testing.assert_array_equal(cache["a3"], np.zeros((8 * 8, 3)))
+        loss, dlogits = _xent(cache["gap"][0], 0)
         np.testing.assert_allclose(loss, math.log(3))
         p = dlogits + np.eye(3)[0]
         np.testing.assert_allclose(p, np.full(3, 1 / 3), atol=1e-12)
@@ -97,40 +108,41 @@ class TestHeadForward:
         # zero weights + bias c on the last stage -> every class map constant c
         head = _zero_head(SMALL_CFG)
         head.params["b3"][:] = [2.5, -1.0, 0.0]
-        out = head_forward(head, np.zeros((8, 8, 4)))
-        np.testing.assert_allclose(out.gap_feature, [2.5, -1.0, 0.0], atol=1e-12)
+        gap = _eval_forward(head, np.zeros((8, 8, 4)))["gap"][0]
+        np.testing.assert_allclose(gap, [2.5, -1.0, 0.0], atol=1e-12)
 
     def test_gap_is_spatial_mean_of_class_maps(self):
         head = head_init(SMALL_CFG, seed=3)
         fmap = np.random.default_rng(3).standard_normal((8, 8, 4))
-        out = head_forward(head, fmap)
-        np.testing.assert_allclose(out.gap_feature, out.class_maps.mean(axis=(0, 1)), atol=1e-12)
+        cache = _eval_forward(head, fmap)
+        class_maps = cache["a3"].reshape(8, 8, 3)
+        np.testing.assert_allclose(cache["gap"][0], class_maps.mean(axis=(0, 1)), atol=1e-12)
 
     def test_matches_naive_convolution_oracle(self):
         cfg = HeadConfig(in_channels=512, in_spatial=(6, 6), hidden1=32, hidden2=24, classes=7)
         head = head_init(cfg, seed=4)
         fmap = np.random.default_rng(4).standard_normal((6, 6, 512))
-        out = head_forward(head, fmap)
+        gap = _eval_forward(head, fmap)["gap"][0]
         oracle = naive_head_gap(head.params, fmap)
-        rel = np.abs(out.gap_feature - oracle) / np.maximum(np.abs(oracle), 1e-12)
+        rel = np.abs(gap - oracle) / np.maximum(np.abs(oracle), 1e-12)
         assert rel.max() < 1e-5
 
     def test_eval_mode_bit_stable(self):
         head = head_init(SMALL_CFG, seed=5)
         fmap = np.random.default_rng(5).standard_normal((8, 8, 4))
-        a = head_forward(head, fmap)
-        b = head_forward(head, fmap)
-        assert a.gap_feature.tobytes() == b.gap_feature.tobytes()
+        a = _eval_forward(head, fmap)["gap"]
+        b = _eval_forward(head, fmap)["gap"]
+        assert a.tobytes() == b.tobytes()
 
     def test_train_mode_needs_rng(self):
         head = head_init(SMALL_CFG, seed=6)
         with pytest.raises(ValueError, match="rng"):
-            head_forward(head, np.zeros((8, 8, 4)), mode="train")
+            _forward(head, np.zeros((1, 8, 8, 4)), train=True, rng=None)
 
     def test_shape_mismatch(self):
         head = head_init(SMALL_CFG, seed=6)
         with pytest.raises(ValueError, match="shape"):
-            head_forward(head, np.zeros((4, 4, 4)))
+            head_feature(head, np.zeros((4, 4, 4)))
 
     def test_gap_linearity(self):
         rng = np.random.default_rng(7)
@@ -144,32 +156,33 @@ class TestHeadForward:
 
 class TestSoftmaxXent:
     def test_uniform_loss(self):
-        loss, _ = softmax_xent(np.zeros(30), 11)
+        loss, _ = _xent(np.zeros(30), 11)
         assert round(loss, 4) == 3.4012
 
     def test_saturated_correct(self):
         logits = np.full(5, -50.0)
         logits[2] = 50.0
-        loss, _ = softmax_xent(logits, 2)
+        loss, _ = _xent(logits, 2)
         assert loss < 1e-8
 
     def test_dlogits_sums_to_zero(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             logits = rng.standard_normal(6) * 10
-            _, dlogits = softmax_xent(logits, int(rng.integers(6)))
+            _, dlogits = _xent(logits, int(rng.integers(6)))
             assert abs(dlogits.sum()) < 1e-12
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(9)
         logits = rng.standard_normal(7)
-        a, _ = softmax_xent(logits, 3)
-        b, _ = softmax_xent(logits + 123.456, 3)
+        a, _ = _xent(logits, 3)
+        b, _ = _xent(logits + 123.456, 3)
         assert abs(a - b) < 1e-9
 
     def test_label_out_of_range(self):
-        with pytest.raises(ValueError, match="label"):
-            softmax_xent(np.zeros(3), 3)
+        head = head_init(SMALL_CFG, seed=10)
+        with pytest.raises(ValueError, match="label 3 out of range"):
+            head_loss(head, np.zeros((8, 8, 4)), 3, dropout_mask_seed=0)
 
 
 def gradient_check_fixture():
@@ -211,7 +224,7 @@ class TestHeadBackward:
         head = head_init(SMALL_CFG, seed=11)
         head.params["b1"][:] = 0.5  # open the first ReLU so bias gradients can flow
         grads = head_backward(head, np.zeros((8, 8, 4)), label=0, dropout_mask_seed=5)
-        np.testing.assert_array_equal(grads["W1"], np.zeros_like(head.W1))
+        np.testing.assert_array_equal(grads["W1"], np.zeros_like(head.params["W1"]))
         assert np.abs(grads["b1"]).max() > 0
 
     def test_b3_gradient_equals_dlogits(self):
@@ -219,11 +232,9 @@ class TestHeadBackward:
         fmap = np.random.default_rng(12).standard_normal((8, 8, 4))
         grads = head_backward(head, fmap, label=2, dropout_mask_seed=9)
         # recompute the forward pass with the same masks to get the logits
-        from hrrs.head import _forward
-
         rng = np.random.default_rng(9)
         cache = _forward(head, fmap[None], train=True, rng=rng)
-        _, dlogits = softmax_xent(cache["gap"][0], 2)
+        _, dlogits = _xent(cache["gap"][0], 2)
         np.testing.assert_allclose(grads["b3"], dlogits, atol=1e-12)
 
 

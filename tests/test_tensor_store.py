@@ -336,3 +336,16 @@ class TestGenSynthetic:
         assert [e.image_id for e in loaded.entries] == [e.image_id for e in manifest.entries]
         arr = read_tensor(loaded.entries[0].tensor_path)
         assert arr.tobytes() == maps[loaded.entries[0].image_id].tobytes()
+        # Pinned text: paths are bare file names, indent 2, one trailing newline.
+        text = manifest_path.read_text()
+        split = manifest.entries[0].split
+        assert text.startswith(
+            '{\n  "entries": [\n    {\n      "id": "class00-000",\n      "class": "class00",\n'
+            f'      "path": "class00-000.ftns",\n      "split": "{split}"\n    }},\n'
+        )
+        assert text.endswith('"\n    }\n  ]\n}\n')
+        assert json.loads(text)["entries"] == [
+            {"id": e.image_id, "class": e.class_label, "path": f"{e.image_id}.ftns",
+             "split": e.split}
+            for e in manifest.entries
+        ]
