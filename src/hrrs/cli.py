@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -87,7 +86,7 @@ ENCODERS = {
     "fc_raw": EncoderSpec(lambda _, fc, relu, alpha: encode_fc(fc, relu)),
     "ldcnn": EncoderSpec(
         lambda head, fmap, relu, alpha: head_feature(head, fmap),
-        "head", lambda path: load_head(path)[0], reads_relu=False,
+        "head", load_head, reads_relu=False,
     ),
 }
 
@@ -526,7 +525,6 @@ def validate_config(doc: dict) -> dict:
 
 def _checkpoint_digest(checkpoint: Path) -> str:
     """sha256 over a head checkpoint's sidecar and parameter files."""
-    load_head(checkpoint)  # a malformed checkpoint fails here, naming its file
     digest = hashlib.sha256()
     for name in (BUNDLE_SIDECAR, *(f"{p}.ftns" for p in PARAM_NAMES)):
         digest.update((checkpoint / name).read_bytes())
@@ -538,36 +536,57 @@ def _cell_key(cell: dict, manifest_sha: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _run_cell(cfg: dict, cell: dict, manifest: DatasetManifest, checkpoint: Path | None) -> dict:
-    kind, use_relu, dim = cell["kind"], cell["relu"], cell["dim"]
-    spec = ENCODERS[kind]
-    model = None
+def _cached_row(cache_file: Path) -> dict | None:
+    """The row cached in `cache_file`, or None to recompute it: absent, or unreadable."""
+    if not cache_file.exists():
+        return None
+    try:
+        row = json.loads(cache_file.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        row = None
+    fields = {"kind", "relu", "pca_dim", "ANMRR", "mAP", "P_at_k"}
+    if isinstance(row, dict) and fields <= row.keys() and isinstance(row["P_at_k"], dict):
+        return row
+    print(f"unreadable cache entry {cache_file}: recomputing")
+    return None
+
+
+def _cell_features(cell: dict, manifest: DatasetManifest, head) -> dict[str, EncodedFeature]:
+    """Every map encoded by the cell's kind and relu; shared by all of the pair's PCA dims."""
+    spec = ENCODERS[cell["kind"]]
+    model = head if spec.model_flag == "head" else None
     if spec.fit:
-        # The pool is fitted and dropped before the encode pass reads the maps
-        # again: holding every map through the fit would cost far more memory.
-        model = spec.fit(_descriptor_pool(manifest, "all", use_relu), cell["k"], seed=cfg["seed"])
-    elif spec.load:
-        model = spec.load(checkpoint)
-    feats = _encode_entries(manifest, "all", kind, use_relu, cfg["alpha"], model)
-    if dim is not None:
+        # The pool is dropped before the encode pass re-reads the maps: holding both costs more.
+        pool = _descriptor_pool(manifest, "all", cell["relu"])
+        model = spec.fit(pool, cell["k"], seed=cell["seed"])
+    return _encode_entries(manifest, "all", cell["kind"], cell["relu"], cell["alpha"], model)
+
+
+def _cell_row(cell: dict, feats: dict[str, EncodedFeature], manifest: DatasetManifest) -> dict:
+    """Score the cell's features, PCA-projected to the cell's dim if it has one."""
+    if cell["dim"] is not None:
         matrix = stack_features(feats, sorted(feats))[1]
-        feats = _project_features(feats, pca_fit(matrix, dim))
-    protocol = EvalProtocol(self_included=cfg["self_included"], k_list=cfg["k_list"])
+        try:
+            model = pca_fit(matrix, cell["dim"])
+        except ValueError as exc:
+            where = f"encoder {cell['kind']!r} with relu={cell['relu']}"
+            raise CliError(f"pca.dims entry {cell['dim']} does not fit {where}: {exc}") from None
+        feats = _project_features(feats, model)
+    protocol = EvalProtocol(self_included=cell["self_included"], k_list=tuple(cell["k_list"]))
     report = evaluate_dataset(build_index(feats, manifest), manifest, protocol)
     return {
-        "kind": kind,
-        "relu": use_relu,
-        "pca_dim": dim,
+        "kind": cell["kind"],
+        "relu": cell["relu"],
+        "pca_dim": cell["dim"],
         "ANMRR": report.anmrr,
         "mAP": report.mean_ap,
         "P_at_k": {str(k): v for k, v in report.p_at_k.items()},
     }
 
 
-def run_sweep(config_path: Path, out_dir: Path, workers: int = 1) -> Path:
-    """Evaluate the Cartesian product of the config's axes; rows are cached."""
-    if workers < 1:
-        raise CliError(f"--workers must be >= 1, got {workers}")
+def run_sweep(config_path: Path, out_dir: Path) -> Path:
+    """Evaluate the config's axis product one cell at a time, caching each row; a (kind, relu)
+    pair is fitted and encoded once, on its first missed cell, for all of its PCA dims."""
     try:
         doc = json.loads(config_path.read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -577,18 +596,20 @@ def run_sweep(config_path: Path, out_dir: Path, workers: int = 1) -> Path:
     manifest = load_manifest(manifest_path)
     manifest_sha = hashlib.sha256(manifest_path.read_bytes()).hexdigest()
     # A head cell keys on its checkpoint's content, so retraining in place misses.
-    checkpoint = head_key = None
+    head = head_key = None
     if any(ENCODERS[kind].model_flag == "head" for kind in cfg["kinds"]):
         checkpoint = (config_path.parent / cfg["head_checkpoint"]).resolve()
+        head = load_head(checkpoint)  # a malformed checkpoint fails here, naming its file
         head_key = f"sha256:{_checkpoint_digest(checkpoint)}"
     cache_dir = Path(os.environ.get(CACHE_ENV_VAR) or out_dir / "cache")
     cache_dir.mkdir(parents=True, exist_ok=True)
-    cells = []
+    rows = []
     for kind in cfg["kinds"]:
         spec = ENCODERS[kind]
         # A kind that reads no ReLU gets one relu-0 cell whatever the relu axis holds;
         # k (read only by kinds with a fit) and alpha are None in cells that do not read them.
         for use_relu in cfg["relus"] if spec.reads_relu else [False]:
+            feats = None
             for dim in cfg["dims"]:
                 cell = {
                     "kind": kind,
@@ -601,25 +622,19 @@ def run_sweep(config_path: Path, out_dir: Path, workers: int = 1) -> Path:
                     "k_list": list(cfg["k_list"]),
                     "seed": cfg["seed"],
                 }
-                cells.append((cell, _cell_key(cell, manifest_sha)))
-
-    def compute(entry):
-        cell, key = entry
-        cache_file = cache_dir / f"{key}.json"
-        if cache_file.exists():
-            print(f"cache hit {key[:12]} ({cell['kind']}, relu={cell['relu']}, dim={cell['dim']})")
-            return json.loads(cache_file.read_text())
-        row = _run_cell(cfg, cell, manifest, checkpoint)
-        tmp = cache_file.with_suffix(f".{os.getpid()}.tmp")  # atomic publish
-        tmp.write_text(json.dumps(row, indent=2) + "\n")
-        os.replace(tmp, cache_file)
-        return row
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(compute, cells))
-    else:
-        rows = [compute(entry) for entry in cells]
+                key = _cell_key(cell, manifest_sha)
+                cache_file = cache_dir / f"{key}.json"
+                row = _cached_row(cache_file)
+                if row is not None:
+                    print(f"cache hit {key[:12]} ({kind}, relu={use_relu}, dim={dim})")
+                    rows.append(row)
+                    continue
+                feats = feats or _cell_features(cell, manifest, head)  # once per (kind, relu)
+                row = _cell_row(cell, feats, manifest)
+                tmp = cache_file.with_suffix(f".{os.getpid()}.tmp")  # atomic publish
+                tmp.write_text(json.dumps(row, indent=2) + "\n")
+                os.replace(tmp, cache_file)
+                rows.append(row)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_csv = out_dir / "sweep.csv"
     k_list = cfg["k_list"]
@@ -635,7 +650,7 @@ def run_sweep(config_path: Path, out_dir: Path, workers: int = 1) -> Path:
 
 
 def cmd_sweep(args) -> int:
-    out_csv = run_sweep(Path(args.config), Path(args.out), workers=args.workers)
+    out_csv = run_sweep(Path(args.config), Path(args.out))
     print(f"sweep report: {out_csv}")
     return 0
 
@@ -766,7 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="evaluate a config's axis product with caching")
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -181,9 +181,9 @@ def load_features(feature_dir: str | Path) -> dict[str, EncodedFeature]:
     """Load a feature set; each value's vector is a read-only row view of one matrix."""
     tensors, meta = load_bundle(feature_dir, "features")
     matrix = tensors["matrix"]
-    normalized = meta.per_row("normalized", matrix)
+    normalized = meta.per_row("normalized", matrix, bool)
     tag = meta["encoder_tag"]
     return {
-        image_id: EncodedFeature(matrix[r], tag, bool(normalized[r]))
-        for r, image_id in enumerate(meta.per_row("ids", matrix))
+        image_id: EncodedFeature(matrix[r], tag, normalized[r])
+        for r, image_id in enumerate(meta.per_row("ids", matrix, str))
     }

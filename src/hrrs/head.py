@@ -383,8 +383,8 @@ def save_head(out_dir: str | Path, head: MlpconvHead, state: TrainState | None =
     save_bundle(out_dir, "head", head.params, meta)
 
 
-def load_head(model_dir: str | Path) -> tuple[MlpconvHead, dict]:
-    """Load a checkpoint; returns the head and the bundle's meta (config, history)."""
+def load_head(model_dir: str | Path) -> MlpconvHead:
+    """Load a checkpoint's head; its training history stays in the bundle's meta."""
     tensors, meta = load_bundle(model_dir, "head")
     params = {name: tensors[name] for name in PARAM_NAMES}
     config = meta["config"]
@@ -394,4 +394,4 @@ def load_head(model_dir: str | Path) -> tuple[MlpconvHead, dict]:
         raise BundleError(
             f"{meta.sidecar}: field 'meta.config' does not fit the parameters ({exc})"
         ) from None
-    return head, meta
+    return head

@@ -195,8 +195,8 @@ def load_index(index_dir: str | Path) -> Index:
     tensors, meta = load_bundle(index_dir, "index")
     # float32 storage perturbs norms; restore exact unit rows.
     matrix, zero = _unit_rows(tensors["matrix"].copy())
-    ids = tuple(meta.per_row("ids", matrix))
-    labels = tuple(meta.per_row("classes", matrix))
+    ids = tuple(meta.per_row("ids", matrix, str))
+    labels = tuple(meta.per_row("classes", matrix, str))
     zero_ids, expected = meta["zero_ids"], sorted(i for i, z in zip(ids, zero) if z)
     if not isinstance(zero_ids, list) or sorted(zero_ids, key=str) != expected:
         raise BundleError(

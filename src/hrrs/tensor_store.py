@@ -118,14 +118,20 @@ class BundleFields(dict):
     def __missing__(self, key):
         raise BundleError(f"{self.sidecar}: missing field '{self.section}.{key}'")
 
-    def per_row(self, key: str, matrix: np.ndarray) -> list:
-        """Field `key`, checked to be a list with one entry per row of `matrix`."""
+    def per_row(self, key: str, matrix: np.ndarray, of: type) -> list:
+        """Field `key`, checked to be a list of one `of` per row of `matrix`."""
         values = self[key]
         if not isinstance(values, list) or len(values) != len(matrix):
             raise BundleError(
                 f"{self.sidecar}: field '{self.section}.{key}' must list one entry "
                 f"per row of matrix.ftns ({len(matrix)} rows)"
             )
+        for r, value in enumerate(values):
+            if not isinstance(value, of):
+                raise BundleError(
+                    f"{self.sidecar}: field '{self.section}.{key}' entry {r} is {value!r}, "
+                    f"expected a {of.__name__}"
+                )
         return values
 
 
@@ -275,14 +281,12 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         unknown = set(raw) - {"id", "class", "path", "split"}
         if unknown:
             raise ManifestError(f"{path}: entry {i} has unknown keys {sorted(unknown)}")
-        entries.append(
-            ManifestEntry(
-                image_id=str(raw["id"]),
-                class_label=str(raw["class"]),
-                tensor_path=root / str(raw["path"]),
-                split=str(raw["split"]),
-            )
-        )
+        for key, value in raw.items():
+            if not isinstance(value, str):
+                raise ManifestError(
+                    f"{path}: entry {i} key {key!r} must be a string, got {value!r}"
+                )
+        entries.append(ManifestEntry(raw["id"], raw["class"], root / raw["path"], raw["split"]))
     try:
         return make_manifest(entries)
     except ManifestError as exc:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hrrs
-from hrrs import tensor_store
+from hrrs import cli, tensor_store
 from hrrs.cli import ENCODERS, CliError, _descriptor_pool, main
 from hrrs.encoders import extract_descriptors
 from hrrs.head import load_head
@@ -175,9 +175,12 @@ def test_pca_commands(dataset, tmp_path, capsys):
     doc = json.loads((projected / "bundle.json").read_text())
     assert doc["tensors"]["matrix"] == [12, 4]
 
+    # 12 images of 18-D VLAD: dims above 12 are dropped with a message, the rest scored.
     out_csv = tmp_path / "sweep.csv"
+    capsys.readouterr()
     assert run("pca", "sweep", "--features", feats, "--manifest", dataset,
-               "--dims", "2,4", "--k-list", "1,5", "--out", out_csv) == 0
+               "--dims", "2,16,4,30", "--k-list", "1,5", "--out", out_csv) == 0
+    assert "capping sweep at 12-D: dropping [16, 30]" in capsys.readouterr().out
     with open(out_csv) as fh:
         rows = list(csv.reader(fh))
     assert rows[0][:3] == ["dim", "ANMRR", "mAP"]
@@ -330,7 +333,6 @@ def test_pca_fit_set_restriction(dataset, tmp_path):
                      id="k-list-below-1"),
         pytest.param({"eval": {"k_list": [5, 1, 5]}}, [], "eval.k_list repeats [5]",
                      id="repeated-k-list"),
-        pytest.param({}, ["--workers", 0], "--workers must be >= 1", id="workers-below-1"),
         pytest.param({"encoder": {"kind": []}}, [], "encoder.kind must not be empty",
                      id="empty-kind"),
         pytest.param({"encoder": {"kind": "vlad", "relu": []}}, [],
@@ -352,6 +354,15 @@ def test_pca_fit_set_restriction(dataset, tmp_path):
         pytest.param({"eval": {"self_included": "false"}}, [],
                      "eval.self_included must be a boolean", id="string-self-included"),
         pytest.param('{"encoder": ', [], "bad.json: invalid JSON", id="invalid-json"),
+        pytest.param("[]", [], "config must be a JSON object", id="config-not-an-object"),
+        pytest.param({"pca": 5}, [], "config section 'pca' must be an object",
+                     id="section-not-an-object"),
+        pytest.param({"eval": {"bogus": 1}}, [], "config section 'eval' has unknown keys ['bogus']",
+                     id="unknown-section-key"),
+        pytest.param('{"dataset": {"manifest": "m.json"}}', [],
+                     "config requires an 'encoder' section", id="no-encoder-section"),
+        pytest.param({"pca": {"d": 2, "dims": [2]}}, [], "either 'd' or 'dims', not both",
+                     id="d-and-dims"),
     ],
 )
 def test_sweep_config_validation(dataset, tmp_path, capsys, edit, argv, message):
@@ -454,18 +465,134 @@ def test_sweep_rekeys_ldcnn_on_retrained_checkpoint(dataset, tmp_path, capsys):
     assert second["ANMRR"] == f"{report['ANMRR']:.4f}"
 
 
-def test_sweep_workers(dataset, tmp_path):
+@pytest.fixture()
+def sweep_calls(monkeypatch):
+    """Counts of the sweep's pool builds, encode passes and checkpoint loads."""
+    calls = dict.fromkeys(("_descriptor_pool", "_encode_entries", "load_head"), 0)
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    return calls
+
+
+def test_sweep_encodes_each_kind_and_relu_once(dataset, tmp_path, capsys, sweep_calls):
     config = {
         "dataset": {"manifest": str(dataset)},
-        "encoder": {"kind": ["bovw", "vlad"], "k": 3},
+        "encoder": {"kind": "vlad", "k": 3, "relu": [False, True]},
+        "pca": {"dims": [1, 2, 3]},
+        "eval": {"k_list": [1, 5]},
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "sweep"
+    assert run("sweep", "--config", path, "--out", out) == 0
+    assert sweep_calls == {"_descriptor_pool": 2, "_encode_entries": 2, "load_head": 0}
+    with open(out / "sweep.csv") as fh:
+        assert [r[1:3] for r in list(csv.reader(fh))[1:]] == [
+            [relu, dim] for relu in "01" for dim in "123"
+        ]
+    cold = (out / "sweep.csv").read_bytes()
+
+    # One deleted entry: only its (kind, relu) pair is fitted and encoded again.
+    entries = sorted((out / "cache").glob("*.json"))
+    assert len(entries) == 6
+    entries[3].unlink()
+    sweep_calls.update(dict.fromkeys(sweep_calls, 0))
+    capsys.readouterr()
+    assert run("sweep", "--config", path, "--out", out) == 0
+    assert sweep_calls == {"_descriptor_pool": 1, "_encode_entries": 1, "load_head": 0}
+    assert capsys.readouterr().out.count("cache hit") == 5
+    assert (out / "sweep.csv").read_bytes() == cold
+    assert entries[3].exists()
+
+
+def test_sweep_reads_the_checkpoint_once(dataset, tmp_path, sweep_calls):
+    _train_head(dataset, tmp_path / "head", seed=1)
+    config = {
+        "dataset": {"manifest": str(dataset)},
+        "encoder": {"kind": "ldcnn"},
+        "head": {"checkpoint": str(tmp_path / "head")},
+        "pca": {"dims": [1, 2]},
         "eval": {"k_list": [1]},
     }
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
-    out = tmp_path / "par"
-    assert run("sweep", "--config", path, "--workers", 2, "--out", out) == 0
-    with open(out / "sweep.csv") as fh:
-        assert len(list(csv.reader(fh))) == 3
+    assert run("sweep", "--config", path, "--out", tmp_path / "sweep") == 0
+    assert sweep_calls == {"_descriptor_pool": 0, "_encode_entries": 1, "load_head": 1}
+
+
+def test_sweep_has_no_workers_flag(dataset, tmp_path):
+    path = tmp_path / "c.json"
+    config = {"dataset": {"manifest": str(dataset)}, "encoder": {"kind": "vlad"}}
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        run("sweep", "--config", path, "--workers", 2, "--out", tmp_path / "o")
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda doc: "", id="empty"),
+        pytest.param(lambda doc: json.dumps(doc)[:-5], id="truncated"),
+        pytest.param(lambda doc: json.dumps({k: v for k, v in doc.items() if k != "P_at_k"}),
+                     id="missing-field"),
+        pytest.param(lambda doc: json.dumps([doc]), id="not-an-object"),
+        pytest.param(lambda doc: json.dumps({**doc, "P_at_k": [0.5]}), id="p-at-k-not-an-object"),
+    ],
+)
+def test_sweep_recomputes_an_unreadable_cache_entry(dataset, tmp_path, capsys, sweep_calls, damage):
+    config = {
+        "dataset": {"manifest": str(dataset)},
+        "encoder": {"kind": ["bovw", "vlad"], "k": 3},
+        "eval": {"k_list": [1, 5]},
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "sweep"
+    assert run("sweep", "--config", path, "--out", out) == 0
+    cold = (out / "sweep.csv").read_bytes()
+    entry = sorted((out / "cache").glob("*.json"))[0]
+    body = entry.read_bytes()
+    entry.write_text(damage(json.loads(body)))
+    sweep_calls.update(dict.fromkeys(sweep_calls, 0))
+    capsys.readouterr()
+    assert run("sweep", "--config", path, "--out", out) == 0
+    printed = capsys.readouterr().out
+    assert f"unreadable cache entry {entry}: recomputing" in printed
+    assert printed.count("cache hit") == 1
+    assert sweep_calls["_encode_entries"] == 1
+    assert (out / "sweep.csv").read_bytes() == cold
+    assert entry.read_bytes() == body  # republished
+
+
+def test_sweep_names_the_cell_of_a_pca_dim_too_large(dataset, tmp_path, capsys):
+    config = {
+        "dataset": {"manifest": str(dataset)},
+        "encoder": {"kind": "bovw", "k": 3},
+        "pca": {"dims": [2, 4]},
+        "eval": {"k_list": [1, 5]},
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "sweep"
+    assert run("sweep", "--config", path, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert ("pca.dims entry 4 does not fit encoder 'bovw' with relu=False: "
+            "d must lie in [1, 3], got 4") in err
+    assert not (out / "sweep.csv").exists()
+    # The cell computed before the failure was cached.
+    config["pca"] = {"dims": [2]}
+    path.write_text(json.dumps(config))
+    assert run("sweep", "--config", path, "--out", out) == 0
+    assert capsys.readouterr().out.count("cache hit") == 1
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -576,6 +703,17 @@ def test_cli_rejects_bad_arguments(dataset, tmp_path, capsys, argv, message):
         pytest.param('{"entries": [{"id": "a", "class": "c", "path": "a.ftns", "split": "all",'
                      ' "x": 0}]}', "entry 0 has unknown keys ['x']", id="unknown-entry-keys"),
         pytest.param('{"entries": []}', "manifest has no entries", id="empty-entries"),
+        pytest.param('{"entries": [{"id": "a", "class": null, "path": "a.ftns", "split": "all"}]}',
+                     "entry 0 key 'class' must be a string, got None", id="null-class"),
+        pytest.param('{"entries": [{"id": "a", "class": "c", "path": "a.ftns", "split": "all"},'
+                     ' {"id": null, "class": "c", "path": "b.ftns", "split": "all"}]}',
+                     "entry 1 key 'id' must be a string, got None", id="null-id"),
+        pytest.param('{"entries": [{"id": 3, "class": "c", "path": "a.ftns", "split": "all"}]}',
+                     "entry 0 key 'id' must be a string, got 3", id="int-id"),
+        pytest.param('{"entries": [{"id": "a", "class": "c", "path": ["a.ftns"], "split": "all"}]}',
+                     "entry 0 key 'path' must be a string, got ['a.ftns']", id="list-path"),
+        pytest.param('{"entries": [{"id": "a", "class": "c", "path": "a.ftns", "split": true}]}',
+                     "entry 0 key 'split' must be a string, got True", id="bool-split"),
     ],
 )
 def test_manifest_loader_rejections(tmp_path, capsys, text, message):
@@ -700,6 +838,31 @@ def test_index_ids_must_match_matrix_rows(dataset, tmp_path, capsys):
     assert run("query", "--index", idx, "--id", "extra", "--out", tmp_path / "q.csv") == 1
     err = capsys.readouterr().err
     assert f"{sidecar}: field 'meta.ids' must list one entry per row of matrix.ftns (12 rows)" in err
+
+
+@pytest.mark.parametrize(
+    ("bundle", "field", "value", "expected"),
+    [
+        pytest.param("idx", "ids", 7, "str", id="index-int-id"),
+        pytest.param("idx", "classes", None, "str", id="index-null-class"),
+        pytest.param("feats", "ids", 7, "str", id="features-int-id"),
+        pytest.param("feats", "normalized", 1, "bool", id="features-int-normalized"),
+    ],
+)
+def test_bundle_per_row_entries_must_have_their_type(dataset, tmp_path, capsys,
+                                                     bundle, field, value, expected):
+    _fc_index(dataset, tmp_path)
+    sidecar = _edit_sidecar(tmp_path / bundle, lambda doc: doc["meta"][field].__setitem__(3, value))
+    capsys.readouterr()
+    if bundle == "idx":
+        argv = ("query", "--index", tmp_path / "idx", "--all", "--out", tmp_path / "q")
+    else:
+        argv = ("eval", "--manifest", dataset, "--features", tmp_path / "feats",
+                "--out", tmp_path / "q")
+    assert run(*argv) == 1
+    message = f"{sidecar}: field 'meta.{field}' entry 3 is {value!r}, expected a {expected}"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "q").exists()
 
 
 def test_index_zero_ids_must_match_zero_rows(dataset, tmp_path, capsys):

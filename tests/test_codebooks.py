@@ -297,6 +297,22 @@ class TestKmeansFit:
         assert np.all(np.isfinite(cb.centroids))
         assert cb.inertia_history[-1] == 0.0
 
+    def test_subsampled_fit_is_deterministic(self, monkeypatch):
+        """Above SUBSAMPLE_LIMIT rows the seeding sees a seeded subsample of that many rows."""
+        monkeypatch.setattr(codebooks, "SUBSAMPLE_LIMIT", 40)
+        real_init, seen = codebooks._kmeans_pp_init, []
+
+        def spy(X, *args):
+            seen.append(X.shape[0])
+            return real_init(X, *args)
+
+        monkeypatch.setattr(codebooks, "_kmeans_pp_init", spy)
+        X = np.random.default_rng(11).standard_normal((100, 3))
+        a, b = kmeans_fit(X, 4, seed=6), kmeans_fit(X, 4, seed=6)
+        assert seen == [40, 40]
+        assert a.centroids.tobytes() == b.centroids.tobytes()
+        assert a.inertia_history == b.inertia_history
+
 
 def _assigned(cb, x) -> int:
     """Centroid index of one descriptor: the single non-zero bin of its BOVW histogram."""
@@ -379,6 +395,16 @@ class TestGmmFit:
         a = gmm_fit(X, 3, seed=2)
         b = gmm_fit(X, 3, seed=2)
         assert a.means.tobytes() == b.means.tobytes()
+        assert a.loglik_history == b.loglik_history
+
+    def test_subsampled_fit_equals_fit_on_the_seeded_subsample(self, monkeypatch):
+        monkeypatch.setattr(codebooks, "SUBSAMPLE_LIMIT", 60)
+        X = np.random.default_rng(12).standard_normal((150, 4))
+        seed = 3
+        subsample = X[np.random.default_rng(seed).choice(150, 60, replace=False)]
+        a, b = gmm_fit(X, 3, seed=seed), gmm_fit(subsample, 3, seed=seed)
+        for name in ("weights", "means", "variances"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert a.loglik_history == b.loglik_history
 
 

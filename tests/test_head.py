@@ -22,7 +22,7 @@ from hrrs.head import (
     param_count,
     save_head,
 )
-from hrrs.tensor_store import gen_synthetic
+from hrrs.tensor_store import gen_synthetic, load_bundle
 
 from oracles import naive_head_gap
 
@@ -386,7 +386,8 @@ class TestCheckpoint:
         hp = TrainConfig(lr0=0.01, batch_size=16, max_epochs=2)
         head, state = head_train(head_init(cfg, seed=2), train, test, hp, seed=2)
         save_head(tmp_path / "head", head, state)
-        back, sidecar = load_head(tmp_path / "head")
+        back = load_head(tmp_path / "head")
+        sidecar = load_bundle(tmp_path / "head", "head")[1]
         assert back.config == head.config
         for name in head.params:
             np.testing.assert_allclose(back.params[name], head.params[name], atol=1e-5)

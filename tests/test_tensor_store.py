@@ -141,7 +141,7 @@ class TestBundle:
             assert not back[name].flags.writeable
             np.testing.assert_array_equal(back[name], arr.astype(np.float32))
         assert meta == {"ids": ["a", "b", "c"], "tag": "demo"}
-        assert meta.per_row("ids", back["matrix"]) == ["a", "b", "c"]
+        assert meta.per_row("ids", back["matrix"], str) == ["a", "b", "c"]
         assert not list((tmp_path / "b").glob("*.tmp"))
 
     def test_layout_without_sidecar_rejected(self, tmp_path):
@@ -185,9 +185,11 @@ class TestBundle:
         with pytest.raises(BundleError, match="bundle.json: missing field 'tensors.weights'"):
             tensors["weights"]
         with pytest.raises(BundleError, match=r"'meta.ids' must list one entry per row .*\(2 rows\)"):
-            meta.per_row("ids", tensors["scale"])
+            meta.per_row("ids", tensors["scale"], str)
         with pytest.raises(BundleError, match="'meta.tag' must list one entry per row"):
-            meta.per_row("tag", tensors["matrix"])
+            meta.per_row("tag", tensors["matrix"], str)
+        with pytest.raises(BundleError, match="'meta.ids' entry 0 is 'a', expected a bool"):
+            meta.per_row("ids", tensors["matrix"], bool)
 
 
 def _write_manifest(path, entries):
