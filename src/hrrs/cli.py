@@ -34,7 +34,6 @@ from .encoders import (
 )
 from .evaluation import DEFAULT_K_LIST, EvalProtocol, evaluate_dataset, score_cells, write_report
 from .head import (
-    PARAM_NAMES,
     HeadConfig,
     TrainConfig,
     head_feature,
@@ -46,10 +45,11 @@ from .head import (
 from .reduction import load_pca, pca_apply, pca_fit, save_pca
 from .retrieval import build_index, distances, load_index, rank, save_index
 from .tensor_store import (
-    BUNDLE_SIDECAR,
     DatasetManifest,
+    bundle_digest,
     gen_synthetic,
     load_manifest,
+    read_json,
     read_tensor,
     write_synthetic,
 )
@@ -135,10 +135,12 @@ def _parse_distinct(flag: str, text: str) -> tuple[int, ...]:
     return tuple(_distinct(flag, list(_parse_int_list(flag, text))))
 
 
-def _write_effective_config(out: Path, command: str, params: dict) -> None:
-    """Provenance: the default-filled configuration next to every output."""
+def _write_effective_config(args, params: dict) -> None:
+    """Provenance: the configuration a command ran with, default-filled, next to its outputs."""
+    command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
     params = {k: v for k, v in params.items() if k not in ("func", "command", "subcommand")}
     doc = {"command": command, **params}
+    out = Path(args.out)
     if out.is_dir():
         target = out / "effective_config.json"
     else:
@@ -179,10 +181,8 @@ def _encode_entries(
     }
 
 
-def _project_features(features: dict[str, EncodedFeature], model) -> dict[str, EncodedFeature]:
-    """PCA-project a feature set with one batched `pca_apply` call."""
-    ids = sorted(features)
-    tag, matrix = stack_features(features, ids)
+def _project_features(ids: list[str], tag: str, matrix: np.ndarray, model) -> dict:
+    """PCA-project a stacked feature set (row r is `ids[r]`) with one batched `pca_apply` call."""
     projected = pca_apply(model, matrix)
     tag = f"{tag}+pca{model.out_dim}"
     return {image_id: EncodedFeature(projected[r], tag, False) for r, image_id in enumerate(ids)}
@@ -192,21 +192,19 @@ def _project_features(features: dict[str, EncodedFeature], model) -> dict[str, E
 # Subcommand implementations.
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> dict:
     shape = _parse_int_list("--shape", args.shape)
     if len(shape) != 3:
         raise CliError(f"--shape must be h,w,c, got {args.shape!r}")
     manifest, maps = gen_synthetic(
         args.classes, args.per_class, shape, args.separation, args.seed, args.train_frac
     )
-    out = Path(args.out)
-    manifest_path = write_synthetic(out, manifest, maps)
-    _write_effective_config(out, "synth", vars(args))
+    manifest_path = write_synthetic(Path(args.out), manifest, maps)
     print(f"wrote {len(maps)} tensors and {manifest_path}")
-    return 0
+    return vars(args)
 
 
-def cmd_codebook_train(args) -> int:
+def cmd_codebook_train(args) -> dict:
     manifest = load_manifest(args.manifest)
     pool = _descriptor_pool(manifest, args.split, args.relu)
     out = Path(args.out)
@@ -218,11 +216,10 @@ def cmd_codebook_train(args) -> int:
         model = gmm_fit(pool, args.k, seed=args.seed, max_iter=args.max_iter, tol=args.tol)
         save_gmm(out, model)
         print(f"gmm k={model.k} d={model.dim} loglik={model.loglik_history[-1]:.4f}")
-    _write_effective_config(out, "codebook train", vars(args))
-    return 0
+    return vars(args)
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> dict:
     spec = ENCODERS[args.encoder]
     if args.relu and not spec.reads_relu:
         raise CliError(f"--relu does not apply to encoder {args.encoder!r}")
@@ -241,11 +238,9 @@ def cmd_encode(args) -> int:
             raise CliError(f"--{spec.model_flag} is required for encoder {args.encoder!r}")
         model = spec.load(path)
     feats = _encode_entries(manifest, args.split, args.encoder, args.relu, args.alpha, model)
-    out = Path(args.out)
-    sidecar = save_features(out, feats)
-    _write_effective_config(out, "encode", vars(args))
+    sidecar = save_features(Path(args.out), feats)
     print(f"encoded {len(feats)} images -> {sidecar}")
-    return 0
+    return vars(args)
 
 
 def _fit_set_matrix(features, args) -> np.ndarray:
@@ -261,7 +256,7 @@ def _fit_set_matrix(features, args) -> np.ndarray:
     return stack_features(features, ids)[1]
 
 
-def cmd_pca_fit(args) -> int:
+def cmd_pca_fit(args) -> dict:
     if args.split is None:
         args.split = "all"
     elif not args.manifest:
@@ -269,38 +264,37 @@ def cmd_pca_fit(args) -> int:
     features = load_features(args.features)
     matrix = _fit_set_matrix(features, args)
     model = pca_fit(matrix, args.d)
-    out = Path(args.out)
-    save_pca(out, model)
-    _write_effective_config(out, "pca fit", vars(args))
+    save_pca(Path(args.out), model)
     print(f"pca {model.in_dim}-D -> {model.out_dim}-D on {matrix.shape[0]} samples")
-    return 0
+    return vars(args)
 
 
-def cmd_pca_apply(args) -> int:
+def cmd_pca_apply(args) -> dict:
     features = load_features(args.features)
     model = load_pca(args.model)
-    projected = _project_features(features, model)
-    out = Path(args.out)
-    save_features(out, projected)
-    _write_effective_config(out, "pca apply", vars(args))
+    ids = sorted(features)
+    projected = _project_features(ids, *stack_features(features, ids), model)
+    save_features(Path(args.out), projected)
     print(f"projected {len(projected)} features to {model.out_dim}-D")
-    return 0
+    return vars(args)
 
 
-def cmd_pca_sweep(args) -> int:
+def cmd_pca_sweep(args) -> dict:
     features = load_features(args.features)
     manifest = load_manifest(args.manifest)
     dims = _parse_distinct("--dims", args.dims)
     k_list = _parse_distinct("--k-list", args.k_list)
     protocol = EvalProtocol(self_included=args.self_included, k_list=k_list)
-    matrix = _fit_set_matrix(features, args)
+    ids = sorted(features)
+    tag, full = stack_features(features, ids)
+    matrix = _fit_set_matrix(features, args) if args.manifest else full
     cap = min(matrix.shape)
     capped = tuple(d for d in dims if d <= cap)
     if capped != dims:
         print(f"capping sweep at {cap}-D: dropping {[d for d in dims if d > cap]}")
     rows = []
     for d in capped:
-        projected = _project_features(features, pca_fit(matrix, d))
+        projected = _project_features(ids, tag, full, pca_fit(matrix, d))
         report = evaluate_dataset(build_index(projected, manifest), manifest, protocol)
         rows.append([d] + score_cells((report.anmrr, report.mean_ap), report.p_at_k, k_list))
         print(f"dim {d}: ANMRR={report.anmrr:.4f} mAP={report.mean_ap:.4f}")
@@ -310,11 +304,10 @@ def cmd_pca_sweep(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["dim", "ANMRR", "mAP"] + [f"P@{k}" for k in k_list])
         writer.writerows(rows)
-    _write_effective_config(out, "pca sweep", vars(args))
-    return 0
+    return vars(args)
 
 
-def cmd_head_train(args) -> int:
+def cmd_head_train(args) -> dict:
     manifest = load_manifest(args.manifest)
     train_items = _load_split_maps(manifest, "train")
     test_items = _load_split_maps(manifest, "test")
@@ -356,24 +349,21 @@ def cmd_head_train(args) -> int:
             writer.writerow(
                 [r.epoch, f"{r.lr:.6g}", f"{r.train_loss:.6f}", f"{r.train_acc:.4f}", f"{r.test_acc:.4f}"]
             )
-    _write_effective_config(out, "head train", vars(args))
     last = state.history[-1]
     print(
         f"trained {state.epoch} epochs: train_acc={last.train_acc:.4f} "
         f"test_acc={last.test_acc:.4f} lr_drops={state.lr_drops}"
     )
-    return 0
+    return vars(args)
 
 
-def cmd_index_build(args) -> int:
+def cmd_index_build(args) -> dict:
     features = load_features(args.features)
     manifest = load_manifest(args.manifest)
     idx = build_index(features, manifest)
-    out = Path(args.out)
-    save_index(out, idx)
-    _write_effective_config(out, "index build", vars(args))
+    save_index(Path(args.out), idx)
     print(f"indexed {idx.size} features of dim {idx.dim}")
-    return 0
+    return vars(args)
 
 
 def _write_rankings(path: Path, idx, ranking, query_column: bool) -> None:
@@ -389,7 +379,7 @@ def _write_rankings(path: Path, idx, ranking, query_column: bool) -> None:
                 writer.writerow(prefix + [pos, idx.ids[hit], idx.labels[hit], f"{dist:.6f}"])
 
 
-def cmd_query(args) -> int:
+def cmd_query(args) -> dict:
     if bool(args.id) == bool(args.all):
         raise CliError("pass exactly one of --id or --all")
     if args.long and not args.all:
@@ -412,23 +402,20 @@ def cmd_query(args) -> int:
         _write_rankings(out, idx, ranking, args.long)
         rows_written = idx.size - (not args.self_included)
         written = f"{idx.size} queries" if args.long else f"{rows_written} rows"
-    _write_effective_config(out, "query", vars(args))
     print(f"wrote {written} to {out}")
-    return 0
+    return vars(args)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> dict:
     manifest = load_manifest(args.manifest)
     features = load_features(args.features)
     protocol = EvalProtocol(
         self_included=args.self_included, k_list=_parse_distinct("--k-list", args.k_list)
     )
     report = evaluate_dataset(build_index(features, manifest), manifest, protocol)
-    out = Path(args.out)
-    write_report(report, out)
-    _write_effective_config(out, "eval", vars(args))
+    write_report(report, Path(args.out))
     print(f"ANMRR={report.anmrr:.4f} mAP={report.mean_ap:.4f} queries={len(report.per_query)}")
-    return 0
+    return vars(args)
 
 
 # ---------------------------------------------------------------------------
@@ -523,14 +510,6 @@ def validate_config(doc: dict) -> dict:
     }
 
 
-def _checkpoint_digest(checkpoint: Path) -> str:
-    """sha256 over a head checkpoint's sidecar and parameter files."""
-    digest = hashlib.sha256()
-    for name in (BUNDLE_SIDECAR, *(f"{p}.ftns" for p in PARAM_NAMES)):
-        digest.update((checkpoint / name).read_bytes())
-    return digest.hexdigest()
-
-
 def _cell_key(cell: dict, manifest_sha: str) -> str:
     blob = json.dumps({**cell, "manifest_sha": manifest_sha}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -551,27 +530,17 @@ def _cached_row(cache_file: Path) -> dict | None:
     return None
 
 
-def _cell_features(cell: dict, manifest: DatasetManifest, head) -> dict[str, EncodedFeature]:
-    """Every map encoded by the cell's kind and relu; shared by all of the pair's PCA dims."""
-    spec = ENCODERS[cell["kind"]]
-    model = head if spec.model_flag == "head" else None
-    if spec.fit:
-        # The pool is dropped before the encode pass re-reads the maps: holding both costs more.
-        pool = _descriptor_pool(manifest, "all", cell["relu"])
-        model = spec.fit(pool, cell["k"], seed=cell["seed"])
-    return _encode_entries(manifest, "all", cell["kind"], cell["relu"], cell["alpha"], model)
-
-
 def _cell_row(cell: dict, feats: dict[str, EncodedFeature], manifest: DatasetManifest) -> dict:
     """Score the cell's features, PCA-projected to the cell's dim if it has one."""
     if cell["dim"] is not None:
-        matrix = stack_features(feats, sorted(feats))[1]
+        ids = sorted(feats)
+        tag, matrix = stack_features(feats, ids)
         try:
             model = pca_fit(matrix, cell["dim"])
         except ValueError as exc:
             where = f"encoder {cell['kind']!r} with relu={cell['relu']}"
             raise CliError(f"pca.dims entry {cell['dim']} does not fit {where}: {exc}") from None
-        feats = _project_features(feats, model)
+        feats = _project_features(ids, tag, matrix, model)
     protocol = EvalProtocol(self_included=cell["self_included"], k_list=tuple(cell["k_list"]))
     report = evaluate_dataset(build_index(feats, manifest), manifest, protocol)
     return {
@@ -584,23 +553,22 @@ def _cell_row(cell: dict, feats: dict[str, EncodedFeature], manifest: DatasetMan
     }
 
 
-def run_sweep(config_path: Path, out_dir: Path) -> Path:
-    """Evaluate the config's axis product one cell at a time, caching each row; a (kind, relu)
-    pair is fitted and encoded once, on its first missed cell, for all of its PCA dims."""
-    try:
-        doc = json.loads(config_path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CliError(f"{config_path}: invalid JSON ({exc})") from None
-    cfg = validate_config(doc)
+def cmd_sweep(args) -> dict:
+    """Evaluate the config's axis product one cell at a time, caching each row. A (kind, relu)
+    pair is encoded once, on its first missed cell, for all of its PCA dims; bovw and vlad
+    share one k-means fit at equal k and relu."""
+    config_path, out_dir = Path(args.config), Path(args.out)
+    cfg = validate_config(read_json(config_path, CliError))
     manifest_path = (config_path.parent / cfg["manifest"]).resolve()
     manifest = load_manifest(manifest_path)
     manifest_sha = hashlib.sha256(manifest_path.read_bytes()).hexdigest()
-    # A head cell keys on its checkpoint's content, so retraining in place misses.
-    head = head_key = None
+    # The run's models: the head under "head", and one fit per (fit, k, relu).
+    models = {}
+    head_key = None  # a head cell keys on its checkpoint's content, so retraining in place misses
     if any(ENCODERS[kind].model_flag == "head" for kind in cfg["kinds"]):
         checkpoint = (config_path.parent / cfg["head_checkpoint"]).resolve()
-        head = load_head(checkpoint)  # a malformed checkpoint fails here, naming its file
-        head_key = f"sha256:{_checkpoint_digest(checkpoint)}"
+        models["head"] = load_head(checkpoint)  # a malformed checkpoint fails here, naming its file
+        head_key = f"sha256:{bundle_digest(checkpoint)}"
     cache_dir = Path(os.environ.get(CACHE_ENV_VAR) or out_dir / "cache")
     cache_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -629,7 +597,18 @@ def run_sweep(config_path: Path, out_dir: Path) -> Path:
                     print(f"cache hit {key[:12]} ({kind}, relu={use_relu}, dim={dim})")
                     rows.append(row)
                     continue
-                feats = feats or _cell_features(cell, manifest, head)  # once per (kind, relu)
+                if feats is None:  # once per (kind, relu)
+                    model_key = (spec.fit, cell["k"], use_relu) if spec.fit else spec.model_flag
+                    if spec.fit and model_key not in models:
+                        pool = _descriptor_pool(manifest, "all", use_relu)
+                        try:
+                            models[model_key] = spec.fit(pool, cell["k"], seed=cell["seed"])
+                        except ValueError as exc:
+                            raise CliError(f"encoder.k {cell['k']} does not fit encoder {kind!r} "
+                                           f"with relu={use_relu}: {exc}") from None
+                        del pool  # dropped before the encode pass re-reads the maps
+                    model = models.get(model_key)
+                    feats = _encode_entries(manifest, "all", kind, use_relu, cell["alpha"], model)
                 row = _cell_row(cell, feats, manifest)
                 tmp = cache_file.with_suffix(f".{os.getpid()}.tmp")  # atomic publish
                 tmp.write_text(json.dumps(row, indent=2) + "\n")
@@ -645,14 +624,8 @@ def run_sweep(config_path: Path, out_dir: Path) -> Path:
             p_at_k = {int(k): v for k, v in row["P_at_k"].items()}
             scores = score_cells((row["ANMRR"], row["mAP"]), p_at_k, k_list)
             writer.writerow([row["kind"], int(row["relu"]), row["pca_dim"]] + scores)  # None -> ""
-    _write_effective_config(out_dir, "sweep", {"config": str(config_path), **cfg})
-    return out_csv
-
-
-def cmd_sweep(args) -> int:
-    out_csv = run_sweep(Path(args.config), Path(args.out))
     print(f"sweep report: {out_csv}")
-    return 0
+    return {"config": str(config_path), **cfg}
 
 
 # ---------------------------------------------------------------------------
@@ -724,8 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", required=True, help="comma-separated dimension list")
     p.add_argument("--split", choices=("train", "test", "all"), default="all",
                    help="fit-set split for the PCA model")
-    p.add_argument("--self-included", dest="self_included", action="store_true", default=True)
-    p.add_argument("--no-self-included", dest="self_included", action="store_false")
+    p.add_argument("--self-included", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--k-list", default=",".join(str(k) for k in DEFAULT_K_LIST))
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_pca_sweep)
@@ -765,16 +737,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="batch mode: query every indexed id")
     p.add_argument("--long", action="store_true",
                    help="with --all, write one long-format CSV instead of per-query files")
-    p.add_argument("--self-included", dest="self_included", action="store_true", default=True)
-    p.add_argument("--no-self-included", dest="self_included", action="store_false")
+    p.add_argument("--self-included", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out", required=True, help="output CSV path (or directory with --all)")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("eval", help="score retrieval over a whole manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--self-included", dest="self_included", action="store_true", default=True)
-    p.add_argument("--no-self-included", dest="self_included", action="store_false")
+    p.add_argument("--self-included", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--k-list", default=",".join(str(k) for k in DEFAULT_K_LIST))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
@@ -788,13 +758,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _write_effective_config(args, args.func(args))
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -307,7 +307,7 @@ def save_codebook(out_dir: str | Path, cb: Codebook) -> None:
 
 def load_codebook(model_dir: str | Path) -> Codebook:
     tensors, meta = load_bundle(model_dir, "kmeans")
-    return Codebook(tensors["centroids"], tuple(meta["history"]))
+    return Codebook(tensors.matrix("centroids"), tuple(meta.numbers("history")))
 
 
 def save_gmm(out_dir: str | Path, g: GmmModel) -> None:
@@ -317,10 +317,11 @@ def save_gmm(out_dir: str | Path, g: GmmModel) -> None:
 
 def load_gmm(model_dir: str | Path) -> GmmModel:
     tensors, meta = load_bundle(model_dir, "gmm")
-    weights, means, variances = (tensors[n] for n in ("weights", "means", "variances"))
+    weights = tensors["weights"]
+    means, variances = tensors.matrix("means"), tensors.matrix("variances")
     if weights.ndim != 1 or means.shape != variances.shape or means.shape[0] != weights.shape[0]:
         raise BundleError(
             f"{meta.sidecar}: GMM tensors disagree on k: weights {list(weights.shape)}, "
             f"means {list(means.shape)}, variances {list(variances.shape)}"
         )
-    return GmmModel(weights, means, variances, tuple(meta["history"]))
+    return GmmModel(weights, means, variances, tuple(meta.numbers("history")))

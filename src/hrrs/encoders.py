@@ -180,7 +180,7 @@ def save_features(out_dir: str | Path, features: dict[str, EncodedFeature]) -> P
 def load_features(feature_dir: str | Path) -> dict[str, EncodedFeature]:
     """Load a feature set; each value's vector is a read-only row view of one matrix."""
     tensors, meta = load_bundle(feature_dir, "features")
-    matrix = tensors["matrix"]
+    matrix = tensors.matrix("matrix")
     normalized = meta.per_row("normalized", matrix, bool)
     tag = meta["encoder_tag"]
     return {

@@ -194,7 +194,7 @@ def load_index(index_dir: str | Path) -> Index:
     """Load an index; `meta.zero_ids` must name exactly the matrix's zero rows."""
     tensors, meta = load_bundle(index_dir, "index")
     # float32 storage perturbs norms; restore exact unit rows.
-    matrix, zero = _unit_rows(tensors["matrix"].copy())
+    matrix, zero = _unit_rows(tensors.matrix("matrix").copy())
     ids = tuple(meta.per_row("ids", matrix, str))
     labels = tuple(meta.per_row("classes", matrix, str))
     zero_ids, expected = meta["zero_ids"], sorted(i for i, z in zip(ids, zero) if z)

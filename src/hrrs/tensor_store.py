@@ -10,6 +10,7 @@ labels and tensor files.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -107,6 +108,14 @@ def read_tensor(path: str | Path) -> np.ndarray:
     return arr
 
 
+def read_json(path: str | Path, error: type[ValueError]):
+    """Parse a JSON file; a file that is not UTF-8 JSON raises `error` naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: invalid JSON ({exc})") from None
+
+
 class BundleFields(dict):
     """The tensors or meta of a loaded bundle; reading a missing key raises a BundleError."""
 
@@ -117,6 +126,24 @@ class BundleFields(dict):
 
     def __missing__(self, key):
         raise BundleError(f"{self.sidecar}: missing field '{self.section}.{key}'")
+
+    def matrix(self, key: str) -> np.ndarray:
+        """Tensor `key`, checked to be 2-D."""
+        value = self[key]
+        if value.ndim != 2:
+            raise BundleError(f"{self.sidecar}: field '{self.section}.{key}' must be a 2-D "
+                              f"tensor, got shape {list(value.shape)}")
+        return value
+
+    def numbers(self, key: str) -> list:
+        """Field `key`, checked to be a list of JSON numbers."""
+        values = self[key]
+        if not isinstance(values, list) or any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in values
+        ):
+            raise BundleError(f"{self.sidecar}: field '{self.section}.{key}' must be a list "
+                              f"of numbers, got {values!r}")
+        return values
 
     def per_row(self, key: str, matrix: np.ndarray, of: type) -> list:
         """Field `key`, checked to be a list of one `of` per row of `matrix`."""
@@ -184,10 +211,7 @@ def load_bundle(bundle_dir: str | Path, kind: str) -> tuple[BundleFields, Bundle
             f"{sidecar}: no {BUNDLE_SIDECAR}; not a bundle, an interrupted write, or an "
             "older layout (re-run the command that wrote it)"
         )
-    try:
-        doc = json.loads(sidecar.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise BundleError(f"{sidecar}: invalid JSON ({exc})") from None
+    doc = read_json(sidecar, BundleError)
     if not (isinstance(doc, dict) and isinstance(doc.get("tensors"), dict)
             and isinstance(doc.get("meta"), dict)):
         raise BundleError(f"{sidecar}: expected an object with object fields 'tensors' and 'meta'")
@@ -210,6 +234,15 @@ def load_bundle(bundle_dir: str | Path, kind: str) -> tuple[BundleFields, Bundle
         tensors[name] = arr.astype(np.float64)
         tensors[name].flags.writeable = False
     return BundleFields(tensors, sidecar, "tensors"), BundleFields(doc["meta"], sidecar, "meta")
+
+
+def bundle_digest(bundle_dir: str | Path) -> str:
+    """sha256 over a loadable bundle's sidecar bytes, then each member's, in sidecar order."""
+    sidecar = Path(bundle_dir) / BUNDLE_SIDECAR
+    digest = hashlib.sha256(sidecar.read_bytes())
+    for name in read_json(sidecar, BundleError)["tensors"]:
+        digest.update(sidecar.with_name(f"{name}.ftns").read_bytes())
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -261,10 +294,7 @@ def make_manifest(entries: list[ManifestEntry]) -> DatasetManifest:
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Load a JSON manifest; tensor paths resolve relative to the manifest's directory."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: invalid JSON ({exc})") from exc
+    doc = read_json(path, ManifestError)
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ManifestError(f"{path}: top-level object must contain an 'entries' list")
     unknown = set(doc) - {"entries"}

@@ -512,6 +512,45 @@ def test_sweep_encodes_each_kind_and_relu_once(dataset, tmp_path, capsys, sweep_
     assert entries[3].exists()
 
 
+def test_sweep_fits_one_codebook_for_bovw_and_vlad(dataset, tmp_path, sweep_calls):
+    """bovw and vlad at equal k and relu share one pool and k-means fit, with unchanged bytes."""
+    def sweep(kinds, out):
+        config = {
+            "dataset": {"manifest": str(dataset)},
+            "encoder": {"kind": kinds, "k": 3, "relu": [False, True]},
+            "eval": {"k_list": [1, 5]},
+        }
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        assert run("sweep", "--config", tmp_path / "c.json", "--out", out) == 0
+        return {p.name: p.read_bytes() for p in (out / "cache").glob("*.json")}
+
+    both = sweep(["bovw", "vlad"], tmp_path / "both")
+    assert sweep_calls == {"_descriptor_pool": 2, "_encode_entries": 4, "load_head": 0}
+    apart = {**sweep("bovw", tmp_path / "bovw"), **sweep("vlad", tmp_path / "vlad")}
+    assert sweep_calls["_descriptor_pool"] == 6
+    assert len(both) == 4 and both == apart
+    with open(tmp_path / "bovw" / "sweep.csv") as fh:
+        bovw = list(csv.reader(fh))
+    with open(tmp_path / "vlad" / "sweep.csv") as fh:
+        vlad = list(csv.reader(fh))
+    with open(tmp_path / "both" / "sweep.csv") as fh:
+        assert list(csv.reader(fh)) == bovw + vlad[1:]
+
+
+def test_sweep_names_the_cell_of_a_k_too_large(dataset, tmp_path, capsys):
+    config = {
+        "dataset": {"manifest": str(dataset)},
+        "encoder": {"kind": ["fc_raw", "vlad", "bovw"], "k": 1000, "relu": [True, False]},
+        "eval": {"k_list": [1]},
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert run("sweep", "--config", path, "--out", tmp_path / "sweep") == 1
+    assert ("error: encoder.k 1000 does not fit encoder 'vlad' with relu=True: "
+            "insufficient data: 108 points for k=1000") in capsys.readouterr().err
+    assert not (tmp_path / "sweep" / "sweep.csv").exists()
+
+
 def test_sweep_reads_the_checkpoint_once(dataset, tmp_path, sweep_calls):
     _train_head(dataset, tmp_path / "head", seed=1)
     config = {
@@ -714,11 +753,14 @@ def test_cli_rejects_bad_arguments(dataset, tmp_path, capsys, argv, message):
                      "entry 0 key 'path' must be a string, got ['a.ftns']", id="list-path"),
         pytest.param('{"entries": [{"id": "a", "class": "c", "path": "a.ftns", "split": true}]}',
                      "entry 0 key 'split' must be a string, got True", id="bool-split"),
+        pytest.param(b'{"entries": ["\xff"]}', "invalid JSON ('utf-8' codec can't decode byte 0xff",
+                     id="not-utf-8"),
     ],
 )
 def test_manifest_loader_rejections(tmp_path, capsys, text, message):
+    """`text` is the manifest's text; bytes are written as they are."""
     path = tmp_path / "manifest.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ManifestError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
         load_manifest(path)
     assert run("eval", "--manifest", path, "--features", tmp_path / "f",
@@ -744,12 +786,46 @@ def test_codebook_and_encode_reproducible_bytes(dataset, tmp_path):
 
 
 def test_effective_config_written(dataset, tmp_path):
-    cb = tmp_path / "cb"
-    run("codebook", "train", "--kind", "kmeans", "--k", 3, "--manifest", dataset, "--out", cb)
-    doc = json.loads((cb / "effective_config.json").read_text())
-    assert doc["command"] == "codebook train"
+    """`main` writes every command's effective config, named by the parsed command path."""
+    t = tmp_path
+    config = {"dataset": {"manifest": str(dataset)}, "encoder": {"kind": "fc_raw"}}
+    (t / "c.json").write_text(json.dumps(config))
+    commands = [
+        (["synth", "--classes", 2, "--per-class", 2, "--shape", "2,2,2", "--out", t / "syn"],
+         t / "syn" / "effective_config.json"),
+        (["codebook", "train", "--kind", "kmeans", "--k", 3, "--manifest", dataset,
+          "--out", t / "cb"], t / "cb" / "effective_config.json"),
+        (["encode", "--manifest", dataset, "--encoder", "fc_raw", "--out", t / "f"],
+         t / "f" / "effective_config.json"),
+        (["pca", "fit", "--features", t / "f", "--d", 2, "--out", t / "pm"],
+         t / "pm" / "effective_config.json"),
+        (["pca", "apply", "--features", t / "f", "--model", t / "pm", "--out", t / "pf"],
+         t / "pf" / "effective_config.json"),
+        (["pca", "sweep", "--features", t / "f", "--manifest", dataset, "--dims", "1,2",
+          "--no-self-included", "--out", t / "ps.csv"], t / "ps.csv.config.json"),
+        (["head", "train", "--manifest", dataset, "--hidden1", 2, "--hidden2", 2,
+          "--max-epochs", 1, "--out", t / "h"], t / "h" / "effective_config.json"),
+        (["index", "build", "--features", t / "f", "--manifest", dataset, "--out", t / "i"],
+         t / "i" / "effective_config.json"),
+        (["query", "--index", t / "i", "--id", "class00-000", "--out", t / "q.csv"],
+         t / "q.csv.config.json"),
+        (["eval", "--manifest", dataset, "--features", t / "f", "--out", t / "e"],
+         t / "e" / "effective_config.json"),
+        (["sweep", "--config", t / "c.json", "--out", t / "s"], t / "s" / "effective_config.json"),
+    ]
+    for argv, written in commands:
+        assert run(*argv) == 0
+        doc = json.loads(written.read_text())
+        path = argv[:2] if argv[0] in ("codebook", "pca", "head", "index") else argv[:1]
+        assert doc["command"] == " ".join(path)
+        assert not {"func", "subcommand"} & doc.keys()
+    doc = json.loads((t / "cb" / "effective_config.json").read_text())
     assert doc["k"] == 3
     assert doc["seed"] == 0  # default filled in
+    assert json.loads((t / "ps.csv.config.json").read_text())["self_included"] is False
+    assert json.loads((t / "q.csv.config.json").read_text())["self_included"] is True
+    sweep = json.loads((t / "s" / "effective_config.json").read_text())
+    assert sweep["config"] == str(t / "c.json") and sweep["kinds"] == ["fc_raw"]
 
 
 def test_encode_alpha_defaults_only_where_read(dataset, tmp_path):
@@ -863,6 +939,68 @@ def test_bundle_per_row_entries_must_have_their_type(dataset, tmp_path, capsys,
     message = f"{sidecar}: field 'meta.{field}' entry 3 is {value!r}, expected a {expected}"
     assert message in capsys.readouterr().err
     assert not (tmp_path / "q").exists()
+
+
+def _flatten_member(bundle_dir, name):
+    """Rewrite member `name` as a 1-D tensor and record that shape in the sidecar."""
+    flat = tensor_store.read_tensor(bundle_dir / f"{name}.ftns").ravel()
+    tensor_store.write_tensor(bundle_dir / f"{name}.ftns", flat)
+    return _edit_sidecar(bundle_dir, lambda doc: doc["tensors"].__setitem__(name, [flat.size]))
+
+
+_LOADS = {
+    "cb": ["encode", "--manifest", "{ds}", "--encoder", "bovw", "--model", "{cb}", "--out", "{out}"],
+    "gmm": ["encode", "--manifest", "{ds}", "--encoder", "ifk", "--model", "{gmm}", "--out", "{out}"],
+    "eval": ["eval", "--manifest", "{ds}", "--features", "{feats}", "--out", "{out}"],
+    "pca": ["pca", "fit", "--features", "{feats}", "--d", 2, "--out", "{out}"],
+    "query": ["query", "--index", "{idx}", "--id", "class00-000", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize(
+    ("bundle", "damage", "load", "message"),
+    [
+        pytest.param("cb", "centroids", "cb",
+                     "field 'tensors.centroids' must be a 2-D tensor, got shape [18]",
+                     id="kmeans-1d-centroids"),
+        pytest.param("gmm", "means", "gmm", "field 'tensors.means' must be a 2-D tensor, got shape",
+                     id="gmm-1d-means"),
+        pytest.param("gmm", "variances", "gmm",
+                     "field 'tensors.variances' must be a 2-D tensor, got shape", id="gmm-1d-variances"),
+        pytest.param("feats", "matrix", "eval", "field 'tensors.matrix' must be a 2-D tensor, got "
+                     "shape [648]", id="features-1d-matrix-eval"),
+        pytest.param("feats", "matrix", "pca", "field 'tensors.matrix' must be a 2-D tensor",
+                     id="features-1d-matrix-pca-fit"),
+        pytest.param("idx", "matrix", "query", "field 'tensors.matrix' must be a 2-D tensor",
+                     id="index-1d-matrix"),
+        pytest.param("cb", {"history": 5}, "cb",
+                     "field 'meta.history' must be a list of numbers, got 5", id="kmeans-int-history"),
+        pytest.param("gmm", {"history": [1.5, "x"]}, "gmm",
+                     "field 'meta.history' must be a list of numbers, got [1.5, 'x']",
+                     id="gmm-string-in-history"),
+        pytest.param("cb", {"history": [True]}, "cb",
+                     "field 'meta.history' must be a list of numbers, got [True]",
+                     id="kmeans-bool-in-history"),
+    ],
+)
+def test_bundle_tensors_must_be_matrices_and_history_numbers(dataset, tmp_path, capsys,
+                                                             bundle, damage, load, message):
+    """A 1-D member where a matrix belongs, or a malformed `meta.history`, exits 1 naming both."""
+    paths = {"{ds}": dataset, "{out}": tmp_path / "out"}
+    paths.update({f"{{{name}}}": tmp_path / name for name in ("cb", "gmm", "feats", "idx")})
+    assert run("codebook", "train", "--kind", "kmeans", "--k", 3, "--manifest", dataset,
+               "--out", tmp_path / "cb") == 0
+    assert run("codebook", "train", "--kind", "gmm", "--k", 2, "--manifest", dataset,
+               "--out", tmp_path / "gmm") == 0
+    _fc_index(dataset, tmp_path)
+    if isinstance(damage, str):
+        sidecar = _flatten_member(tmp_path / bundle, damage)
+    else:
+        sidecar = _edit_sidecar(tmp_path / bundle, lambda doc: doc["meta"].update(damage))
+    capsys.readouterr()
+    assert run(*(paths.get(a, a) for a in _LOADS[load])) == 1
+    assert f"{sidecar}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_index_zero_ids_must_match_zero_rows(dataset, tmp_path, capsys):

@@ -1,13 +1,17 @@
+import hashlib
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from hrrs.head import PARAM_NAMES, HeadConfig, head_init, save_head
 from hrrs.tensor_store import (
     BundleError,
     ManifestError,
     TensorFormatError,
+    bundle_digest,
     gen_synthetic,
     load_bundle,
     load_manifest,
@@ -190,6 +194,36 @@ class TestBundle:
             meta.per_row("tag", tensors["matrix"], str)
         with pytest.raises(BundleError, match="'meta.ids' entry 0 is 'a', expected a bool"):
             meta.per_row("ids", tensors["matrix"], bool)
+
+    def test_matrices_and_number_lists_checked_when_read(self, tmp_path):
+        sidecar, _ = self._save(tmp_path)
+        doc = json.loads(sidecar.read_text())
+        doc["meta"].update(history=[1, 2.5], flags=[1, True], count=5)
+        sidecar.write_text(json.dumps(doc))
+        tensors, meta = load_bundle(tmp_path, "demo")
+        assert tensors.matrix("matrix").shape == (3, 2)
+        with pytest.raises(BundleError, match=r"bundle\.json: field 'tensors\.scale' must be a 2-D "
+                                              r"tensor, got shape \[2\]"):
+            tensors.matrix("scale")
+        assert meta.numbers("history") == [1, 2.5]
+        for key, value in (("flags", [1, True]), ("count", 5), ("ids", ["a", "b", "c"])):
+            with pytest.raises(BundleError, match=re.escape(
+                f"bundle.json: field 'meta.{key}' must be a list of numbers, got {value!r}"
+            )):
+                meta.numbers(key)
+
+    def test_digest_of_a_head_checkpoint_hashes_sidecar_then_parameters(self, tmp_path):
+        """The sweep keys ldcnn cells on this digest: its bytes must not move."""
+        head = head_init(HeadConfig(in_channels=3, in_spatial=(2, 2), hidden1=2, hidden2=2,
+                                    classes=2), seed=0)
+        save_head(tmp_path, head)
+        expected = hashlib.sha256()
+        for name in ("bundle.json", *(f"{p}.ftns" for p in PARAM_NAMES)):
+            expected.update((tmp_path / name).read_bytes())
+        assert PARAM_NAMES == ("W1", "b1", "W2", "b2", "W3", "b3")
+        assert bundle_digest(tmp_path) == expected.hexdigest()
+        (tmp_path / "b3.ftns").write_bytes((tmp_path / "b3.ftns").read_bytes()[:-1] + b"\x01")
+        assert bundle_digest(tmp_path) != expected.hexdigest()
 
 
 def _write_manifest(path, entries):
