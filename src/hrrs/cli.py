@@ -22,15 +22,15 @@ import numpy as np
 from . import __version__
 from .codebooks import gmm_fit, kmeans_fit, load_codebook, load_gmm, save_codebook, save_gmm
 from .encoders import (
-    EncodedFeature,
+    FeatureSet,
     encode_bovw,
     encode_fc,
     encode_ifk,
     encode_vlad,
     extract_descriptors,
+    feature_set,
     load_features,
     save_features,
-    stack_features,
 )
 from .evaluation import DEFAULT_K_LIST, EvalProtocol, evaluate_dataset, score_cells, write_report
 from .head import (
@@ -43,7 +43,7 @@ from .head import (
     save_head,
 )
 from .reduction import load_pca, pca_apply, pca_fit, save_pca
-from .retrieval import build_index, distances, load_index, rank, save_index
+from .retrieval import distances, index_rows, load_index, rank, save_index
 from .tensor_store import (
     DatasetManifest,
     bundle_digest,
@@ -172,20 +172,17 @@ def _descriptor_pool(manifest: DatasetManifest, split: str, apply_relu: bool) ->
 
 def _encode_entries(
     manifest: DatasetManifest, split: str, encoder: str, apply_relu: bool, alpha: float, model
-) -> dict[str, EncodedFeature]:
+) -> FeatureSet:
     """Encode every map of a split; `model` is the kind's codebook, GMM or head (or None)."""
     encode = ENCODERS[encoder].encode
-    return {
-        image_id: encode(model, fmap, apply_relu, alpha)
-        for image_id, _, fmap in _load_split_maps(manifest, split)
-    }
+    maps = {image_id: fmap for image_id, _, fmap in _load_split_maps(manifest, split)}
+    return feature_set(maps, lambda fmap: encode(model, fmap, apply_relu, alpha))
 
 
-def _project_features(ids: list[str], tag: str, matrix: np.ndarray, model) -> dict:
-    """PCA-project a stacked feature set (row r is `ids[r]`) with one batched `pca_apply` call."""
-    projected = pca_apply(model, matrix)
-    tag = f"{tag}+pca{model.out_dim}"
-    return {image_id: EncodedFeature(projected[r], tag, False) for r, image_id in enumerate(ids)}
+def _project_features(fs: FeatureSet, model) -> FeatureSet:
+    """PCA-project a feature set with one batched `pca_apply` call."""
+    tag = f"{fs.tag}+pca{model.out_dim}"
+    return FeatureSet(fs.ids, tag, pca_apply(model, fs.matrix), (False,) * len(fs.ids))
 
 
 # ---------------------------------------------------------------------------
@@ -237,23 +234,26 @@ def cmd_encode(args) -> dict:
         if not path:
             raise CliError(f"--{spec.model_flag} is required for encoder {args.encoder!r}")
         model = spec.load(path)
-    feats = _encode_entries(manifest, args.split, args.encoder, args.relu, args.alpha, model)
-    sidecar = save_features(Path(args.out), feats)
-    print(f"encoded {len(feats)} images -> {sidecar}")
+    fs = _encode_entries(manifest, args.split, args.encoder, args.relu, args.alpha, model)
+    sidecar = save_features(Path(args.out), fs)
+    print(f"encoded {len(fs.ids)} images -> {sidecar}")
     return vars(args)
 
 
-def _fit_set_matrix(features, args) -> np.ndarray:
-    """Feature matrix for PCA fitting, restricted to an explicit fit manifest."""
-    ids = sorted(features)
-    if args.manifest:
-        ids = sorted(e.image_id for e in load_manifest(args.manifest).select(args.split))
-        missing = [i for i in ids if i not in features]
-        if missing:
-            raise CliError(f"fit-set ids missing from features: {missing[:5]}")
-        if not ids:
-            raise CliError(f"fit set is empty for split {args.split!r}")
-    return stack_features(features, ids)[1]
+def _fit_set_matrix(fs: FeatureSet, args) -> np.ndarray:
+    """Feature matrix for PCA fitting: `fs.matrix` itself, or the rows of an explicit fit
+    manifest's split when it names fewer ids."""
+    if not args.manifest:
+        return fs.matrix
+    fit_ids = {e.image_id for e in load_manifest(args.manifest).select(args.split)}
+    missing = sorted(fit_ids.difference(fs.ids))
+    if missing:
+        raise CliError(f"fit-set ids missing from features: {missing[:5]}")
+    if not fit_ids:
+        raise CliError(f"fit set is empty for split {args.split!r}")
+    if len(fit_ids) == len(fs.ids):
+        return fs.matrix
+    return fs.matrix[[r for r, image_id in enumerate(fs.ids) if image_id in fit_ids]]
 
 
 def cmd_pca_fit(args) -> dict:
@@ -261,8 +261,7 @@ def cmd_pca_fit(args) -> dict:
         args.split = "all"
     elif not args.manifest:
         raise CliError("--split selects fit-set entries of --manifest; pass --manifest too")
-    features = load_features(args.features)
-    matrix = _fit_set_matrix(features, args)
+    matrix = _fit_set_matrix(load_features(args.features), args)
     model = pca_fit(matrix, args.d)
     save_pca(Path(args.out), model)
     print(f"pca {model.in_dim}-D -> {model.out_dim}-D on {matrix.shape[0]} samples")
@@ -270,32 +269,28 @@ def cmd_pca_fit(args) -> dict:
 
 
 def cmd_pca_apply(args) -> dict:
-    features = load_features(args.features)
+    fs = load_features(args.features)
     model = load_pca(args.model)
-    ids = sorted(features)
-    projected = _project_features(ids, *stack_features(features, ids), model)
-    save_features(Path(args.out), projected)
-    print(f"projected {len(projected)} features to {model.out_dim}-D")
+    save_features(Path(args.out), _project_features(fs, model))
+    print(f"projected {len(fs.ids)} features to {model.out_dim}-D")
     return vars(args)
 
 
 def cmd_pca_sweep(args) -> dict:
-    features = load_features(args.features)
+    fs = load_features(args.features)
     manifest = load_manifest(args.manifest)
     dims = _parse_distinct("--dims", args.dims)
     k_list = _parse_distinct("--k-list", args.k_list)
     protocol = EvalProtocol(self_included=args.self_included, k_list=k_list)
-    ids = sorted(features)
-    tag, full = stack_features(features, ids)
-    matrix = _fit_set_matrix(features, args) if args.manifest else full
+    matrix = _fit_set_matrix(fs, args)
     cap = min(matrix.shape)
     capped = tuple(d for d in dims if d <= cap)
     if capped != dims:
         print(f"capping sweep at {cap}-D: dropping {[d for d in dims if d > cap]}")
     rows = []
     for d in capped:
-        projected = _project_features(ids, tag, full, pca_fit(matrix, d))
-        report = evaluate_dataset(build_index(projected, manifest), manifest, protocol)
+        projected = _project_features(fs, pca_fit(matrix, d))
+        report = evaluate_dataset(index_rows(projected, manifest), manifest, protocol)
         rows.append([d] + score_cells((report.anmrr, report.mean_ap), report.p_at_k, k_list))
         print(f"dim {d}: ANMRR={report.anmrr:.4f} mAP={report.mean_ap:.4f}")
     out = Path(args.out)
@@ -358,9 +353,7 @@ def cmd_head_train(args) -> dict:
 
 
 def cmd_index_build(args) -> dict:
-    features = load_features(args.features)
-    manifest = load_manifest(args.manifest)
-    idx = build_index(features, manifest)
+    idx = index_rows(load_features(args.features), load_manifest(args.manifest))
     save_index(Path(args.out), idx)
     print(f"indexed {idx.size} features of dim {idx.dim}")
     return vars(args)
@@ -408,11 +401,11 @@ def cmd_query(args) -> dict:
 
 def cmd_eval(args) -> dict:
     manifest = load_manifest(args.manifest)
-    features = load_features(args.features)
+    fs = load_features(args.features)
     protocol = EvalProtocol(
         self_included=args.self_included, k_list=_parse_distinct("--k-list", args.k_list)
     )
-    report = evaluate_dataset(build_index(features, manifest), manifest, protocol)
+    report = evaluate_dataset(index_rows(fs, manifest), manifest, protocol)
     write_report(report, Path(args.out))
     print(f"ANMRR={report.anmrr:.4f} mAP={report.mean_ap:.4f} queries={len(report.per_query)}")
     return vars(args)
@@ -530,19 +523,17 @@ def _cached_row(cache_file: Path) -> dict | None:
     return None
 
 
-def _cell_row(cell: dict, feats: dict[str, EncodedFeature], manifest: DatasetManifest) -> dict:
+def _cell_row(cell: dict, fs: FeatureSet, manifest: DatasetManifest) -> dict:
     """Score the cell's features, PCA-projected to the cell's dim if it has one."""
     if cell["dim"] is not None:
-        ids = sorted(feats)
-        tag, matrix = stack_features(feats, ids)
         try:
-            model = pca_fit(matrix, cell["dim"])
+            model = pca_fit(fs.matrix, cell["dim"])
         except ValueError as exc:
             where = f"encoder {cell['kind']!r} with relu={cell['relu']}"
             raise CliError(f"pca.dims entry {cell['dim']} does not fit {where}: {exc}") from None
-        feats = _project_features(ids, tag, matrix, model)
+        fs = _project_features(fs, model)
     protocol = EvalProtocol(self_included=cell["self_included"], k_list=tuple(cell["k_list"]))
-    report = evaluate_dataset(build_index(feats, manifest), manifest, protocol)
+    report = evaluate_dataset(index_rows(fs, manifest), manifest, protocol)
     return {
         "kind": cell["kind"],
         "relu": cell["relu"],
@@ -577,7 +568,7 @@ def cmd_sweep(args) -> dict:
         # A kind that reads no ReLU gets one relu-0 cell whatever the relu axis holds;
         # k (read only by kinds with a fit) and alpha are None in cells that do not read them.
         for use_relu in cfg["relus"] if spec.reads_relu else [False]:
-            feats = None
+            fs = None
             for dim in cfg["dims"]:
                 cell = {
                     "kind": kind,
@@ -597,7 +588,7 @@ def cmd_sweep(args) -> dict:
                     print(f"cache hit {key[:12]} ({kind}, relu={use_relu}, dim={dim})")
                     rows.append(row)
                     continue
-                if feats is None:  # once per (kind, relu)
+                if fs is None:  # once per (kind, relu)
                     model_key = (spec.fit, cell["k"], use_relu) if spec.fit else spec.model_flag
                     if spec.fit and model_key not in models:
                         pool = _descriptor_pool(manifest, "all", use_relu)
@@ -608,8 +599,8 @@ def cmd_sweep(args) -> dict:
                                            f"with relu={use_relu}: {exc}") from None
                         del pool  # dropped before the encode pass re-reads the maps
                     model = models.get(model_key)
-                    feats = _encode_entries(manifest, "all", kind, use_relu, cell["alpha"], model)
-                row = _cell_row(cell, feats, manifest)
+                    fs = _encode_entries(manifest, "all", kind, use_relu, cell["alpha"], model)
+                row = _cell_row(cell, fs, manifest)
                 tmp = cache_file.with_suffix(f".{os.getpid()}.tmp")  # atomic publish
                 tmp.write_text(json.dumps(row, indent=2) + "\n")
                 os.replace(tmp, cache_file)

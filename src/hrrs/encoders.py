@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .codebooks import Codebook, GmmModel, _nearest, _segment_sum, gmm_responsibilities
-from .tensor_store import load_bundle, save_bundle
+from .tensor_store import BundleError, load_bundle, save_bundle
 
 ZERO_NORM_EPS = 1e-12
 
@@ -143,47 +143,53 @@ def encode_fc(fc_vector: np.ndarray, apply_relu: bool = False) -> EncodedFeature
 
 
 # ---------------------------------------------------------------------------
-# Feature sets: a "features" bundle holding one (N, d) matrix whose rows
-# follow the sorted ids; meta holds the ids, the encoder tag and the
-# per-row normalization flags.
+# Feature sets: row r of one (N, d) float64 matrix is image ids[r], with the
+# ids sorted and distinct. A "features" bundle stores the matrix in float32;
+# meta holds the ids, the encoder tag and the per-row normalization flags.
 
 
-def stack_features(
-    features: Mapping[str, EncodedFeature], ids: Sequence[str], dtype=np.float64
-) -> tuple[str, np.ndarray]:
-    """(encoder tag, the vectors of `ids` in that order as one (N, d) `dtype` matrix);
-    the one check of a feature set: non-empty, one encoder tag, one dimension."""
+@dataclass(frozen=True)
+class FeatureSet:
+    ids: tuple[str, ...]  # sorted, distinct
+    tag: str
+    matrix: np.ndarray  # (N, d) float64, row r is ids[r]
+    normalized: tuple[bool, ...]
+
+
+def feature_set(sources: Mapping, encode: Callable = lambda feature: feature) -> FeatureSet:
+    """Encode `sources` (id -> source) in sorted-id order into one preallocated float64
+    matrix, holding one vector at a time; `encode(source)` gives an EncodedFeature.
+    The one check of a feature set: non-empty, one encoder tag, one dimension."""
+    ids = tuple(sorted(sources))
     if not ids:
         raise ValueError("empty feature set")
-    tags = {features[i].encoder_tag for i in ids}
-    dims = {features[i].dim for i in ids}
-    if len(tags) > 1:
-        raise ValueError(f"mixed encoder tags: {sorted(tags)}")
-    if len(dims) > 1:
-        raise ValueError(f"mixed feature dimensions: {sorted(dims)}")
-    return tags.pop(), np.stack([features[i].vector for i in ids], dtype=dtype)
+    first = encode(sources[ids[0]])
+    tag, matrix, normalized = first.encoder_tag, np.empty((len(ids), first.dim)), []
+    for r, image_id in enumerate(ids):
+        feat = encode(sources[image_id]) if r else first
+        if feat.encoder_tag != tag:
+            raise ValueError(f"mixed encoder tags: {sorted({tag, feat.encoder_tag})}")
+        if feat.dim != first.dim:
+            raise ValueError(f"mixed feature dimensions: {sorted({first.dim, feat.dim})}")
+        matrix[r] = feat.vector
+        normalized.append(feat.normalized)
+    return FeatureSet(ids, tag, matrix, tuple(normalized))
 
 
-def save_features(out_dir: str | Path, features: dict[str, EncodedFeature]) -> Path:
+def save_features(out_dir: str | Path, fs: FeatureSet) -> Path:
     """Write the feature set as one bundle; returns the sidecar path."""
-    ids = sorted(features)
-    # Stacked straight into the stored float32: no float64 copy of the whole set.
-    tag, matrix = stack_features(features, ids, np.float32)
-    meta = {
-        "encoder_tag": tag,
-        "ids": ids,
-        "normalized": [features[i].normalized for i in ids],
-    }
-    return save_bundle(out_dir, "features", {"matrix": matrix}, meta)
+    meta = {"encoder_tag": fs.tag, "ids": list(fs.ids), "normalized": list(fs.normalized)}
+    return save_bundle(out_dir, "features", {"matrix": fs.matrix.astype(np.float32)}, meta)
 
 
-def load_features(feature_dir: str | Path) -> dict[str, EncodedFeature]:
-    """Load a feature set; each value's vector is a read-only row view of one matrix."""
+def load_features(feature_dir: str | Path) -> FeatureSet:
+    """Load a feature set; `meta.ids` must be sorted and distinct, as `save_features` writes."""
     tensors, meta = load_bundle(feature_dir, "features")
-    matrix = tensors.matrix("matrix")
-    normalized = meta.per_row("normalized", matrix, bool)
-    tag = meta["encoder_tag"]
-    return {
-        image_id: EncodedFeature(matrix[r], tag, normalized[r])
-        for r, image_id in enumerate(meta.per_row("ids", matrix, str))
-    }
+    stored = tensors.matrix("matrix")
+    ids = tuple(meta.per_row("ids", stored, str))
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        raise BundleError(
+            f"{meta.sidecar}: field 'meta.ids' must list distinct ids in sorted order"
+        )
+    normalized = tuple(meta.per_row("normalized", stored, bool))
+    return FeatureSet(ids, meta["encoder_tag"], stored.astype(np.float64), normalized)

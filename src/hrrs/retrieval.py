@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .encoders import ZERO_NORM_EPS, EncodedFeature, stack_features
+from .encoders import ZERO_NORM_EPS, EncodedFeature, FeatureSet, feature_set
 from .tensor_store import BundleError, DatasetManifest, load_bundle, save_bundle
 
 
@@ -64,17 +64,22 @@ def _unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return matrix, zero
 
 
-def build_index(features: Mapping[str, EncodedFeature], manifest: DatasetManifest) -> Index:
-    """Assemble the search matrix; rows are re-L2-normalized (idempotent)."""
-    for image_id in features:
+def index_rows(fs: FeatureSet, manifest: DatasetManifest) -> Index:
+    """The search matrix: the set's rows in manifest entry order, taken in one copy and
+    re-L2-normalized (idempotent)."""
+    row_of = {image_id: r for r, image_id in enumerate(fs.ids)}
+    for image_id in fs.ids:
         if image_id not in manifest.label_of:
             raise ValueError(f"id {image_id!r} not present in manifest")
-    # Deterministic row order: manifest entry order.
-    order = [e.image_id for e in manifest.entries if e.image_id in features]
-    tag, matrix = stack_features(features, order)
-    matrix, zero = _unit_rows(matrix)
+    order = [e.image_id for e in manifest.entries if e.image_id in row_of]
+    matrix, zero = _unit_rows(fs.matrix[[row_of[i] for i in order]])
     labels = tuple(manifest.label_of[i] for i in order)
-    return Index(tuple(order), labels, matrix, zero, tag)
+    return Index(tuple(order), labels, matrix, zero, fs.tag)
+
+
+def build_index(features: Mapping[str, EncodedFeature], manifest: DatasetManifest) -> Index:
+    """`index_rows` of a mapping of per-image features."""
+    return index_rows(feature_set(features), manifest)
 
 
 # Byte budget of one ranking block: its Gram tile plus any copy of its query
@@ -196,6 +201,8 @@ def load_index(index_dir: str | Path) -> Index:
     # float32 storage perturbs norms; restore exact unit rows.
     matrix, zero = _unit_rows(tensors.matrix("matrix").copy())
     ids = tuple(meta.per_row("ids", matrix, str))
+    if len(set(ids)) != len(ids):
+        raise BundleError(f"{meta.sidecar}: field 'meta.ids' must not repeat an id")
     labels = tuple(meta.per_row("classes", matrix, str))
     zero_ids, expected = meta["zero_ids"], sorted(i for i, z in zip(ids, zero) if z)
     if not isinstance(zero_ids, list) or sorted(zero_ids, key=str) != expected:

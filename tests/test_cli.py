@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import hrrs
 from hrrs import cli, tensor_store
 from hrrs.cli import ENCODERS, CliError, _descriptor_pool, main
-from hrrs.encoders import extract_descriptors
+from hrrs.encoders import extract_descriptors, load_features
 from hrrs.head import load_head
 from hrrs.retrieval import load_index
 from hrrs.tensor_store import (
@@ -479,6 +479,45 @@ def sweep_calls(monkeypatch):
     for name in calls:
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
     return calls
+
+
+@pytest.fixture()
+def fit_inputs(monkeypatch):
+    """The X of every `pca_fit` call and every feature set loaded or encoded, in call order."""
+    seen = {name: [] for name in ("pca_fit", "load_features", "_encode_entries")}
+
+    def recorded(name, real):
+        def wrapper(*args, **kwargs):
+            result = real(*args, **kwargs)
+            seen[name].append(args[0] if name == "pca_fit" else result)
+            return result
+        return wrapper
+
+    for name in seen:
+        monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
+    return seen
+
+
+def test_pca_fits_read_the_feature_set_matrix_itself(dataset, tmp_path, fit_inputs):
+    """`pca fit`, `pca sweep --split all` and a sweep cell fit on the set's matrix, not a restack."""
+    feats = tmp_path / "feats"
+    assert run("encode", "--manifest", dataset, "--encoder", "fc_raw", "--out", feats) == 0
+    assert run("pca", "fit", "--features", feats, "--d", 2, "--out", tmp_path / "p") == 0
+    assert run("pca", "sweep", "--features", feats, "--manifest", dataset, "--dims", "1,2",
+               "--out", tmp_path / "ps.csv") == 0
+    config = {
+        "dataset": {"manifest": str(dataset)},
+        "encoder": {"kind": "fc_raw"},
+        "pca": {"dims": [1, 2]},
+        "eval": {"k_list": [1]},
+    }
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert run("sweep", "--config", tmp_path / "c.json", "--out", tmp_path / "sweep") == 0
+    fitted, swept = fit_inputs["load_features"]
+    _, cell_set = fit_inputs["_encode_entries"]
+    expected = [fitted.matrix] + [swept.matrix] * 2 + [cell_set.matrix] * 2
+    assert len(fit_inputs["pca_fit"]) == len(expected)
+    assert all(X is matrix for X, matrix in zip(fit_inputs["pca_fit"], expected))
 
 
 def test_sweep_encodes_each_kind_and_relu_once(dataset, tmp_path, capsys, sweep_calls):
@@ -941,6 +980,27 @@ def test_bundle_per_row_entries_must_have_their_type(dataset, tmp_path, capsys,
     assert not (tmp_path / "q").exists()
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda ids: ids.__setitem__(1, ids[0]), id="repeated"),
+        pytest.param(lambda ids: ids.insert(0, ids.pop(1)), id="unsorted"),
+    ],
+)
+def test_feature_ids_must_be_sorted_and_distinct(dataset, tmp_path, capsys, edit):
+    """A repeated id would silently score one image's vector under another's id."""
+    _fc_index(dataset, tmp_path)
+    sidecar = _edit_sidecar(tmp_path / "feats", lambda doc: edit(doc["meta"]["ids"]))
+    message = f"{sidecar}: field 'meta.ids' must list distinct ids in sorted order"
+    with pytest.raises(BundleError, match=re.escape(message)):
+        load_features(tmp_path / "feats")
+    capsys.readouterr()
+    assert run("eval", "--manifest", dataset, "--features", tmp_path / "feats",
+               "--out", tmp_path / "q") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "q").exists()
+
+
 def _flatten_member(bundle_dir, name):
     """Rewrite member `name` as a 1-D tensor and record that shape in the sidecar."""
     flat = tensor_store.read_tensor(bundle_dir / f"{name}.ftns").ravel()
@@ -1012,6 +1072,19 @@ def test_index_zero_ids_must_match_zero_rows(dataset, tmp_path, capsys):
     assert run("query", "--index", idx, "--id", "class00-000", "--out", tmp_path / "q.csv") == 1
     assert f"{sidecar}: field 'meta.zero_ids'" in capsys.readouterr().err
     assert not (tmp_path / "q.csv").exists()
+
+
+def test_index_ids_must_be_distinct(dataset, tmp_path, capsys):
+    """A repeated id would make `query --all` overwrite one per-query file with another."""
+    idx = _fc_index(dataset, tmp_path)
+    sidecar = _edit_sidecar(idx, lambda doc: doc["meta"]["ids"].__setitem__(1, doc["meta"]["ids"][0]))
+    message = f"{sidecar}: field 'meta.ids' must not repeat an id"
+    with pytest.raises(BundleError, match=re.escape(message)):
+        load_index(idx)
+    capsys.readouterr()
+    assert run("query", "--index", idx, "--all", "--out", tmp_path / "q") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "q").exists()
 
 
 def test_feature_set_missing_meta_field(dataset, tmp_path, capsys):

@@ -11,12 +11,12 @@ from hrrs.encoders import (
     encode_ifk,
     encode_vlad,
     extract_descriptors,
+    feature_set,
     fisher_vector_raw,
     l2_normalize,
     load_features,
     power_normalize,
     save_features,
-    stack_features,
     vlad_residuals,
 )
 
@@ -340,12 +340,12 @@ class TestFeatureSerialization:
         feats = {
             f"img{i}": encode_vlad(cb, rng.standard_normal((10, 3))) for i in range(5)
         }
-        save_features(tmp_path / "f", feats)
+        save_features(tmp_path / "f", feature_set(feats))
         back = load_features(tmp_path / "f")
-        assert set(back) == set(feats)
-        for image_id in feats:
-            np.testing.assert_allclose(back[image_id].vector, feats[image_id].vector, atol=1e-7)
-            assert back[image_id].encoder_tag == "vlad"
+        assert set(back.ids) == set(feats)
+        for r, image_id in enumerate(back.ids):
+            np.testing.assert_allclose(back.matrix[r], feats[image_id].vector, atol=1e-7)
+        assert back.tag == "vlad"
 
     def test_mixed_tags_rejected(self, tmp_path):
         from hrrs.encoders import EncodedFeature
@@ -355,18 +355,29 @@ class TestFeatureSerialization:
             "b": EncodedFeature(np.ones(2), "vlad", True),
         }
         with pytest.raises(ValueError, match="mixed"):
-            save_features(tmp_path / "f", feats)
+            save_features(tmp_path / "f", feature_set(feats))
 
 
-class TestStackFeatures:
-    def test_rows_follow_the_given_ids(self):
+class TestFeatureSet:
+    def test_rows_follow_the_sorted_ids(self):
         feats = {"b": EncodedFeature(np.full(3, 2.0), "vlad", True),
-                 "a": EncodedFeature(np.full(3, 1.0), "vlad", True)}
-        tag, matrix = stack_features(feats, ["b", "a"], np.float32)
-        assert tag == "vlad" and matrix.dtype == np.float32
-        np.testing.assert_array_equal(matrix, [[2.0] * 3, [1.0] * 3])
-        assert stack_features(feats, ["a"])[1].dtype == np.float64
+                 "a": EncodedFeature(np.full(3, 1.0), "vlad", False)}
+        fs = feature_set(feats)
+        assert fs.ids == ("a", "b") and fs.tag == "vlad" and fs.normalized == (False, True)
+        assert fs.matrix.dtype == np.float64
+        np.testing.assert_array_equal(fs.matrix, [[1.0] * 3, [2.0] * 3])
+
+    def test_encodes_each_source_in_sorted_id_order(self):
+        seen = []
+
+        def encode(value):
+            seen.append(value)
+            return EncodedFeature(np.full(2, value), "fc_raw", True)
+
+        fs = feature_set({"c": 3.0, "a": 1.0, "b": 2.0}, encode)
+        assert seen == [1.0, 2.0, 3.0]
+        np.testing.assert_array_equal(fs.matrix[:, 0], [1.0, 2.0, 3.0])
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty feature set"):
-            stack_features({}, [])
+            feature_set({})

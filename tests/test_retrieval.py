@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hrrs.encoders import EncodedFeature
-from hrrs.retrieval import build_index, distances, load_index, rank, save_index
+from hrrs.encoders import EncodedFeature, feature_set
+from hrrs.retrieval import build_index, distances, index_rows, load_index, rank, save_index
 from hrrs.tensor_store import BundleError
 from hrrs.tensor_store import ManifestEntry, make_manifest
 
@@ -70,6 +70,24 @@ class TestBuildIndex:
         feats = _features({"a": [0.6, 0.8], "b": [1.0, 0.0]})
         idx = build_index(feats, _manifest(["a", "b"]))
         np.testing.assert_allclose(idx.matrix[0], [0.6, 0.8], atol=1e-12)
+
+
+    @pytest.mark.parametrize(
+        ("vectors", "ids"),
+        [
+            ({"a": [1, 0], "b": [3, 4], "c": [0, 2]}, ["a", "b", "c"]),
+            ({"q": [1, 0], "bbb": [0, 1], "aaa": [0, 1]}, ["q", "bbb", "aaa"]),
+            ({"b": [1, 1], "z1": [0, 0], "a": [1, 0], "z0": [0, 0]}, ["b", "z1", "a", "z0"]),
+            ({"a": [1, 0], "zz": [0, 1]}, ["x", "zz", "a"]),  # a manifest id with no row
+        ],
+    )
+    def test_build_index_is_index_rows_of_the_feature_set(self, vectors, ids):
+        feats = _features(vectors)
+        built, rows = build_index(feats, _manifest(ids)), index_rows(feature_set(feats), _manifest(ids))
+        assert (built.ids, built.labels, built.encoder_tag) == (rows.ids, rows.labels, rows.encoder_tag)
+        np.testing.assert_array_equal(built.matrix, rows.matrix)
+        np.testing.assert_array_equal(built.zero, rows.zero)
+        assert built.ids == tuple(i for i in ids if i in vectors)
 
 
 class TestQuery:
@@ -290,6 +308,16 @@ class TestIndexSerialization:
         back = load_index(tmp_path / "idx")
         assert back.labels == idx.labels == ("c1", "c0", "c1", "c0")
         assert back.zero.tolist() == idx.zero.tolist() == [True, False, False, True]
+
+    def test_ids_must_be_distinct(self, tmp_path):
+        ids = ["z", "a", "y"]
+        save_index(tmp_path / "idx", build_index(_features({i: [1, 2] for i in ids}), _manifest(ids)))
+        sidecar = tmp_path / "idx" / "bundle.json"
+        doc = json.loads(sidecar.read_text())
+        doc["meta"]["ids"] = ["z", "a", "z"]
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(BundleError, match=r"bundle.json: field 'meta.ids' must not repeat an id"):
+            load_index(tmp_path / "idx")
 
     @pytest.mark.parametrize("zero_ids", [["a"], [], ["y", "z", "z"], "y,z"])
     def test_zero_ids_must_name_the_zero_rows(self, tmp_path, zero_ids):
