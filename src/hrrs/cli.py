@@ -149,21 +149,30 @@ def _write_effective_config(args, params: dict) -> None:
 
 
 def _load_split_maps(manifest: DatasetManifest, split: str):
+    """(entry, map) pairs of a split, in manifest order."""
     entries = manifest.select(split)
     if not entries:
         raise CliError(f"manifest has no entries for split {split!r}")
-    return [(e.image_id, e.class_label, read_tensor(e.tensor_path)) for e in entries]
+    return [(e, read_tensor(e.tensor_path)) for e in entries]
+
+
+def _check_map_shapes(items, shape: tuple[int, ...]) -> None:
+    """A head reads maps of one (h, w, c): name the first tensor file of another shape."""
+    for entry, fmap in items:
+        if fmap.shape != shape:
+            raise CliError(f"{entry.tensor_path}: feature map has shape {fmap.shape}, "
+                           f"expected (h, w, c) = {shape}")
 
 
 def _descriptor_pool(manifest: DatasetManifest, split: str, apply_relu: bool) -> np.ndarray:
     """Every map's descriptors stacked in manifest order, filled into one float64 array."""
     maps = _load_split_maps(manifest, split)
-    shapes = [np.shape(fmap) for _, _, fmap in maps]
+    shapes = [np.shape(fmap) for _, fmap in maps]
     if any(len(shape) != 3 or shape[2] != shapes[0][2] for shape in shapes):
         raise CliError(f"feature maps of split {split!r} differ in rank or channels: {shapes}")
     pool = np.empty((sum(h * w for h, w, _ in shapes), shapes[0][2]))
     lo = 0
-    for _, _, fmap in maps:
+    for _, fmap in maps:
         descriptors = extract_descriptors(fmap, apply_relu)
         pool[lo : lo + len(descriptors)] = descriptors
         lo += len(descriptors)
@@ -174,9 +183,12 @@ def _encode_entries(
     manifest: DatasetManifest, split: str, encoder: str, apply_relu: bool, alpha: float, model
 ) -> FeatureSet:
     """Encode every map of a split; `model` is the kind's codebook, GMM or head (or None)."""
-    encode = ENCODERS[encoder].encode
-    maps = {image_id: fmap for image_id, _, fmap in _load_split_maps(manifest, split)}
-    return feature_set(maps, lambda fmap: encode(model, fmap, apply_relu, alpha))
+    spec = ENCODERS[encoder]
+    items = _load_split_maps(manifest, split)
+    if spec.model_flag == "head":
+        _check_map_shapes(items, model.config.map_shape)
+    maps = {entry.image_id: fmap for entry, fmap in items}
+    return feature_set(maps, lambda fmap: spec.encode(model, fmap, apply_relu, alpha))
 
 
 def _project_features(fs: FeatureSet, model) -> FeatureSet:
@@ -306,7 +318,10 @@ def cmd_head_train(args) -> dict:
     manifest = load_manifest(args.manifest)
     train_items = _load_split_maps(manifest, "train")
     test_items = _load_split_maps(manifest, "test")
-    shape = train_items[0][2].shape
+    first, shape = train_items[0][0], train_items[0][1].shape
+    if len(shape) != 3:
+        raise CliError(f"{first.tensor_path}: feature map has shape {shape}, expected (h, w, c)")
+    _check_map_shapes(train_items + test_items, shape)
     config = HeadConfig(
         in_channels=shape[2],
         in_spatial=(shape[0], shape[1]),
@@ -329,8 +344,8 @@ def cmd_head_train(args) -> dict:
     )
 
     def as_arrays(items):
-        maps = np.stack([fmap for _, _, fmap in items]).astype(np.float64)
-        labels = np.array([manifest.class_index[label] for _, label, _ in items])
+        maps = np.stack([fmap for _, fmap in items]).astype(np.float64)
+        labels = np.array([manifest.class_index[entry.class_label] for entry, _ in items])
         return maps, labels
 
     head = head_init(config, seed=args.seed)

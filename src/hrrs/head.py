@@ -13,15 +13,24 @@ with momentum, weight decay and a plateau-triggered learning-rate drop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .encoders import EncodedFeature, l2_normalize
+from .retrieval import TILE_BYTES
 from .tensor_store import BundleError, load_bundle, save_bundle
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
+
+
+def _check_finite(config, names) -> None:
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -35,6 +44,7 @@ class HeadConfig:
     init_std: float = 0.01
 
     def __post_init__(self):
+        _check_finite(self, ("dropout_rate", "init_std"))
         for name in ("in_channels", "hidden1", "hidden2", "classes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -45,6 +55,11 @@ class HeadConfig:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
         if self.init_std <= 0:
             raise ValueError("init_std must be > 0")
+
+    @property
+    def map_shape(self) -> tuple[int, int, int]:
+        """The (h, w, c) of every feature map the head reads."""
+        return (*self.in_spatial, self.in_channels)
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         return {
@@ -89,12 +104,18 @@ class TrainConfig:
     min_improvement: float = 1e-3
 
     def __post_init__(self):
+        _check_finite(self, ("lr0", "momentum", "weight_decay", "lr_drop", "min_lr", "min_improvement"))
         if self.lr0 <= 0 or self.min_lr <= 0:
             raise ValueError("learning rates must be > 0")
         if self.batch_size < 1 or self.plateau_patience < 1 or self.max_epochs < 1:
             raise ValueError("batch_size, plateau_patience and max_epochs must be >= 1")
         if not 0.0 < self.lr_drop < 1.0:
             raise ValueError("lr_drop must lie in (0, 1)")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        for name in ("weight_decay", "min_improvement"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -128,13 +149,28 @@ def head_init(config: HeadConfig, seed: int = 0) -> MlpconvHead:
     return MlpconvHead(config, params)
 
 
-def _im2col3_batch(maps: np.ndarray) -> np.ndarray:
-    """(B, h, w, c) -> (B*h*w, 9c) patch matrix for a 3x3 pad-1 convolution."""
+def _im2col3_batch(maps: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
+    """(B, h, w, c) -> (B*h*w, 9c) patch matrix for a 3x3 pad-1 convolution.
+
+    Patch layout (di, dj, channel), one slice copy per offset into a zeroed
+    (B, h, w, 9, c) buffer. A reused `buf` (B or more rows) keeps its zero border:
+    every call writes the same interior slices.
+    """
     b, h, w, c = maps.shape
-    padded = np.pad(maps, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
-    # windows: (B, h, w, c, 3, 3) -> patch layout (di, dj, channel)
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * h * w, 9 * c)
+    if buf is None:
+        buf = np.zeros((b, h, w, 9, c))
+    patches = buf[:b]
+
+    def spans(d, n):
+        """At offset d, output sites [lo, hi) read map sites [lo + d - 1, hi + d - 1)."""
+        return slice(max(0, 1 - d), min(n, n + 1 - d)), slice(max(0, d - 1), min(n, n + d - 1))
+
+    for di in range(3):
+        out_i, in_i = spans(di, h)
+        for dj in range(3):
+            out_j, in_j = spans(dj, w)
+            patches[:, out_i, out_j, 3 * di + dj] = maps[:, in_i, in_j]
+    return patches.reshape(b * h * w, 9 * c)
 
 
 def _dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
@@ -144,37 +180,41 @@ def _dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
 
 def _check_maps(maps: np.ndarray, config: HeadConfig) -> np.ndarray:
     maps = np.asarray(maps, dtype=np.float64)
-    expected = (*config.in_spatial, config.in_channels)
+    expected = config.map_shape
     if maps.ndim != 4 or maps.shape[1:] != expected:
         raise ValueError(f"feature maps must have shape (B, {expected[0]}, {expected[1]}, {expected[2]})")
     return maps
 
 
-def _forward(head: MlpconvHead, maps: np.ndarray, train: bool, rng) -> dict:
+def _forward(head: MlpconvHead, maps: np.ndarray, rng, buf: np.ndarray | None = None) -> dict:
+    """Training forward: dropout masks drawn from `rng`, every activation kept for backprop."""
     cfg = head.config
     maps = _check_maps(maps, cfg)
     b = maps.shape[0]
     hw = cfg.in_spatial[0] * cfg.in_spatial[1]
-    drop = train and cfg.dropout_rate > 0
+    drop = cfg.dropout_rate > 0
     if drop and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng")
     w1 = head.params["W1"].reshape(-1, cfg.hidden1)
     w2 = head.params["W2"].reshape(cfg.hidden1, cfg.hidden2)
     w3 = head.params["W3"].reshape(cfg.hidden2, cfg.classes)
-    cols = _im2col3_batch(maps)
-    a1 = cols @ w1 + head.params["b1"]
+    cols = _im2col3_batch(maps, buf)
+    a1 = cols @ w1
+    a1 += head.params["b1"]
     d1 = np.maximum(a1, 0.0)
     m1 = None
     if drop:
         m1 = _dropout_mask(rng, a1.shape, cfg.dropout_rate)
-        d1 = d1 * m1
-    a2 = d1 @ w2 + head.params["b2"]
+        d1 *= m1
+    a2 = d1 @ w2
+    a2 += head.params["b2"]
     d2 = np.maximum(a2, 0.0)
     m2 = None
     if drop:
         m2 = _dropout_mask(rng, a2.shape, cfg.dropout_rate)
-        d2 = d2 * m2
-    a3 = d2 @ w3 + head.params["b3"]
+        d2 *= m2
+    a3 = d2 @ w3
+    a3 += head.params["b3"]
     gap = a3.reshape(b, hw, cfg.classes).mean(axis=1)
     return {
         "b": b, "hw": hw, "cols": cols,
@@ -182,6 +222,35 @@ def _forward(head: MlpconvHead, maps: np.ndarray, train: bool, rng) -> dict:
         "a2": a2, "d2": d2, "m2": m2,
         "a3": a3, "gap": gap,
     }
+
+
+def _gap(head: MlpconvHead, maps: np.ndarray) -> np.ndarray:
+    """Eval-mode GAP matrix (N, classes): no dropout and no backprop cache.
+
+    Maps go through in chunks whose widest activation, hw * max(9c, hidden1, hidden2)
+    float64 values per map, fits TILE_BYTES. A GEMM row depends on its own map
+    alone, so the chunk size changes no bit of the result.
+    """
+    cfg = head.config
+    maps = _check_maps(maps, cfg)
+    n = maps.shape[0]
+    hw = cfg.in_spatial[0] * cfg.in_spatial[1]
+    chunk = max(1, TILE_BYTES // (8 * hw * max(9 * cfg.in_channels, cfg.hidden1, cfg.hidden2)))
+    buf = np.zeros((min(chunk, n), *cfg.in_spatial, 9, cfg.in_channels))
+    w1 = head.params["W1"].reshape(-1, cfg.hidden1)
+    w2 = head.params["W2"].reshape(cfg.hidden1, cfg.hidden2)
+    w3 = head.params["W3"].reshape(cfg.hidden2, cfg.classes)
+    gap = np.empty((n, cfg.classes))
+    for lo in range(0, n, chunk):
+        part = maps[lo : lo + chunk]
+        a1 = _im2col3_batch(part, buf) @ w1
+        a1 += head.params["b1"]
+        a2 = np.maximum(a1, 0.0, out=a1) @ w2
+        a2 += head.params["b2"]
+        a3 = np.maximum(a2, 0.0, out=a2) @ w3
+        a3 += head.params["b3"]
+        gap[lo : lo + len(part)] = a3.reshape(len(part), hw, cfg.classes).mean(axis=1)
+    return gap
 
 
 def _grads_from_cache(head: MlpconvHead, cache: dict, dgap: np.ndarray) -> dict[str, np.ndarray]:
@@ -192,16 +261,16 @@ def _grads_from_cache(head: MlpconvHead, cache: dict, dgap: np.ndarray) -> dict[
     da3 = np.repeat(dgap / hw, hw, axis=0)  # GAP spreads each class gradient over sites
     g_w3 = cache["d2"].T @ da3
     g_b3 = da3.sum(axis=0)
-    dd2 = da3 @ w3.T
+    da2 = da3 @ w3.T
     if cache["m2"] is not None:
-        dd2 = dd2 * cache["m2"]
-    da2 = dd2 * (cache["a2"] > 0)
+        da2 *= cache["m2"]
+    da2 *= cache["a2"] > 0
     g_w2 = cache["d1"].T @ da2
     g_b2 = da2.sum(axis=0)
-    dd1 = da2 @ w2.T
+    da1 = da2 @ w2.T
     if cache["m1"] is not None:
-        dd1 = dd1 * cache["m1"]
-    da1 = dd1 * (cache["a1"] > 0)
+        da1 *= cache["m1"]
+    da1 *= cache["a1"] > 0
     g_w1 = cache["cols"].T @ da1
     g_b1 = da1.sum(axis=0)
     return {
@@ -222,9 +291,9 @@ def _softmax_xent_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndar
     return losses, dlogits
 
 
-def _loss_and_grads(head, maps, labels, train, rng) -> tuple[float, dict[str, np.ndarray]]:
+def _loss_and_grads(head, maps, labels, rng, buf=None) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over the batch plus exact parameter gradients."""
-    cache = _forward(head, maps, train, rng)
+    cache = _forward(head, maps, rng, buf)
     losses, dlogits = _softmax_xent_batch(cache["gap"], labels)
     grads = _grads_from_cache(head, cache, dlogits / len(labels))
     return float(losses.mean()), grads
@@ -247,15 +316,11 @@ def _train_sample(head, feature_map, label, dropout_mask_seed):
     if not 0 <= label < head.config.classes:
         raise ValueError(f"label {label} out of range for {head.config.classes} classes")
     rng = np.random.default_rng(dropout_mask_seed)
-    return _loss_and_grads(head, fmap[None], np.array([label]), train=True, rng=rng)
+    return _loss_and_grads(head, fmap[None], np.array([label]), rng)
 
 
-def _accuracy(head: MlpconvHead, maps: np.ndarray, labels: np.ndarray, chunk: int = 256) -> float:
-    hits = 0
-    for lo in range(0, len(labels), chunk):
-        cache = _forward(head, maps[lo : lo + chunk], train=False, rng=None)
-        hits += int((cache["gap"].argmax(axis=1) == labels[lo : lo + chunk]).sum())
-    return hits / len(labels)
+def _accuracy(head: MlpconvHead, maps: np.ndarray, labels: np.ndarray) -> float:
+    return int((_gap(head, maps).argmax(axis=1) == labels).sum()) / len(labels)
 
 
 def _check_dataset(data, config: HeadConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -299,13 +364,14 @@ def head_train(
     best_acc = -np.inf
     stall = 0
     n = len(y_tr)
+    buf = np.zeros((min(hp.batch_size, n), *head.config.in_spatial, 9, head.config.in_channels))
     for epoch in range(1, hp.max_epochs + 1):
         rng = np.random.default_rng([seed, epoch])
         perm = rng.permutation(n)
         losses = []
         for lo in range(0, n, hp.batch_size):
             idx = perm[lo : lo + hp.batch_size]
-            loss, grads = _loss_and_grads(head, maps_tr[idx], y_tr[idx], train=True, rng=rng)
+            loss, grads = _loss_and_grads(head, maps_tr[idx], y_tr[idx], rng, buf)
             losses.append(loss)
             for name, grad in grads.items():
                 vel = state.velocities[name]
@@ -335,8 +401,7 @@ def head_train(
 def head_feature(head: MlpconvHead, feature_map) -> EncodedFeature:
     """Eval-mode GAP vector (pre-softmax), L2-normalized; dimension = classes."""
     fmap = np.asarray(feature_map, dtype=np.float64)
-    gap = _forward(head, fmap[None], train=False, rng=None)["gap"][0]
-    vec, normalized = l2_normalize(gap)
+    vec, normalized = l2_normalize(_gap(head, fmap[None])[0])
     return EncodedFeature(vec, "ldcnn", normalized)
 
 

@@ -703,6 +703,31 @@ def test_modules_import_alone_and_version_matches_pyproject():
     assert proc.stdout == f"hrrs {version}\n"
 
 
+ODD_MAP_MESSAGE = "{odd_map}: feature map has shape (3, 3, 5), expected (h, w, c) = (3, 3, 6)"
+
+
+def _odd_map_inputs(dataset, tmp_path):
+    """A copy of the dataset whose map class01-001 is 3x3x5, one whose first map is a vector,
+    a head trained on the 3x3x6 original, and a sweep config with an ldcnn cell over the
+    first copy."""
+    odd, flat = tmp_path / "odd", tmp_path / "flat"
+    shutil.copytree(dataset.parent, odd)
+    shutil.copytree(dataset.parent, flat)
+    odd_map = odd / "class01-001.ftns"
+    tensor_store.write_tensor(odd_map, np.ones((3, 3, 5), dtype=np.float32))
+    tensor_store.write_tensor(flat / "class00-000.ftns", np.ones(54, dtype=np.float32))
+    head = tmp_path / "head"
+    assert run("head", "train", "--manifest", dataset, "--hidden1", 2, "--hidden2", 2,
+               "--max-epochs", 1, "--out", head) == 0
+    config = tmp_path / "odd-sweep.json"
+    config.write_text(json.dumps({"dataset": {"manifest": str(odd / "manifest.json")},
+                                  "encoder": {"kind": "ldcnn"},
+                                  "head": {"checkpoint": str(head)}}))
+    return {"{odd}": odd / "manifest.json", "{odd_map}": odd_map, "{head}": head,
+            "{odd_sweep}": config, "{flat}": flat / "manifest.json",
+            "{flat_map}": flat / "class00-000.ftns"}
+
+
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
@@ -752,18 +777,39 @@ def test_modules_import_alone_and_version_matches_pyproject():
         pytest.param(["pca", "fit", "--features", "{feats}", "--d", 2, "--manifest", "{ds}",
                       "--split", "all", "--out", "{out}"], "fit-set ids missing from features",
                      id="pca-fit-set-not-encoded"),
+        pytest.param(["head", "train", "--manifest", "{ds}", "--lr0", "nan", "--out", "{out}"],
+                     "lr0 must be finite, got nan", id="head-train-lr0-nan"),
+        pytest.param(["head", "train", "--manifest", "{ds}", "--init-std", "nan", "--out", "{out}"],
+                     "init_std must be finite, got nan", id="head-train-init-std-nan"),
+        pytest.param(["head", "train", "--manifest", "{ds}", "--weight-decay", -1, "--out", "{out}"],
+                     "weight_decay must be >= 0, got -1.0", id="head-train-weight-decay-negative"),
+        pytest.param(["head", "train", "--manifest", "{odd}", "--hidden1", 2, "--hidden2", 2,
+                      "--out", "{out}"], ODD_MAP_MESSAGE, id="head-train-map-shape"),
+        pytest.param(["head", "train", "--manifest", "{flat}", "--out", "{out}"],
+                     "{flat_map}: feature map has shape (54,), expected (h, w, c)",
+                     id="head-train-map-rank"),
+        pytest.param(["encode", "--manifest", "{odd}", "--encoder", "ldcnn", "--head", "{head}",
+                      "--out", "{out}"], ODD_MAP_MESSAGE, id="encode-ldcnn-map-shape"),
+        pytest.param(["sweep", "--config", "{odd_sweep}", "--out", "{out}"], ODD_MAP_MESSAGE,
+                     id="sweep-ldcnn-map-shape"),
     ],
 )
-def test_cli_rejects_bad_arguments(dataset, tmp_path, capsys, argv, message):
+def test_cli_rejects_bad_arguments(dataset, tmp_path, capsys, monkeypatch, argv, message):
     """Each bad argument exits 1 naming the flag or fault; features cover the train split only."""
     feats = tmp_path / "feats"
     assert run("encode", "--manifest", dataset, "--encoder", "fc_raw", "--split", "train",
                "--out", feats) == 0
     paths = {"{ds}": dataset, "{feats}": feats, "{out}": tmp_path / "out"}
+    if any(str(a).startswith(("{odd", "{flat", "{head")) for a in argv):
+        paths.update(_odd_map_inputs(dataset, tmp_path))
+    monkeypatch.setenv(cli.CACHE_ENV_VAR, str(tmp_path / "cache"))
+    for placeholder, path in paths.items():
+        message = message.replace(placeholder, str(path))
     capsys.readouterr()
     assert run(*(paths.get(a, a) for a in argv)) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,13 @@
 import math
+import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hrrs import head as head_module
+from hrrs.encoders import l2_normalize
 from hrrs.head import (
     LDCNN_HEAD_LAYERS,
     VGGM_FC_LAYERS,
@@ -10,8 +15,12 @@ from hrrs.head import (
     HeadConfig,
     MlpconvHead,
     TrainConfig,
+    _accuracy,
+    _check_maps,
     _dropout_mask,
     _forward,
+    _gap,
+    _im2col3_batch,
     _softmax_xent_batch,
     head_backward,
     head_feature,
@@ -37,8 +46,13 @@ def _zero_head(cfg):
 
 
 def _eval_forward(head, fmap):
-    """Eval-mode forward cache of one map: `gap` (1, classes), `a3` (h*w, classes)."""
-    return _forward(head, np.asarray(fmap)[None], train=False, rng=None)
+    """Eval-mode forward cache of one map, `gap` (1, classes) and `a3` (h*w, classes): the
+    training `_forward` without dropout, whose `gap` is `_gap`'s bit for bit."""
+    maps = np.asarray(fmap)[None]
+    no_dropout = MlpconvHead(replace(head.config, dropout_rate=0.0), head.params)
+    cache = _forward(no_dropout, maps, rng=None)
+    assert cache["gap"].tobytes() == _gap(head, maps).tobytes()
+    return cache
 
 
 def _xent(logits, label):
@@ -91,6 +105,28 @@ class TestHeadConfig:
         with pytest.raises(ValueError):
             HeadConfig(in_spatial=(0, 3))
 
+    @pytest.mark.parametrize(
+        ("config", "name", "value", "message"),
+        [
+            (HeadConfig, "init_std", math.nan, "init_std must be finite, got nan"),
+            (HeadConfig, "dropout_rate", math.nan, "dropout_rate must be finite, got nan"),
+            (TrainConfig, "lr0", math.nan, "lr0 must be finite, got nan"),
+            (TrainConfig, "lr0", math.inf, "lr0 must be finite, got inf"),
+            (TrainConfig, "momentum", math.nan, "momentum must be finite, got nan"),
+            (TrainConfig, "momentum", 1.0, "momentum must lie in [0, 1), got 1.0"),
+            (TrainConfig, "momentum", -0.5, "momentum must lie in [0, 1), got -0.5"),
+            (TrainConfig, "weight_decay", -1.0, "weight_decay must be >= 0, got -1.0"),
+            (TrainConfig, "weight_decay", math.inf, "weight_decay must be finite, got inf"),
+            (TrainConfig, "lr_drop", math.nan, "lr_drop must be finite, got nan"),
+            (TrainConfig, "min_lr", math.nan, "min_lr must be finite, got nan"),
+            (TrainConfig, "min_improvement", math.nan, "min_improvement must be finite, got nan"),
+            (TrainConfig, "min_improvement", -1e-3, "min_improvement must be >= 0, got -0.001"),
+        ],
+    )
+    def test_rejects_bad_floats_naming_the_field(self, config, name, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config(**{name: value})
+
 
 class TestHeadForward:
     def test_zero_network_uniform_softmax(self):
@@ -137,7 +173,7 @@ class TestHeadForward:
     def test_train_mode_needs_rng(self):
         head = head_init(SMALL_CFG, seed=6)
         with pytest.raises(ValueError, match="rng"):
-            _forward(head, np.zeros((1, 8, 8, 4)), train=True, rng=None)
+            _forward(head, np.zeros((1, 8, 8, 4)), rng=None)
 
     def test_shape_mismatch(self):
         head = head_init(SMALL_CFG, seed=6)
@@ -233,7 +269,7 @@ class TestHeadBackward:
         grads = head_backward(head, fmap, label=2, dropout_mask_seed=9)
         # recompute the forward pass with the same masks to get the logits
         rng = np.random.default_rng(9)
-        cache = _forward(head, fmap[None], train=True, rng=rng)
+        cache = _forward(head, fmap[None], rng=rng)
         _, dlogits = _xent(cache["gap"][0], 2)
         np.testing.assert_allclose(grads["b3"], dlogits, atol=1e-12)
 
@@ -393,3 +429,183 @@ class TestCheckpoint:
             np.testing.assert_allclose(back.params[name], head.params[name], atol=1e-5)
         assert len(sidecar["history"]) == 2
         assert sidecar["history"][0]["epoch"] == 1
+
+
+# ---------------------------------------------------------------------------
+# References: the im2col, forward, backward and accuracy pass that the slice-copy
+# im2col, the in-place training steps and the chunked cache-free `_gap` replaced.
+# The new code must reproduce them byte for byte.
+
+
+def _reference_im2col3_batch(maps):
+    b, h, w, c = maps.shape
+    padded = np.pad(maps, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
+    # windows: (B, h, w, c, 3, 3) -> patch layout (di, dj, channel)
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * h * w, 9 * c)
+
+
+def _reference_forward(head, maps, train, rng):
+    cfg = head.config
+    maps = _check_maps(maps, cfg)
+    b = maps.shape[0]
+    hw = cfg.in_spatial[0] * cfg.in_spatial[1]
+    drop = train and cfg.dropout_rate > 0
+    w1 = head.params["W1"].reshape(-1, cfg.hidden1)
+    w2 = head.params["W2"].reshape(cfg.hidden1, cfg.hidden2)
+    w3 = head.params["W3"].reshape(cfg.hidden2, cfg.classes)
+    cols = _reference_im2col3_batch(maps)
+    a1 = cols @ w1 + head.params["b1"]
+    d1 = np.maximum(a1, 0.0)
+    m1 = None
+    if drop:
+        m1 = _dropout_mask(rng, a1.shape, cfg.dropout_rate)
+        d1 = d1 * m1
+    a2 = d1 @ w2 + head.params["b2"]
+    d2 = np.maximum(a2, 0.0)
+    m2 = None
+    if drop:
+        m2 = _dropout_mask(rng, a2.shape, cfg.dropout_rate)
+        d2 = d2 * m2
+    a3 = d2 @ w3 + head.params["b3"]
+    gap = a3.reshape(b, hw, cfg.classes).mean(axis=1)
+    return {"hw": hw, "cols": cols, "a1": a1, "d1": d1, "m1": m1, "a2": a2, "d2": d2, "m2": m2,
+            "gap": gap}
+
+
+def _reference_loss_and_grads(head, maps, labels, rng, buf=None):
+    cfg = head.config
+    cache = _reference_forward(head, maps, True, rng)
+    losses, dlogits = _softmax_xent_batch(cache["gap"], labels)
+    hw = cache["hw"]
+    w2 = head.params["W2"].reshape(cfg.hidden1, cfg.hidden2)
+    w3 = head.params["W3"].reshape(cfg.hidden2, cfg.classes)
+    da3 = np.repeat(dlogits / len(labels) / hw, hw, axis=0)
+    dd2 = da3 @ w3.T
+    if cache["m2"] is not None:
+        dd2 = dd2 * cache["m2"]
+    da2 = dd2 * (cache["a2"] > 0)
+    dd1 = da2 @ w2.T
+    if cache["m1"] is not None:
+        dd1 = dd1 * cache["m1"]
+    da1 = dd1 * (cache["a1"] > 0)
+    grads = {
+        "W1": (cache["cols"].T @ da1).reshape(head.params["W1"].shape), "b1": da1.sum(axis=0),
+        "W2": (cache["d1"].T @ da2).reshape(head.params["W2"].shape), "b2": da2.sum(axis=0),
+        "W3": (cache["d2"].T @ da3).reshape(head.params["W3"].shape), "b3": da3.sum(axis=0),
+    }
+    return float(losses.mean()), grads
+
+
+def _reference_accuracy(head, maps, labels, chunk=256):
+    hits = 0
+    for lo in range(0, len(labels), chunk):
+        cache = _reference_forward(head, maps[lo : lo + chunk], False, None)
+        hits += int((cache["gap"].argmax(axis=1) == labels[lo : lo + chunk]).sum())
+    return hits / len(labels)
+
+
+def _maps_with_negative_zeros(shape, seed):
+    maps = np.random.default_rng(seed).standard_normal(shape)
+    maps[..., ::2] = -0.0
+    return maps
+
+
+def _open_head(cfg, seed):
+    """A head at a generic point: nonzero biases, so every stage passes signal."""
+    head = head_init(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 1000)
+    for name in ("b1", "b2", "b3"):
+        head.params[name][:] = rng.normal(0, 0.3, head.params[name].shape)
+    return head
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 3), (4, 5, 7, 3), (25, 6, 6, 512)])
+    def test_matches_the_pad_and_window_reference(self, shape):
+        maps = _maps_with_negative_zeros(shape, seed=sum(shape))
+        ours, ref = _im2col3_batch(maps), _reference_im2col3_batch(maps)
+        assert ours.shape == ref.shape and ours.dtype == ref.dtype
+        assert ours.tobytes() == ref.tobytes()
+
+    def test_reused_buffer_takes_a_smaller_batch(self):
+        buf = np.zeros((6, 4, 5, 9, 3))
+        _im2col3_batch(_maps_with_negative_zeros((6, 4, 5, 3), seed=1), buf)
+        small = _maps_with_negative_zeros((2, 4, 5, 3), seed=2)
+        cols = _im2col3_batch(small, buf)
+        assert np.shares_memory(cols, buf)
+        assert cols.tobytes() == _reference_im2col3_batch(small).tobytes()
+
+
+CHUNK_CONFIGS = [
+    # 9c is the widest activation: pool5-like maps, the benchmark's hidden width
+    HeadConfig(in_channels=512, in_spatial=(6, 6), hidden1=64, hidden2=64, classes=21),
+    # hidden1 is the widest activation, on non-square maps
+    HeadConfig(in_channels=2, in_spatial=(4, 3), hidden1=24, hidden2=7, classes=4),
+]
+
+
+class TestEvalForward:
+    @pytest.mark.parametrize("per_chunk", [1, 3, 11])
+    @pytest.mark.parametrize("cfg", CHUNK_CONFIGS, ids=["9c-widest", "hidden1-widest"])
+    def test_gap_bytes_do_not_depend_on_the_chunk(self, monkeypatch, cfg, per_chunk):
+        head = _open_head(cfg, seed=per_chunk)
+        maps = _maps_with_negative_zeros((11, *cfg.map_shape), seed=per_chunk)
+        expected = _reference_forward(head, maps, False, None)["gap"]  # all 11 maps in one GEMM
+        hw = cfg.in_spatial[0] * cfg.in_spatial[1]
+        widest = max(9 * cfg.in_channels, cfg.hidden1, cfg.hidden2)
+        monkeypatch.setattr(head_module, "TILE_BYTES", per_chunk * 8 * hw * widest)
+        sizes = []
+        im2col = head_module._im2col3_batch
+        monkeypatch.setattr(head_module, "_im2col3_batch",
+                            lambda maps, buf=None: sizes.append(len(maps)) or im2col(maps, buf))
+        assert _gap(head, maps).tobytes() == expected.tobytes()
+        assert sizes == [per_chunk] * (11 // per_chunk) + [11 % per_chunk] * (11 % per_chunk > 0)
+
+    @pytest.mark.parametrize(
+        ("n_train", "batch_size", "per_chunk"),
+        [(20, 7, 3), (5, 16, None)],
+        ids=["batch-does-not-divide-n", "n-below-batch"],
+    )
+    def test_train_and_feature_bytes_match_the_reference(self, monkeypatch, n_train, batch_size,
+                                                         per_chunk):
+        cfg = HeadConfig(in_channels=6, in_spatial=(5, 4), hidden1=12, hidden2=9, classes=3,
+                         dropout_rate=0.5, init_std=0.1)
+        rng = np.random.default_rng(n_train)
+        maps = _maps_with_negative_zeros((n_train + 4, *cfg.map_shape), seed=n_train)
+        labels = rng.integers(0, 3, size=n_train + 4)
+        train, test = (maps[:n_train], labels[:n_train]), (maps[n_train:], labels[n_train:])
+        hp = TrainConfig(lr0=0.05, batch_size=batch_size, max_epochs=4, plateau_patience=1)
+        init = _open_head(cfg, seed=n_train)
+        if per_chunk:
+            monkeypatch.setattr(head_module, "TILE_BYTES", per_chunk * 8 * 20 * 9 * 6)
+        head, state = head_train(init, train, test, hp, seed=5)
+        with monkeypatch.context() as patched:
+            patched.setattr(head_module, "_loss_and_grads", _reference_loss_and_grads)
+            patched.setattr(head_module, "_accuracy", _reference_accuracy)
+            ref_head, ref_state = head_train(init, train, test, hp, seed=5)
+        for name in head.params:
+            assert head.params[name].tobytes() == ref_head.params[name].tobytes()
+        assert state.history == ref_state.history
+        assert state.lr_drops == ref_state.lr_drops
+        for fmap in maps:
+            ref_vec, _ = l2_normalize(_reference_forward(head, fmap[None], False, None)["gap"][0])
+            assert head_feature(head, fmap).vector.tobytes() == ref_vec.tobytes()
+
+    def test_accuracy_peak_does_not_grow_with_the_map_count(self):
+        # 8 MiB holds 6 of these maps' patch rows: 8 maps already take two chunks.
+        cfg = HeadConfig(in_channels=512, in_spatial=(6, 6), hidden1=8, hidden2=8, classes=3)
+        head = head_init(cfg, seed=0)
+        maps = np.random.default_rng(0).standard_normal((64, *cfg.map_shape))
+        labels = np.arange(64) % 3
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                _accuracy(head, maps[:n], labels[:n])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(8), peak(64)
+        assert large - small < 64 << 10, (small, large)
