@@ -642,129 +642,139 @@ def _add_seed(p):
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `hrrs` parser. Every command is declared with its help, but only `command` (each
+    command when None) gets its arguments; help, usage and errors read as the full parser's."""
     parser = argparse.ArgumentParser(prog="hrrs", description=__doc__)
     parser.add_argument("--version", action="version", version=f"hrrs {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic labelled feature-map dataset")
-    p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--per-class", type=int, required=True)
-    p.add_argument("--shape", required=True, help="feature-map shape h,w,c")
-    p.add_argument("--separation", type=float, default=0.0)
-    p.add_argument("--train-frac", type=float, default=0.8)
-    _add_seed(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
+    def declare(name: str, text: str) -> argparse.ArgumentParser | None:
+        """The parser of top-level command `name` to fill, or None when it is only declared."""
+        p = sub.add_parser(name, help=text)
+        return p if command in (None, name) else None
 
-    p_cb = sub.add_parser("codebook", help="visual dictionary training")
-    cb_sub = p_cb.add_subparsers(dest="subcommand", required=True)
-    p = cb_sub.add_parser("train", help="fit k-means or GMM on local descriptors")
-    p.add_argument("--kind", choices=("kmeans", "gmm"), required=True)
-    p.add_argument("--k", type=int, required=True, help="dictionary size")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--split", choices=("train", "test", "all"), default="all")
-    p.add_argument("--relu", action="store_true", help="apply ReLU to descriptors")
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-4)
-    _add_seed(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_codebook_train)
+    if p := declare("synth", "generate a synthetic labelled feature-map dataset"):
+        p.add_argument("--classes", type=int, required=True)
+        p.add_argument("--per-class", type=int, required=True)
+        p.add_argument("--shape", required=True, help="feature-map shape h,w,c")
+        p.add_argument("--separation", type=float, default=0.0)
+        p.add_argument("--train-frac", type=float, default=0.8)
+        _add_seed(p)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("encode", help="encode every image into one feature vector")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--encoder", choices=tuple(ENCODERS), required=True)
-    p.add_argument("--model", help="codebook/GMM bundle (bovw, vlad, ifk)")
-    p.add_argument("--head", help="head checkpoint directory (ldcnn)")
-    p.add_argument("--alpha", type=float, help="power-normalization exponent (ifk; default 0.5)")
-    p.add_argument("--relu", action="store_true")
-    p.add_argument("--split", choices=("train", "test", "all"), default="all")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_encode)
+    if p_cb := declare("codebook", "visual dictionary training"):
+        cb_sub = p_cb.add_subparsers(dest="subcommand", required=True)
+        p = cb_sub.add_parser("train", help="fit k-means or GMM on local descriptors")
+        p.add_argument("--kind", choices=("kmeans", "gmm"), required=True)
+        p.add_argument("--k", type=int, required=True, help="dictionary size")
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--split", choices=("train", "test", "all"), default="all")
+        p.add_argument("--relu", action="store_true", help="apply ReLU to descriptors")
+        p.add_argument("--max-iter", type=int, default=100)
+        p.add_argument("--tol", type=float, default=1e-4)
+        _add_seed(p)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_codebook_train)
 
-    p_pca = sub.add_parser("pca", help="dimensionality reduction")
-    pca_sub = p_pca.add_subparsers(dest="subcommand", required=True)
-    p = pca_sub.add_parser("fit", help="fit a PCA model on a feature set")
-    p.add_argument("--features", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--manifest", help="explicit fit-set manifest (optional)")
-    p.add_argument("--split", choices=("train", "test", "all"),
-                   help="fit-set split of --manifest (default all)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_pca_fit)
-    p = pca_sub.add_parser("apply", help="project a feature set with a fitted model")
-    p.add_argument("--features", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_pca_apply)
-    p = pca_sub.add_parser("sweep", help="evaluate retrieval across target dimensions")
-    p.add_argument("--features", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--dims", required=True, help="comma-separated dimension list")
-    p.add_argument("--split", choices=("train", "test", "all"), default="all",
-                   help="fit-set split for the PCA model")
-    p.add_argument("--self-included", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--k-list", default=",".join(str(k) for k in DEFAULT_K_LIST))
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_pca_sweep)
+    if p := declare("encode", "encode every image into one feature vector"):
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--encoder", choices=tuple(ENCODERS), required=True)
+        p.add_argument("--model", help="codebook/GMM bundle (bovw, vlad, ifk)")
+        p.add_argument("--head", help="head checkpoint directory (ldcnn)")
+        p.add_argument("--alpha", type=float, help="power-normalization exponent (ifk; default 0.5)")
+        p.add_argument("--relu", action="store_true")
+        p.add_argument("--split", choices=("train", "test", "all"), default="all")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_encode)
 
-    p_head = sub.add_parser("head", help="mlpconv retrieval head")
-    head_sub = p_head.add_subparsers(dest="subcommand", required=True)
-    p = head_sub.add_parser("train", help="train the head on a labelled manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--hidden1", type=int, default=4096)
-    p.add_argument("--hidden2", type=int, default=4096)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--init-std", type=float, default=0.01)
-    p.add_argument("--lr0", type=float, default=0.001)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=5e-4)
-    p.add_argument("--batch", type=int, default=50)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--lr-drop", type=float, default=0.1)
-    p.add_argument("--min-lr", type=float, default=1e-6)
-    p.add_argument("--max-epochs", type=int, default=30)
-    p.add_argument("--min-improvement", type=float, default=1e-3)
-    _add_seed(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_head_train)
+    if p_pca := declare("pca", "dimensionality reduction"):
+        pca_sub = p_pca.add_subparsers(dest="subcommand", required=True)
+        p = pca_sub.add_parser("fit", help="fit a PCA model on a feature set")
+        p.add_argument("--features", required=True)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--manifest", help="explicit fit-set manifest (optional)")
+        p.add_argument("--split", choices=("train", "test", "all"),
+                       help="fit-set split of --manifest (default all)")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_pca_fit)
+        p = pca_sub.add_parser("apply", help="project a feature set with a fitted model")
+        p.add_argument("--features", required=True)
+        p.add_argument("--model", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_pca_apply)
+        p = pca_sub.add_parser("sweep", help="evaluate retrieval across target dimensions")
+        p.add_argument("--features", required=True)
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--dims", required=True, help="comma-separated dimension list")
+        p.add_argument("--split", choices=("train", "test", "all"), default="all",
+                       help="fit-set split for the PCA model")
+        p.add_argument("--self-included", action=argparse.BooleanOptionalAction, default=True)
+        p.add_argument("--k-list", default=",".join(str(k) for k in DEFAULT_K_LIST))
+        p.add_argument("--out", required=True, help="output CSV path")
+        p.set_defaults(func=cmd_pca_sweep)
 
-    p_idx = sub.add_parser("index", help="retrieval index")
-    idx_sub = p_idx.add_subparsers(dest="subcommand", required=True)
-    p = idx_sub.add_parser("build", help="build an index from a feature set")
-    p.add_argument("--features", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_index_build)
+    if p_head := declare("head", "mlpconv retrieval head"):
+        head_sub = p_head.add_subparsers(dest="subcommand", required=True)
+        p = head_sub.add_parser("train", help="train the head on a labelled manifest")
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--hidden1", type=int, default=4096)
+        p.add_argument("--hidden2", type=int, default=4096)
+        p.add_argument("--dropout", type=float, default=0.5)
+        p.add_argument("--init-std", type=float, default=0.01)
+        p.add_argument("--lr0", type=float, default=0.001)
+        p.add_argument("--momentum", type=float, default=0.9)
+        p.add_argument("--weight-decay", type=float, default=5e-4)
+        p.add_argument("--batch", type=int, default=50)
+        p.add_argument("--patience", type=int, default=5)
+        p.add_argument("--lr-drop", type=float, default=0.1)
+        p.add_argument("--min-lr", type=float, default=1e-6)
+        p.add_argument("--max-epochs", type=int, default=30)
+        p.add_argument("--min-improvement", type=float, default=1e-3)
+        _add_seed(p)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_head_train)
 
-    p = sub.add_parser("query", help="rank the whole index against query id(s)")
-    p.add_argument("--index", required=True)
-    p.add_argument("--id", help="single query id")
-    p.add_argument("--all", action="store_true", help="batch mode: query every indexed id")
-    p.add_argument("--long", action="store_true",
-                   help="with --all, write one long-format CSV instead of per-query files")
-    p.add_argument("--self-included", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--out", required=True, help="output CSV path (or directory with --all)")
-    p.set_defaults(func=cmd_query)
+    if p_idx := declare("index", "retrieval index"):
+        idx_sub = p_idx.add_subparsers(dest="subcommand", required=True)
+        p = idx_sub.add_parser("build", help="build an index from a feature set")
+        p.add_argument("--features", required=True)
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_index_build)
 
-    p = sub.add_parser("eval", help="score retrieval over a whole manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--self-included", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--k-list", default=",".join(str(k) for k in DEFAULT_K_LIST))
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
+    if p := declare("query", "rank the whole index against query id(s)"):
+        p.add_argument("--index", required=True)
+        p.add_argument("--id", help="single query id")
+        p.add_argument("--all", action="store_true", help="batch mode: query every indexed id")
+        p.add_argument("--long", action="store_true",
+                       help="with --all, write one long-format CSV instead of per-query files")
+        p.add_argument("--self-included", action=argparse.BooleanOptionalAction, default=True)
+        p.add_argument("--out", required=True, help="output CSV path (or directory with --all)")
+        p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("sweep", help="evaluate a config's axis product with caching")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
+    if p := declare("eval", "score retrieval over a whole manifest"):
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--features", required=True)
+        p.add_argument("--self-included", action=argparse.BooleanOptionalAction, default=True)
+        p.add_argument("--k-list", default=",".join(str(k) for k in DEFAULT_K_LIST))
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_eval)
+
+    if p := declare("sweep", "evaluate a config's axis product with caching"):
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse dispatches on the first argument that is not an option: fill only that command.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         _write_effective_config(args, args.func(args))
     except (ValueError, KeyError, OSError) as exc:

@@ -192,4 +192,4 @@ def load_features(feature_dir: str | Path) -> FeatureSet:
             f"{meta.sidecar}: field 'meta.ids' must list distinct ids in sorted order"
         )
     normalized = tuple(meta.per_row("normalized", stored, bool))
-    return FeatureSet(ids, meta["encoder_tag"], stored.astype(np.float64), normalized)
+    return FeatureSet(ids, meta["encoder_tag"], stored, normalized)

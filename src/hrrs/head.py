@@ -201,14 +201,14 @@ def _forward(head: MlpconvHead, maps: np.ndarray, rng, buf: np.ndarray | None = 
     cols = _im2col3_batch(maps, buf)
     a1 = cols @ w1
     a1 += head.params["b1"]
-    d1 = np.maximum(a1, 0.0)
+    d1 = np.maximum(a1, 0.0, out=a1)  # the backward masks on d1 > 0, so a1 is not kept
     m1 = None
     if drop:
         m1 = _dropout_mask(rng, a1.shape, cfg.dropout_rate)
         d1 *= m1
     a2 = d1 @ w2
     a2 += head.params["b2"]
-    d2 = np.maximum(a2, 0.0)
+    d2 = np.maximum(a2, 0.0, out=a2)
     m2 = None
     if drop:
         m2 = _dropout_mask(rng, a2.shape, cfg.dropout_rate)
@@ -218,8 +218,8 @@ def _forward(head: MlpconvHead, maps: np.ndarray, rng, buf: np.ndarray | None = 
     gap = a3.reshape(b, hw, cfg.classes).mean(axis=1)
     return {
         "b": b, "hw": hw, "cols": cols,
-        "a1": a1, "d1": d1, "m1": m1,
-        "a2": a2, "d2": d2, "m2": m2,
+        "d1": d1, "m1": m1,
+        "d2": d2, "m2": m2,
         "a3": a3, "gap": gap,
     }
 
@@ -264,13 +264,13 @@ def _grads_from_cache(head: MlpconvHead, cache: dict, dgap: np.ndarray) -> dict[
     da2 = da3 @ w3.T
     if cache["m2"] is not None:
         da2 *= cache["m2"]
-    da2 *= cache["a2"] > 0
+    da2 *= cache["d2"] > 0  # a unit dropout zeroed is already 0 here, and the scale is >= 1
     g_w2 = cache["d1"].T @ da2
     g_b2 = da2.sum(axis=0)
     da1 = da2 @ w2.T
     if cache["m1"] is not None:
         da1 *= cache["m1"]
-    da1 *= cache["a1"] > 0
+    da1 *= cache["d1"] > 0
     g_w1 = cache["cols"].T @ da1
     g_b1 = da1.sum(axis=0)
     return {

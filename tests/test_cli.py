@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -701,6 +702,89 @@ def test_modules_import_alone_and_version_matches_pyproject():
     proc = subprocess.run([sys.executable, "-m", "hrrs.cli", "--version"],
                           env=env, capture_output=True, text=True, check=True)
     assert proc.stdout == f"hrrs {version}\n"
+
+
+def _command_paths(parser, prefix=()):
+    """Every command path of `parser`, depth first: ("synth",), ("codebook",), ("codebook", "train")…"""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield prefix + (name,)
+                yield from _command_paths(sub, prefix + (name,))
+
+
+def _usage_exit(parse, argv):
+    """(exit code, stdout, stderr) of a parse that exits, as help and usage errors do."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+def _full_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("path", [(), *_command_paths(cli.build_parser())],
+                         ids=lambda path: " ".join(path) or "hrrs")
+def test_help_matches_the_full_parser(monkeypatch, path):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [*path, "--help"]
+    code, out, err = _usage_exit(main, argv)
+    assert (code, out, err) == _usage_exit(_full_parse, argv)
+    assert code == 0 and out.startswith(f"usage: {' '.join(('hrrs', *path))}") and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["pca"],
+        ["sweep", "--config", "a", "--out", "b", "--bogus"],
+        ["sweep", "--config", "a"],
+        ["pca", "fit", "--features", "f", "--out", "o"],
+        # argparse dispatches on the first argument that is not an option
+        ["--bogus", "sweep", "--config", "a", "--out", "b"],
+    ],
+    ids=["no-command", "invalid-choice", "no-subcommand", "unrecognized", "missing-out",
+         "missing-d", "option-before-command"],
+)
+def test_usage_errors_match_the_full_parser(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _usage_exit(main, argv)
+    assert (code, out, err) == _usage_exit(_full_parse, argv)
+    assert code == 2 and out == "" and err.startswith("usage: hrrs")
+
+
+def test_main_declares_only_the_named_commands_arguments(dataset, tmp_path, monkeypatch):
+    declared = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(parser, *names, **kwargs):
+        if names != ("-h", "--help"):
+            declared.append((parser.prog, names))
+        return add_argument(parser, *names, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"dataset": {"manifest": str(dataset)},
+                                "encoder": {"kind": "fc_raw"}}))
+    assert run("sweep", "--config", path, "--out", tmp_path / "sweep") == 0
+    assert declared == [("hrrs", ("--version",)),
+                        ("hrrs sweep", ("--config",)), ("hrrs sweep", ("--out",))]
+    declared.clear()
+    cli.build_parser()
+    assert len(declared) == 72  # the full parser: 88 arguments, less its 16 parsers' --help
+
+
+def test_main_reads_sys_argv(tmp_path, monkeypatch):
+    out = tmp_path / "ds"
+    monkeypatch.setattr(sys, "argv", ["hrrs", "synth", "--classes", "2", "--per-class", "2",
+                                      "--shape", "1,1,2", "--out", str(out)])
+    assert main() == 0
+    assert (out / "manifest.json").exists()
+    assert json.loads((out / "effective_config.json").read_text())["command"] == "synth"
 
 
 ODD_MAP_MESSAGE = "{odd_map}: feature map has shape (3, 3, 5), expected (h, w, c) = (3, 3, 6)"

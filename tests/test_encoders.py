@@ -19,6 +19,7 @@ from hrrs.encoders import (
     save_features,
     vlad_residuals,
 )
+from hrrs.tensor_store import load_bundle
 
 from oracles import central_difference_5pt, gmm_mean_loglik
 
@@ -346,6 +347,16 @@ class TestFeatureSerialization:
         for r, image_id in enumerate(back.ids):
             np.testing.assert_allclose(back.matrix[r], feats[image_id].vector, atol=1e-7)
         assert back.tag == "vlad"
+
+    def test_loaded_matrix_is_the_bundles_read_only_array(self, tmp_path):
+        feats = {f"img{i}": encode_fc(np.arange(4.0) - i) for i in range(3)}
+        save_features(tmp_path / "f", feature_set(feats))
+        matrix = load_features(tmp_path / "f").matrix
+        stored = load_bundle(tmp_path / "f", "features")[0].matrix("matrix")
+        assert matrix.dtype == np.float64 and matrix.tobytes() == stored.tobytes()
+        assert not matrix.flags.writeable  # code that writes into a loaded set raises
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1.0
 
     def test_mixed_tags_rejected(self, tmp_path):
         from hrrs.encoders import EncodedFeature

@@ -273,6 +273,17 @@ class TestHeadBackward:
         _, dlogits = _xent(cache["gap"][0], 2)
         np.testing.assert_allclose(grads["b3"], dlogits, atol=1e-12)
 
+    def test_cache_keeps_no_pre_activations(self):
+        """The backward masks on d > 0: the cache holds d1 and d2, each the reference's
+        bytes, and neither pre-activation a1 nor a2."""
+        head = _open_head(SMALL_CFG, seed=13)
+        maps = _maps_with_negative_zeros((3, *SMALL_CFG.map_shape), seed=13)
+        cache = _forward(head, maps, rng=np.random.default_rng(4))
+        ref = _reference_forward(head, maps, True, np.random.default_rng(4))
+        assert not {"a1", "a2"} & cache.keys()
+        for name in ("d1", "d2", "m1", "m2", "gap"):
+            assert cache[name].tobytes() == ref[name].tobytes()
+
 
 class TestDropout:
     def test_inverted_dropout_expectation(self):
