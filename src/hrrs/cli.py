@@ -14,14 +14,17 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .codebooks import gmm_fit, kmeans_fit, load_codebook, load_gmm, save_codebook, save_gmm
+from .codebooks import (MAX_ITER, TOL, gmm_fit, kmeans_fit, load_codebook, load_gmm,
+                        save_codebook, save_gmm)
 from .encoders import (
+    DEFAULT_ALPHA,
     FeatureSet,
     encode_bovw,
     encode_fc,
@@ -45,6 +48,7 @@ from .head import (
 from .reduction import load_pca, pca_apply, pca_fit, save_pca
 from .retrieval import distances, index_rows, load_index, rank, save_index
 from .tensor_store import (
+    VALID_SPLITS,
     DatasetManifest,
     bundle_digest,
     gen_synthetic,
@@ -91,6 +95,7 @@ ENCODERS = {
 }
 
 CACHE_ENV_VAR = "HRRS_CACHE_DIR"
+K_LIST_TEXT = ",".join(str(k) for k in DEFAULT_K_LIST)  # the --k-list default
 
 
 class CliError(ValueError):
@@ -233,7 +238,7 @@ def cmd_encode(args) -> dict:
     if args.relu and not spec.reads_relu:
         raise CliError(f"--relu does not apply to encoder {args.encoder!r}")
     if args.alpha is None:
-        args.alpha = 0.5
+        args.alpha = DEFAULT_ALPHA
     elif not spec.reads_alpha:
         raise CliError(f"--alpha does not apply to encoder {args.encoder!r}")
     for flag in ("model", "head"):
@@ -314,6 +319,18 @@ def cmd_pca_sweep(args) -> dict:
     return vars(args)
 
 
+# `head train` has one flag per HeadConfig/TrainConfig hyperparameter, in field order, named
+# after its field (these three shortened) and defaulting to the field's default.
+_HEAD_FLAG_NAMES = {"dropout_rate": "dropout", "batch_size": "batch", "plateau_patience": "patience"}
+
+
+def _head_flags(owner) -> dict[str, str]:
+    """Flag dest -> field, for each `head train` flag that fills a field of `owner`."""
+    from_data = ("in_channels", "in_spatial", "classes")  # read off the maps and the manifest
+    return {_HEAD_FLAG_NAMES.get(f.name, f.name): f.name for f in fields(owner)
+            if f.name not in from_data}
+
+
 def cmd_head_train(args) -> dict:
     manifest = load_manifest(args.manifest)
     train_items = _load_split_maps(manifest, "train")
@@ -323,25 +340,10 @@ def cmd_head_train(args) -> dict:
         raise CliError(f"{first.tensor_path}: feature map has shape {shape}, expected (h, w, c)")
     _check_map_shapes(train_items + test_items, shape)
     config = HeadConfig(
-        in_channels=shape[2],
-        in_spatial=(shape[0], shape[1]),
-        hidden1=args.hidden1,
-        hidden2=args.hidden2,
-        classes=manifest.n_classes,
-        dropout_rate=args.dropout,
-        init_std=args.init_std,
+        in_channels=shape[2], in_spatial=(shape[0], shape[1]), classes=manifest.n_classes,
+        **{name: getattr(args, dest) for dest, name in _head_flags(HeadConfig).items()},
     )
-    hp = TrainConfig(
-        lr0=args.lr0,
-        momentum=args.momentum,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch,
-        plateau_patience=args.patience,
-        lr_drop=args.lr_drop,
-        min_lr=args.min_lr,
-        max_epochs=args.max_epochs,
-        min_improvement=args.min_improvement,
-    )
+    hp = TrainConfig(**{name: getattr(args, dest) for dest, name in _head_flags(TrainConfig).items()})
 
     def as_arrays(items):
         maps = np.stack([fmap for _, fmap in items]).astype(np.float64)
@@ -479,8 +481,8 @@ def validate_config(doc: dict) -> dict:
     k = encoder.get("k")
     if k is not None:
         k = _int("encoder.k", k)
-    alpha = encoder.get("alpha", 0.5)
-    if not isinstance(alpha, (int, float)) or not 0.0 < alpha <= 1.0:
+    alpha = encoder.get("alpha", DEFAULT_ALPHA)
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0.0 < alpha <= 1.0:
         raise CliError(f"encoder.alpha must be a number in (0, 1], got {alpha!r}")
     pca = doc.get("pca", {})
     _require_keys("pca", pca, {"d", "dims"})
@@ -670,10 +672,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--kind", choices=("kmeans", "gmm"), required=True)
         p.add_argument("--k", type=int, required=True, help="dictionary size")
         p.add_argument("--manifest", required=True)
-        p.add_argument("--split", choices=("train", "test", "all"), default="all")
+        p.add_argument("--split", choices=VALID_SPLITS, default="all")
         p.add_argument("--relu", action="store_true", help="apply ReLU to descriptors")
-        p.add_argument("--max-iter", type=int, default=100)
-        p.add_argument("--tol", type=float, default=1e-4)
+        p.add_argument("--max-iter", type=int, default=MAX_ITER)
+        p.add_argument("--tol", type=float, default=TOL)
         _add_seed(p)
         p.add_argument("--out", required=True)
         p.set_defaults(func=cmd_codebook_train)
@@ -683,9 +685,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--encoder", choices=tuple(ENCODERS), required=True)
         p.add_argument("--model", help="codebook/GMM bundle (bovw, vlad, ifk)")
         p.add_argument("--head", help="head checkpoint directory (ldcnn)")
-        p.add_argument("--alpha", type=float, help="power-normalization exponent (ifk; default 0.5)")
+        p.add_argument("--alpha", type=float,
+                       help=f"power-normalization exponent (ifk; default {DEFAULT_ALPHA})")
         p.add_argument("--relu", action="store_true")
-        p.add_argument("--split", choices=("train", "test", "all"), default="all")
+        p.add_argument("--split", choices=VALID_SPLITS, default="all")
         p.add_argument("--out", required=True)
         p.set_defaults(func=cmd_encode)
 
@@ -695,7 +698,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--features", required=True)
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--manifest", help="explicit fit-set manifest (optional)")
-        p.add_argument("--split", choices=("train", "test", "all"),
+        p.add_argument("--split", choices=VALID_SPLITS,
                        help="fit-set split of --manifest (default all)")
         p.add_argument("--out", required=True)
         p.set_defaults(func=cmd_pca_fit)
@@ -708,10 +711,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--features", required=True)
         p.add_argument("--manifest", required=True)
         p.add_argument("--dims", required=True, help="comma-separated dimension list")
-        p.add_argument("--split", choices=("train", "test", "all"), default="all",
+        p.add_argument("--split", choices=VALID_SPLITS, default="all",
                        help="fit-set split for the PCA model")
         p.add_argument("--self-included", action=argparse.BooleanOptionalAction, default=True)
-        p.add_argument("--k-list", default=",".join(str(k) for k in DEFAULT_K_LIST))
+        p.add_argument("--k-list", default=K_LIST_TEXT)
         p.add_argument("--out", required=True, help="output CSV path")
         p.set_defaults(func=cmd_pca_sweep)
 
@@ -719,19 +722,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         head_sub = p_head.add_subparsers(dest="subcommand", required=True)
         p = head_sub.add_parser("train", help="train the head on a labelled manifest")
         p.add_argument("--manifest", required=True)
-        p.add_argument("--hidden1", type=int, default=4096)
-        p.add_argument("--hidden2", type=int, default=4096)
-        p.add_argument("--dropout", type=float, default=0.5)
-        p.add_argument("--init-std", type=float, default=0.01)
-        p.add_argument("--lr0", type=float, default=0.001)
-        p.add_argument("--momentum", type=float, default=0.9)
-        p.add_argument("--weight-decay", type=float, default=5e-4)
-        p.add_argument("--batch", type=int, default=50)
-        p.add_argument("--patience", type=int, default=5)
-        p.add_argument("--lr-drop", type=float, default=0.1)
-        p.add_argument("--min-lr", type=float, default=1e-6)
-        p.add_argument("--max-epochs", type=int, default=30)
-        p.add_argument("--min-improvement", type=float, default=1e-3)
+        for owner in (HeadConfig, TrainConfig):
+            for dest, name in _head_flags(owner).items():
+                default = getattr(owner, name)
+                p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default)
         _add_seed(p)
         p.add_argument("--out", required=True)
         p.set_defaults(func=cmd_head_train)
@@ -758,7 +752,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--manifest", required=True)
         p.add_argument("--features", required=True)
         p.add_argument("--self-included", action=argparse.BooleanOptionalAction, default=True)
-        p.add_argument("--k-list", default=",".join(str(k) for k in DEFAULT_K_LIST))
+        p.add_argument("--k-list", default=K_LIST_TEXT)
         p.add_argument("--out", required=True)
         p.set_defaults(func=cmd_eval)
 

@@ -20,6 +20,9 @@ from .tensor_store import BundleError, load_bundle, save_bundle
 # subsample to bound memory.
 SUBSAMPLE_LIMIT = 500_000
 VARIANCE_FLOOR = 1e-6
+# Default iteration cap and stopping tolerance of both fits (`codebook train`, the sweep).
+MAX_ITER = 100
+TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,7 @@ def _maybe_subsample(X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return X
 
 
-def kmeans_fit(X, k: int, seed: int = 0, max_iter: int = 100, tol: float = 1e-4) -> Codebook:
+def kmeans_fit(X, k: int, seed: int = 0, max_iter: int = MAX_ITER, tol: float = TOL) -> Codebook:
     """Lloyd's algorithm from k-means++ seeding.
 
     Stops when the relative inertia decrease falls below `tol` or after
@@ -244,7 +247,7 @@ def _e_step(X, XX, weights, means, variances) -> tuple[np.ndarray, float]:
     return resp, float(ll.mean())
 
 
-def gmm_fit(X, k: int, seed: int = 0, max_iter: int = 100, tol: float = 1e-4) -> GmmModel:
+def gmm_fit(X, k: int, seed: int = 0, max_iter: int = MAX_ITER, tol: float = TOL) -> GmmModel:
     """Diagonal-covariance EM initialized from a k-means fit.
 
     Initial means are the centroids, variances the within-cluster variances

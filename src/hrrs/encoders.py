@@ -21,6 +21,7 @@ from .codebooks import Codebook, GmmModel, _nearest, _segment_sum, gmm_responsib
 from .tensor_store import BundleError, load_bundle, save_bundle
 
 ZERO_NORM_EPS = 1e-12
+DEFAULT_ALPHA = 0.5  # IFK power-normalization exponent
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ def fisher_vector_raw(g: GmmModel, descriptors: np.ndarray) -> np.ndarray:
     return np.concatenate([g_mu.ravel(), g_var.ravel()])
 
 
-def encode_ifk(g: GmmModel, descriptors: np.ndarray, alpha: float = 0.5) -> EncodedFeature:
+def encode_ifk(g: GmmModel, descriptors: np.ndarray, alpha: float = DEFAULT_ALPHA) -> EncodedFeature:
     """Improved Fisher kernel: signed power normalization then global L2."""
     raw = fisher_vector_raw(g, descriptors)
     vec, normalized = l2_normalize(power_normalize(raw, alpha))

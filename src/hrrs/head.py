@@ -33,6 +33,15 @@ def _check_finite(config, names) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_ints(config, names) -> None:
+    """Sizes (each entry, for a tuple) are Python or numpy integers, never bools or floats."""
+    for name in names:
+        value = getattr(config, name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class HeadConfig:
     in_channels: int = 512
@@ -45,10 +54,11 @@ class HeadConfig:
 
     def __post_init__(self):
         _check_finite(self, ("dropout_rate", "init_std"))
+        object.__setattr__(self, "in_spatial", tuple(self.in_spatial))
+        _check_ints(self, ("in_channels", "in_spatial", "hidden1", "hidden2", "classes"))
         for name in ("in_channels", "hidden1", "hidden2", "classes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        object.__setattr__(self, "in_spatial", tuple(self.in_spatial))
         if len(self.in_spatial) != 2 or any(s < 1 for s in self.in_spatial):
             raise ValueError(f"in_spatial must be [h, w] with positive dims, got {self.in_spatial}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -105,6 +115,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_finite(self, ("lr0", "momentum", "weight_decay", "lr_drop", "min_lr", "min_improvement"))
+        _check_ints(self, ("batch_size", "plateau_patience", "max_epochs"))
         if self.lr0 <= 0 or self.min_lr <= 0:
             raise ValueError("learning rates must be > 0")
         if self.batch_size < 1 or self.plateau_patience < 1 or self.max_epochs < 1:
@@ -186,15 +197,13 @@ def _check_maps(maps: np.ndarray, config: HeadConfig) -> np.ndarray:
     return maps
 
 
-def _forward(head: MlpconvHead, maps: np.ndarray, rng, buf: np.ndarray | None = None) -> dict:
-    """Training forward: dropout masks drawn from `rng`, every activation kept for backprop."""
+def _forward(head: MlpconvHead, maps: np.ndarray, rng=None, buf: np.ndarray | None = None) -> dict:
+    """The one forward pass. With an `rng`, dropout masks are drawn from it (training);
+    without one there is no dropout (eval). Every activation is kept for backprop."""
     cfg = head.config
     maps = _check_maps(maps, cfg)
-    b = maps.shape[0]
     hw = cfg.in_spatial[0] * cfg.in_spatial[1]
-    drop = cfg.dropout_rate > 0
-    if drop and rng is None:
-        raise ValueError("train-mode forward with dropout needs an rng")
+    drop = rng is not None and cfg.dropout_rate > 0
     w1 = head.params["W1"].reshape(-1, cfg.hidden1)
     w2 = head.params["W2"].reshape(cfg.hidden1, cfg.hidden2)
     w3 = head.params["W3"].reshape(cfg.hidden2, cfg.classes)
@@ -215,21 +224,16 @@ def _forward(head: MlpconvHead, maps: np.ndarray, rng, buf: np.ndarray | None = 
         d2 *= m2
     a3 = d2 @ w3
     a3 += head.params["b3"]
-    gap = a3.reshape(b, hw, cfg.classes).mean(axis=1)
-    return {
-        "b": b, "hw": hw, "cols": cols,
-        "d1": d1, "m1": m1,
-        "d2": d2, "m2": m2,
-        "a3": a3, "gap": gap,
-    }
+    gap = a3.reshape(len(maps), hw, cfg.classes).mean(axis=1)
+    return {"hw": hw, "cols": cols, "d1": d1, "m1": m1, "d2": d2, "m2": m2, "a3": a3, "gap": gap}
 
 
 def _gap(head: MlpconvHead, maps: np.ndarray) -> np.ndarray:
-    """Eval-mode GAP matrix (N, classes): no dropout and no backprop cache.
+    """Eval-mode GAP matrix (N, classes): `_forward` without an rng, chunk by chunk.
 
     Maps go through in chunks whose widest activation, hw * max(9c, hidden1, hidden2)
-    float64 values per map, fits TILE_BYTES. A GEMM row depends on its own map
-    alone, so the chunk size changes no bit of the result.
+    float64 values per map, fits TILE_BYTES; every chunk reuses one im2col buffer. A
+    GEMM row depends on its own map alone, so the chunk size changes no bit of the result.
     """
     cfg = head.config
     maps = _check_maps(maps, cfg)
@@ -237,19 +241,9 @@ def _gap(head: MlpconvHead, maps: np.ndarray) -> np.ndarray:
     hw = cfg.in_spatial[0] * cfg.in_spatial[1]
     chunk = max(1, TILE_BYTES // (8 * hw * max(9 * cfg.in_channels, cfg.hidden1, cfg.hidden2)))
     buf = np.zeros((min(chunk, n), *cfg.in_spatial, 9, cfg.in_channels))
-    w1 = head.params["W1"].reshape(-1, cfg.hidden1)
-    w2 = head.params["W2"].reshape(cfg.hidden1, cfg.hidden2)
-    w3 = head.params["W3"].reshape(cfg.hidden2, cfg.classes)
     gap = np.empty((n, cfg.classes))
     for lo in range(0, n, chunk):
-        part = maps[lo : lo + chunk]
-        a1 = _im2col3_batch(part, buf) @ w1
-        a1 += head.params["b1"]
-        a2 = np.maximum(a1, 0.0, out=a1) @ w2
-        a2 += head.params["b2"]
-        a3 = np.maximum(a2, 0.0, out=a2) @ w3
-        a3 += head.params["b3"]
-        gap[lo : lo + len(part)] = a3.reshape(len(part), hw, cfg.classes).mean(axis=1)
+        gap[lo : lo + chunk] = _forward(head, maps[lo : lo + chunk], None, buf)["gap"]
     return gap
 
 
@@ -293,6 +287,8 @@ def _softmax_xent_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndar
 
 def _loss_and_grads(head, maps, labels, rng, buf=None) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over the batch plus exact parameter gradients."""
+    if rng is None and head.config.dropout_rate > 0:
+        raise ValueError("training with dropout needs an rng")
     cache = _forward(head, maps, rng, buf)
     losses, dlogits = _softmax_xent_batch(cache["gap"], labels)
     grads = _grads_from_cache(head, cache, dlogits / len(labels))

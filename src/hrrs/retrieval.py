@@ -56,10 +56,14 @@ class Index:
 
 
 def _unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """L2-normalize rows in place (zero rows kept as-is); read-only result and zero mask."""
-    norms = np.linalg.norm(matrix, axis=1)
+    """L2-normalize rows in place (zero rows kept as-is); read-only result and zero mask.
+    Norms go in row chunks of at most TILE_BYTES: no other N x d array is made."""
+    norms = np.empty(len(matrix))
+    step = max(1, TILE_BYTES // (8 * max(1, matrix.shape[1])))
+    for lo in range(0, len(matrix), step):
+        norms[lo : lo + step] = np.linalg.norm(matrix[lo : lo + step], axis=1)
     zero = norms <= ZERO_NORM_EPS
-    matrix[~zero] /= norms[~zero, None]
+    np.divide(matrix, norms[:, None], out=matrix, where=~zero[:, None])
     matrix.flags.writeable = zero.flags.writeable = False
     return matrix, zero
 

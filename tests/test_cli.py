@@ -21,7 +21,7 @@ import hrrs
 from hrrs import cli, tensor_store
 from hrrs.cli import ENCODERS, CliError, _descriptor_pool, main
 from hrrs.encoders import extract_descriptors, load_features
-from hrrs.head import load_head
+from hrrs.head import HeadConfig, TrainConfig, load_head
 from hrrs.retrieval import load_index
 from hrrs.tensor_store import (
     BundleError,
@@ -330,6 +330,8 @@ def test_pca_fit_set_restriction(dataset, tmp_path):
         pytest.param({"encoder": {"kind": "ifk", "alpha": 0}}, [], "encoder.alpha", id="alpha-0"),
         pytest.param({"encoder": {"kind": "ifk", "alpha": 1.5}}, [], "encoder.alpha",
                      id="alpha-above-1"),
+        pytest.param({"encoder": {"kind": "ifk", "alpha": True}}, [],
+                     "encoder.alpha must be a number in (0, 1], got True", id="alpha-bool"),
         pytest.param({"eval": {"k_list": [5, 0]}}, [], "eval.k_list must be >= 1",
                      id="k-list-below-1"),
         pytest.param({"eval": {"k_list": [5, 1, 5]}}, [], "eval.k_list repeats [5]",
@@ -1252,6 +1254,35 @@ def test_interrupted_head_retrain_is_rejected(dataset, tmp_path, monkeypatch, ca
     assert run("encode", "--manifest", dataset, "--encoder", "ldcnn",
                "--head", head_dir, "--out", tmp_path / "f") == 1
     assert f"{head_dir / 'bundle.json'}: no bundle.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("field", "value"),
+                         [("in_channels", 6.0), ("hidden2", 4.0), ("in_spatial", [3, 3.0])])
+def test_head_checkpoint_sizes_must_be_integers(dataset, tmp_path, capsys, field, value):
+    # Each value equals the trained size, so only the integer check can reject it.
+    head_dir = tmp_path / "head"
+    assert run("head", "train", "--manifest", dataset, "--hidden1", 4, "--hidden2", 4,
+               "--max-epochs", 1, "--out", head_dir) == 0
+    sidecar = _edit_sidecar(head_dir, lambda doc: doc["meta"]["config"].__setitem__(field, value))
+    message = f"{sidecar}: field 'meta.config' does not fit the parameters ({field} must be an integer"
+    with pytest.raises(BundleError, match=re.escape(message)):
+        load_head(head_dir)
+    capsys.readouterr()
+    assert run("encode", "--manifest", dataset, "--encoder", "ldcnn", "--head", head_dir,
+               "--out", tmp_path / "f") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+
+
+def test_head_train_defaults_are_the_config_defaults():
+    args = cli.build_parser("head").parse_args(["head", "train", "--manifest", "m", "--out", "o"])
+    head, hp = HeadConfig(), TrainConfig()
+    assert (args.hidden1, args.hidden2, args.dropout, args.init_std) == (
+        head.hidden1, head.hidden2, head.dropout_rate, head.init_std)
+    assert (args.lr0, args.momentum, args.weight_decay, args.batch, args.patience, args.lr_drop,
+            args.min_lr, args.max_epochs, args.min_improvement) == (
+        hp.lr0, hp.momentum, hp.weight_decay, hp.batch_size, hp.plateau_patience, hp.lr_drop,
+        hp.min_lr, hp.max_epochs, hp.min_improvement)
 
 
 @pytest.fixture(scope="module")

@@ -21,6 +21,7 @@ from hrrs.head import (
     _forward,
     _gap,
     _im2col3_batch,
+    _loss_and_grads,
     _softmax_xent_batch,
     head_backward,
     head_feature,
@@ -46,11 +47,10 @@ def _zero_head(cfg):
 
 
 def _eval_forward(head, fmap):
-    """Eval-mode forward cache of one map, `gap` (1, classes) and `a3` (h*w, classes): the
-    training `_forward` without dropout, whose `gap` is `_gap`'s bit for bit."""
+    """Eval-mode forward cache of one map, `gap` (1, classes) and `a3` (h*w, classes):
+    `_forward` without an rng, whose `gap` is `_gap`'s bit for bit."""
     maps = np.asarray(fmap)[None]
-    no_dropout = MlpconvHead(replace(head.config, dropout_rate=0.0), head.params)
-    cache = _forward(no_dropout, maps, rng=None)
+    cache = _forward(head, maps, None)
     assert cache["gap"].tobytes() == _gap(head, maps).tobytes()
     return cache
 
@@ -104,6 +104,30 @@ class TestHeadConfig:
             HeadConfig(init_std=0.0)
         with pytest.raises(ValueError):
             HeadConfig(in_spatial=(0, 3))
+
+    @pytest.mark.parametrize(
+        ("config", "name", "value", "bad"),
+        [
+            (HeadConfig, "in_channels", 6.0, 6.0),
+            (HeadConfig, "hidden1", True, True),
+            (HeadConfig, "hidden2", 4.5, 4.5),
+            (HeadConfig, "classes", np.float64(3.0), np.float64(3.0)),
+            (HeadConfig, "in_spatial", (6, 6.0), 6.0),
+            (HeadConfig, "in_spatial", [False, 6], False),
+            (TrainConfig, "batch_size", 50.0, 50.0),
+            (TrainConfig, "plateau_patience", True, True),
+            (TrainConfig, "max_epochs", 30.0, 30.0),
+        ],
+    )
+    def test_rejects_non_integer_sizes(self, config, name, value, bad):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+            config(**{name: value})
+
+    def test_accepts_numpy_integer_sizes(self):
+        cfg = HeadConfig(in_channels=np.int64(4), in_spatial=[np.int32(8), 8], hidden1=np.uint8(6),
+                         hidden2=5, classes=np.int16(3))
+        assert cfg.map_shape == (8, 8, 4)
+        assert TrainConfig(batch_size=np.int64(7), max_epochs=np.int32(2)).batch_size == 7
 
     @pytest.mark.parametrize(
         ("config", "name", "value", "message"),
@@ -173,7 +197,20 @@ class TestHeadForward:
     def test_train_mode_needs_rng(self):
         head = head_init(SMALL_CFG, seed=6)
         with pytest.raises(ValueError, match="rng"):
-            _forward(head, np.zeros((1, 8, 8, 4)), rng=None)
+            _loss_and_grads(head, np.zeros((1, 8, 8, 4)), np.array([0]), rng=None)
+
+    def test_forward_without_rng_has_no_dropout(self, monkeypatch):
+        head = head_init(SMALL_CFG, seed=6)  # dropout_rate 0.5
+        maps = np.random.default_rng(6).standard_normal((2, 8, 8, 4))
+        masks = []
+        monkeypatch.setattr(head_module, "_dropout_mask", lambda *a: masks.append(a))
+        legacy = np.random.get_state()
+        cache = _forward(head, maps, rng=None)
+        assert cache["m1"] is None and cache["m2"] is None
+        assert masks == []
+        assert np.random.get_state()[1].tobytes() == legacy[1].tobytes()
+        no_dropout = MlpconvHead(replace(SMALL_CFG, dropout_rate=0.0), head.params)
+        assert cache["gap"].tobytes() == _forward(no_dropout, maps, rng=None)["gap"].tobytes()
 
     def test_shape_mismatch(self):
         head = head_init(SMALL_CFG, seed=6)

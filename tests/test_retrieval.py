@@ -1,12 +1,14 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hrrs.encoders import EncodedFeature, feature_set
-from hrrs.retrieval import build_index, distances, index_rows, load_index, rank, save_index
+from hrrs import retrieval
+from hrrs.encoders import ZERO_NORM_EPS, EncodedFeature, FeatureSet, feature_set
+from hrrs.retrieval import _unit_rows, build_index, distances, index_rows, load_index, rank, save_index
 from hrrs.tensor_store import BundleError
 from hrrs.tensor_store import ManifestEntry, make_manifest
 
@@ -88,6 +90,46 @@ class TestBuildIndex:
         np.testing.assert_array_equal(built.matrix, rows.matrix)
         np.testing.assert_array_equal(built.zero, rows.zero)
         assert built.ids == tuple(i for i in ids if i in vectors)
+
+
+def _scaled_rows(shape, seed):
+    """Gaussian rows scaled by 1e-200, 1 or 1e150, with an all-zero and a 1e-170 row."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal(shape) * rng.choice([1e-200, 1.0, 1e150], size=(shape[0], 1))
+    matrix[1] = 0.0
+    matrix[2] = 1e-170
+    return matrix
+
+
+class TestUnitRows:
+    @pytest.mark.parametrize("rows_per_tile", [1, 4, None])
+    @pytest.mark.parametrize("shape", [(37, 5), (421, 4097), (9, 100_000)])
+    def test_bytes_match_the_boolean_mask_division(self, monkeypatch, shape, rows_per_tile):
+        matrix = _scaled_rows(shape, seed=shape[0])
+        norms = np.linalg.norm(matrix, axis=1)  # the former whole-matrix expression
+        zero = norms <= ZERO_NORM_EPS
+        expected = matrix.copy()
+        expected[~zero] /= norms[~zero, None]
+        if rows_per_tile:
+            monkeypatch.setattr(retrieval, "TILE_BYTES", rows_per_tile * 8 * shape[1])
+        unit, flags = _unit_rows(matrix)
+        assert unit is matrix and unit.tobytes() == expected.tobytes()
+        assert flags.tobytes() == zero.tobytes() and flags[1] and flags[2]
+        assert not unit.flags.writeable and not flags.flags.writeable
+
+    def test_index_rows_peak_is_the_index_plus_one_tile(self):
+        n, d = 600, 4096
+        ids = tuple(f"i{r:04d}" for r in range(n))
+        fs = FeatureSet(ids, "fc_raw", np.random.default_rng(0).standard_normal((n, d)),
+                        (False,) * n)
+        manifest = _manifest(list(ids))
+        tracemalloc.start()
+        try:
+            idx = index_rows(fs, manifest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= idx.matrix.nbytes + retrieval.TILE_BYTES + (1 << 20)
 
 
 class TestQuery:
@@ -267,7 +309,6 @@ class TestGramScreen:
 
     def test_small_tiles_split_every_block(self, monkeypatch):
         """With a tile of a few rows, blocks and distance chunks split everywhere."""
-        from hrrs import retrieval
 
         rng = np.random.default_rng(7)
         vecs, ids = _screen_fixture("perturbed", rng)
