@@ -521,7 +521,8 @@ def validate_config(doc: dict) -> dict:
 
 
 def _cell_key(cell: dict, manifest_sha: str) -> str:
-    blob = json.dumps({**cell, "manifest_sha": manifest_sha}, sort_keys=True)
+    """A cell's cache name; keyed on the package version, so no release serves another's rows."""
+    blob = json.dumps({**cell, "manifest_sha": manifest_sha, "version": __version__}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

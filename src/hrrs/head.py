@@ -33,13 +33,15 @@ def _check_finite(config, names) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _check_ints(config, names) -> None:
-    """Sizes (each entry, for a tuple) are Python or numpy integers, never bools or floats."""
+def _store_ints(config, names) -> None:
+    """Sizes (each entry, for a tuple) are Python or numpy integers, never bools or floats;
+    each is stored as a Python int, so the config serializes to JSON."""
     for name in names:
         value = getattr(config, name)
         for v in value if isinstance(value, tuple) else (value,):
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
+        object.__setattr__(config, name, tuple(map(int, value)) if isinstance(value, tuple) else int(value))
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class HeadConfig:
     def __post_init__(self):
         _check_finite(self, ("dropout_rate", "init_std"))
         object.__setattr__(self, "in_spatial", tuple(self.in_spatial))
-        _check_ints(self, ("in_channels", "in_spatial", "hidden1", "hidden2", "classes"))
+        _store_ints(self, ("in_channels", "in_spatial", "hidden1", "hidden2", "classes"))
         for name in ("in_channels", "hidden1", "hidden2", "classes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -115,7 +117,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_finite(self, ("lr0", "momentum", "weight_decay", "lr_drop", "min_lr", "min_improvement"))
-        _check_ints(self, ("batch_size", "plateau_patience", "max_epochs"))
+        _store_ints(self, ("batch_size", "plateau_patience", "max_epochs"))
         if self.lr0 <= 0 or self.min_lr <= 0:
             raise ValueError("learning rates must be > 0")
         if self.batch_size < 1 or self.plateau_patience < 1 or self.max_epochs < 1:

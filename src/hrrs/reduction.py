@@ -26,11 +26,14 @@ class PcaModel:
 
 
 def pca_fit(X, d: int) -> PcaModel:
-    """Top-d principal axes of X (N, D) via SVD of the centered matrix.
+    """Top-d principal axes of X (N, D) from `eigh` of the centered Gram matrix on its
+    short side: Xc Xcᵀ when N <= D, where an axis is Xcᵀ u / sqrt(λ) (the method of
+    snapshots), else Xcᵀ Xc, whose eigenvectors are the axes. An axis's variance is
+    λ / (N - 1). The rank counts λ > max(N, D)·eps·λ_max (`matrix_rank`'s rule on the
+    Gram, which squares the data's condition number); requesting more axes is an error.
 
-    Sign convention: the largest-magnitude entry of each axis is positive,
-    which makes the fit a pure function of (X, d). Requesting more axes than
-    the numerical rank of the centered data supports is an error.
+    Sign convention: the largest-magnitude entry of each axis is positive, which makes
+    the fit a pure function of (X, d).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -42,15 +45,17 @@ def pca_fit(X, d: int) -> PcaModel:
         raise ValueError(f"d must lie in [1, {min(dim, n)}], got {d}")
     mean = X.mean(axis=0)
     centered = X - mean
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    tol = max(n, dim) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    rank = int(np.count_nonzero(s > tol))
+    snapshots = n <= dim
+    lam, vecs = np.linalg.eigh(centered @ centered.T if snapshots else centered.T @ centered)
+    lam, vecs = lam[::-1], vecs[:, ::-1]  # eigh sorts ascending
+    rank = int(np.count_nonzero(lam > max(n, dim) * np.finfo(np.float64).eps * lam[0]))
     if d > rank:
         raise ValueError(f"data supports only {rank} principal axes, requested {d}")
-    components = vt[:d].copy()
+    top = vecs[:, :d]
+    components = (top / np.sqrt(lam[:d])).T @ centered if snapshots else top.T.copy()
     flip = components[np.arange(d), np.argmax(np.abs(components), axis=1)] < 0
     components[flip] *= -1.0
-    explained = s[:d] ** 2 / (n - 1)
+    explained = lam[:d] / (n - 1)
     for arr in (mean, components, explained):
         arr.flags.writeable = False
     return PcaModel(mean, components, explained)

@@ -468,6 +468,33 @@ def test_sweep_rekeys_ldcnn_on_retrained_checkpoint(dataset, tmp_path, capsys):
     assert second["ANMRR"] == f"{report['ANMRR']:.4f}"
 
 
+def test_sweep_misses_rows_cached_by_another_version(dataset, tmp_path, capsys, monkeypatch):
+    """A row cached under another package version is never served: the cell is recomputed and
+    cached under this version's key."""
+    config = {
+        "dataset": {"manifest": str(dataset)},
+        "encoder": {"kind": "fc_raw"},
+        "pca": {"dims": [2]},
+        "eval": {"k_list": [1]},
+    }
+    out = tmp_path / "sweep"
+    cache = out / "cache"
+    monkeypatch.setattr(cli, "__version__", "0.1.0")
+    [fresh] = _sweep_rows(config, tmp_path / "c.json", out)
+    [old_entry] = cache.glob("*.json")
+    body = old_entry.read_text()
+    stale = {**json.loads(body), "ANMRR": 0.5}  # what 0.1.0 would serve
+    old_entry.write_text(json.dumps(stale))
+    monkeypatch.setattr(cli, "__version__", hrrs.__version__)
+    capsys.readouterr()
+    assert _sweep_rows(config, tmp_path / "c.json", out) == [fresh]
+    assert "cache hit" not in capsys.readouterr().out
+    [new_entry] = set(cache.glob("*.json")) - {old_entry}
+    assert new_entry.read_text() == body
+    assert _sweep_rows(config, tmp_path / "c.json", out) == [fresh]
+    assert capsys.readouterr().out.count("cache hit") == 1
+
+
 @pytest.fixture()
 def sweep_calls(monkeypatch):
     """Counts of the sweep's pool builds, encode passes and checkpoint loads."""
@@ -692,7 +719,9 @@ def test_exit_codes(tmp_path, capsys):
 
 
 def test_modules_import_alone_and_version_matches_pyproject():
-    """Each hrrs module imports in a fresh interpreter; `hrrs --version` reads pyproject's."""
+    """Each hrrs module imports in a fresh interpreter; pyproject.toml's version is
+    `hrrs.__version__`, which the sweep cache keys on, and `hrrs --version` prints it.
+    pyproject is read with a regex: Python 3.10 has no tomllib."""
     src = Path(hrrs.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     for module in pkgutil.iter_modules(hrrs.__path__):
@@ -700,7 +729,8 @@ def test_modules_import_alone_and_version_matches_pyproject():
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 0, f"hrrs.{module.name}: {proc.stderr}"
     pyproject = (src.parent / "pyproject.toml").read_text()
-    version = re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)
+    [version] = re.findall(r'^version = "([^"]+)"$', pyproject, re.M)
+    assert version == hrrs.__version__
     proc = subprocess.run([sys.executable, "-m", "hrrs.cli", "--version"],
                           env=env, capture_output=True, text=True, check=True)
     assert proc.stdout == f"hrrs {version}\n"

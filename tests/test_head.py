@@ -1,7 +1,7 @@
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -477,6 +477,17 @@ class TestCheckpoint:
             np.testing.assert_allclose(back.params[name], head.params[name], atol=1e-5)
         assert len(sidecar["history"]) == 2
         assert sidecar["history"][0]["epoch"] == 1
+
+    def test_numpy_integer_sizes_round_trip(self, tmp_path):
+        cfg = HeadConfig(in_channels=np.int64(4), in_spatial=(np.int32(3), 3), hidden1=np.uint8(6),
+                         hidden2=5, classes=np.int16(3))
+        hp = TrainConfig(batch_size=np.int64(7), plateau_patience=np.int8(2), max_epochs=np.int32(2))
+        sizes = [cfg.in_channels, *cfg.in_spatial, cfg.hidden1, cfg.hidden2, cfg.classes,
+                 hp.batch_size, hp.plateau_patience, hp.max_epochs]
+        assert all(type(v) is int for v in sizes)
+        head = head_init(cfg, seed=0)
+        save_head(tmp_path / "head", head)
+        assert asdict(load_head(tmp_path / "head").config) == asdict(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,54 @@ from hrrs.reduction import load_pca, pca_apply, pca_fit, save_pca
 from hrrs.tensor_store import BundleError, write_tensor
 
 
+def _svd_fit(X, d):
+    """The thin-SVD fit `pca_fit` used before the Gram eigendecomposition: the oracle for the
+    sign-aligned components and the explained variance."""
+    centered = X - X.mean(axis=0)
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    components = vt[:d].copy()
+    flip = components[np.arange(d), np.argmax(np.abs(components), axis=1)] < 0
+    components[flip] *= -1.0
+    return components, s[:d] ** 2 / (X.shape[0] - 1)
+
+
+def _svd_rank(X):
+    """The SVD rule's rank: singular values of the centered data above max(N, D)·eps·s_max."""
+    return int(np.linalg.matrix_rank(X - X.mean(axis=0)))
+
+
+def _near_degenerate():
+    rng = np.random.default_rng(0)
+    t = rng.standard_normal(200)
+    return np.stack([t, t + 1e-6 * rng.standard_normal(200)], axis=1)
+
+
+def _low_rank(n, dim, rank, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, rank)) @ rng.standard_normal((rank, dim))
+
+
+def _duplicate_rows():
+    return np.repeat(np.random.default_rng(13).standard_normal((12, 40)), 3, axis=0)
+
+
+EPS = np.finfo(np.float64).eps
+
+# Tolerances against the SVD. Components: 1e-10 absolute (measured at most 5e-14 here). Explained
+# variance: 1e-12 relative, plus max(N, D)·eps times the top variance absolute, since the Gram
+# holds a small variance only to about eps times the largest (the near-degenerate case's second
+# variance is off by 5e-4 relative, 3e-16 absolute).
+SVD_CASES = {
+    "wide": (lambda: np.random.default_rng(14).standard_normal((30, 200)), 9),
+    "tall": (lambda: np.random.default_rng(15).standard_normal((200, 30)), 9),
+    "square": (lambda: np.random.default_rng(16).standard_normal((50, 50)), 9),
+    "duplicate-rows": (_duplicate_rows, 11),
+    "rank-5-wide": (lambda: _low_rank(40, 60, 5, 17), 5),
+    "rank-7-tall": (lambda: _low_rank(80, 20, 7, 18), 7),
+    "near-degenerate": (_near_degenerate, 2),
+}
+
+
 class TestPcaFit:
     def test_line_first_axis_symmetry(self):
         t = np.linspace(-2, 2, 9)
@@ -22,10 +70,7 @@ class TestPcaFit:
             pca_fit(X, 2)
 
     def test_near_degenerate_second_variance_tiny(self):
-        rng = np.random.default_rng(0)
-        t = rng.standard_normal(200)
-        X = np.stack([t, t + 1e-6 * rng.standard_normal(200)], axis=1)
-        model = pca_fit(X, 2)
+        model = pca_fit(_near_degenerate(), 2)
         assert model.explained_variance[1] < 1e-10
         np.testing.assert_allclose(np.abs(model.components[0]), [1 / np.sqrt(2)] * 2, atol=1e-5)
 
@@ -88,6 +133,46 @@ class TestPcaFit:
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="2 samples"):
             pca_fit(np.zeros((1, 5)), 1)
+
+
+class TestAgainstSvd:
+    @pytest.mark.parametrize("case", SVD_CASES)
+    def test_components_and_variance_match_the_svd(self, case):
+        make, d = SVD_CASES[case]
+        X = make()
+        model = pca_fit(X, d)
+        components, variance = _svd_fit(X, d)
+        np.testing.assert_allclose(model.components, components, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(model.explained_variance, variance, rtol=1e-12,
+                                   atol=max(X.shape) * EPS * variance[0])
+
+    @pytest.mark.parametrize("case", ["duplicate-rows", "rank-5-wide", "rank-7-tall"])
+    def test_rank_deficient_inputs_report_the_svd_rank(self, case):
+        make, d = SVD_CASES[case]
+        X = make()
+        assert _svd_rank(X) == d
+        pca_fit(X, d)
+        with pytest.raises(ValueError, match=f"data supports only {d} principal axes, requested {d + 1}"):
+            pca_fit(X, d + 1)
+
+    @pytest.mark.parametrize(("ratio", "rank"), [(1e-6, 3), (1e-9, 2), (1e-12, 2)])
+    def test_rank_threshold_is_on_eigenvalues(self, ratio, rank):
+        """An axis whose singular-value ratio to the first lies between max(N, D)·eps and
+        sqrt(max(N, D)·eps) passed the SVD rule and is now rejected."""
+        n, dim = 50, 4
+        rng = np.random.default_rng(19)
+        # Centered rows by construction: orthonormal columns orthogonal to the ones vector.
+        q, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, 3))]))
+        v, _ = np.linalg.qr(rng.standard_normal((dim, 3)))
+        X = (q[:, 1:] * [1.0, 0.5, ratio]) @ v.T
+        assert max(n, dim) * EPS < ratio
+        assert _svd_rank(X) == 3
+        if rank == 3:
+            pca_fit(X, 3)
+        else:
+            assert ratio < np.sqrt(max(n, dim) * EPS)
+            with pytest.raises(ValueError, match="data supports only 2 principal axes, requested 3"):
+                pca_fit(X, 3)
 
 
 class TestPcaApply:
