@@ -155,7 +155,7 @@ class TestAgainstSvd:
         with pytest.raises(ValueError, match=f"data supports only {d} principal axes, requested {d + 1}"):
             pca_fit(X, d + 1)
 
-    @pytest.mark.parametrize(("ratio", "rank"), [(1e-6, 3), (1e-9, 2), (1e-12, 2)])
+    @pytest.mark.parametrize(("ratio", "rank"), [(1e-6, 3), (7e-8, 2), (1e-9, 2)])
     def test_rank_threshold_is_on_eigenvalues(self, ratio, rank):
         """An axis whose singular-value ratio to the first lies between max(N, D)·eps and
         sqrt(max(N, D)·eps) passed the SVD rule and is now rejected."""
@@ -165,14 +165,11 @@ class TestAgainstSvd:
         q, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, 3))]))
         v, _ = np.linalg.qr(rng.standard_normal((dim, 3)))
         X = (q[:, 1:] * [1.0, 0.5, ratio]) @ v.T
-        assert max(n, dim) * EPS < ratio
-        assert _svd_rank(X) == 3
-        if rank == 3:
-            pca_fit(X, 3)
-        else:
-            assert ratio < np.sqrt(max(n, dim) * EPS)
-            with pytest.raises(ValueError, match="data supports only 2 principal axes, requested 3"):
-                pca_fit(X, 3)
+        assert max(n, dim) * EPS < ratio and _svd_rank(X) == 3
+        assert (ratio > np.sqrt(max(n, dim) * EPS)) == (rank == 3)
+        pca_fit(X, rank)
+        with pytest.raises(ValueError, match=f"data supports only {rank} principal axes, requested {rank + 1}"):
+            pca_fit(X, rank + 1)
 
 
 class TestPcaApply:
