@@ -50,6 +50,7 @@ from .retrieval import distances, index_rows, load_index, rank, save_index
 from .tensor_store import (
     VALID_SPLITS,
     DatasetManifest,
+    ManifestEntry,
     bundle_digest,
     gen_synthetic,
     load_manifest,
@@ -153,31 +154,34 @@ def _write_effective_config(args, params: dict) -> None:
     target.write_text(json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
 
 
-def _load_split_maps(manifest: DatasetManifest, split: str):
-    """(entry, map) pairs of a split, in manifest order."""
+def _split_entries(manifest: DatasetManifest, split: str):
     entries = manifest.select(split)
     if not entries:
         raise CliError(f"manifest has no entries for split {split!r}")
-    return [(e, read_tensor(e.tensor_path)) for e in entries]
+    return entries
 
 
-def _check_map_shapes(items, shape: tuple[int, ...]) -> None:
-    """A head reads maps of one (h, w, c): name the first tensor file of another shape."""
-    for entry, fmap in items:
-        if fmap.shape != shape:
-            raise CliError(f"{entry.tensor_path}: feature map has shape {fmap.shape}, "
-                           f"expected (h, w, c) = {shape}")
+def _read_map(entry: ManifestEntry, shape: tuple | None) -> np.ndarray:
+    """The one map-shape rule: read an entry's tensor and, given an (h, w, c) `shape` in which
+    None matches any size, reject a map of another rank or size, naming its file."""
+    fmap = read_tensor(entry.tensor_path)
+    if shape is not None and (fmap.ndim != 3 or any(
+            want not in (None, got) for want, got in zip(shape, fmap.shape))):
+        expected = ", ".join("hwc"[i] if want is None else str(want) for i, want in enumerate(shape))
+        raise CliError(f"{entry.tensor_path}: feature map has shape {fmap.shape}, "
+                       f"expected (h, w, c) = ({expected})")
+    return fmap
 
 
 def _descriptor_pool(manifest: DatasetManifest, split: str, apply_relu: bool) -> np.ndarray:
-    """Every map's descriptors stacked in manifest order, filled into one float64 array."""
-    maps = _load_split_maps(manifest, split)
-    shapes = [np.shape(fmap) for _, fmap in maps]
-    if any(len(shape) != 3 or shape[2] != shapes[0][2] for shape in shapes):
-        raise CliError(f"feature maps of split {split!r} differ in rank or channels: {shapes}")
-    pool = np.empty((sum(h * w for h, w, _ in shapes), shapes[0][2]))
+    """Every map's descriptors stacked in manifest order, filled into one float64 array; every
+    map has the first map's channels."""
+    entries = _split_entries(manifest, split)
+    first = _read_map(entries[0], (None, None, None))
+    maps = [first] + [_read_map(entry, (None, None, first.shape[2])) for entry in entries[1:]]
+    pool = np.empty((sum(fmap.shape[0] * fmap.shape[1] for fmap in maps), first.shape[2]))
     lo = 0
-    for _, fmap in maps:
+    for fmap in maps:
         descriptors = extract_descriptors(fmap, apply_relu)
         pool[lo : lo + len(descriptors)] = descriptors
         lo += len(descriptors)
@@ -187,13 +191,18 @@ def _descriptor_pool(manifest: DatasetManifest, split: str, apply_relu: bool) ->
 def _encode_entries(
     manifest: DatasetManifest, split: str, encoder: str, apply_relu: bool, alpha: float, model
 ) -> FeatureSet:
-    """Encode every map of a split; `model` is the kind's codebook, GMM or head (or None)."""
+    """Encode every map of a split, reading one map at a time; `model` is the kind's codebook,
+    GMM or head (or None), and gives the maps' shape rule."""
     spec = ENCODERS[encoder]
-    items = _load_split_maps(manifest, split)
+    shape = None  # fc_raw flattens a tensor of any shape
     if spec.model_flag == "head":
-        _check_map_shapes(items, model.config.map_shape)
-    maps = {entry.image_id: fmap for entry, fmap in items}
-    return feature_set(maps, lambda fmap: spec.encode(model, fmap, apply_relu, alpha))
+        shape = model.config.map_shape
+    elif model is not None:
+        shape = (None, None, model.dim)
+    entries = {entry.image_id: entry for entry in _split_entries(manifest, split)}
+    return feature_set(
+        entries, lambda entry: spec.encode(model, _read_map(entry, shape), apply_relu, alpha)
+    )
 
 
 def _project_features(fs: FeatureSet, model) -> FeatureSet:
@@ -206,7 +215,7 @@ def _project_features(fs: FeatureSet, model) -> FeatureSet:
 # Subcommand implementations.
 
 
-def cmd_synth(args) -> dict:
+def cmd_synth(args) -> None:
     shape = _parse_int_list("--shape", args.shape)
     if len(shape) != 3:
         raise CliError(f"--shape must be h,w,c, got {args.shape!r}")
@@ -215,10 +224,9 @@ def cmd_synth(args) -> dict:
     )
     manifest_path = write_synthetic(Path(args.out), manifest, maps)
     print(f"wrote {len(maps)} tensors and {manifest_path}")
-    return vars(args)
 
 
-def cmd_codebook_train(args) -> dict:
+def cmd_codebook_train(args) -> None:
     manifest = load_manifest(args.manifest)
     pool = _descriptor_pool(manifest, args.split, args.relu)
     out = Path(args.out)
@@ -230,10 +238,9 @@ def cmd_codebook_train(args) -> dict:
         model = gmm_fit(pool, args.k, seed=args.seed, max_iter=args.max_iter, tol=args.tol)
         save_gmm(out, model)
         print(f"gmm k={model.k} d={model.dim} loglik={model.loglik_history[-1]:.4f}")
-    return vars(args)
 
 
-def cmd_encode(args) -> dict:
+def cmd_encode(args) -> None:
     spec = ENCODERS[args.encoder]
     if args.relu and not spec.reads_relu:
         raise CliError(f"--relu does not apply to encoder {args.encoder!r}")
@@ -254,7 +261,6 @@ def cmd_encode(args) -> dict:
     fs = _encode_entries(manifest, args.split, args.encoder, args.relu, args.alpha, model)
     sidecar = save_features(Path(args.out), fs)
     print(f"encoded {len(fs.ids)} images -> {sidecar}")
-    return vars(args)
 
 
 def _fit_set_matrix(fs: FeatureSet, args) -> np.ndarray:
@@ -273,7 +279,7 @@ def _fit_set_matrix(fs: FeatureSet, args) -> np.ndarray:
     return fs.matrix[[r for r, image_id in enumerate(fs.ids) if image_id in fit_ids]]
 
 
-def cmd_pca_fit(args) -> dict:
+def cmd_pca_fit(args) -> None:
     if args.split is None:
         args.split = "all"
     elif not args.manifest:
@@ -282,18 +288,16 @@ def cmd_pca_fit(args) -> dict:
     model = pca_fit(matrix, args.d)
     save_pca(Path(args.out), model)
     print(f"pca {model.in_dim}-D -> {model.out_dim}-D on {matrix.shape[0]} samples")
-    return vars(args)
 
 
-def cmd_pca_apply(args) -> dict:
+def cmd_pca_apply(args) -> None:
     fs = load_features(args.features)
     model = load_pca(args.model)
     save_features(Path(args.out), _project_features(fs, model))
     print(f"projected {len(fs.ids)} features to {model.out_dim}-D")
-    return vars(args)
 
 
-def cmd_pca_sweep(args) -> dict:
+def cmd_pca_sweep(args) -> None:
     fs = load_features(args.features)
     manifest = load_manifest(args.manifest)
     dims = _parse_distinct("--dims", args.dims)
@@ -316,7 +320,6 @@ def cmd_pca_sweep(args) -> dict:
         writer = csv.writer(fh)
         writer.writerow(["dim", "ANMRR", "mAP"] + [f"P@{k}" for k in k_list])
         writer.writerows(rows)
-    return vars(args)
 
 
 # `head train` has one flag per HeadConfig/TrainConfig hyperparameter, in field order, named
@@ -331,27 +334,24 @@ def _head_flags(owner) -> dict[str, str]:
             if f.name not in from_data}
 
 
-def cmd_head_train(args) -> dict:
+def cmd_head_train(args) -> None:
     manifest = load_manifest(args.manifest)
-    train_items = _load_split_maps(manifest, "train")
-    test_items = _load_split_maps(manifest, "test")
-    first, shape = train_items[0][0], train_items[0][1].shape
-    if len(shape) != 3:
-        raise CliError(f"{first.tensor_path}: feature map has shape {shape}, expected (h, w, c)")
-    _check_map_shapes(train_items + test_items, shape)
+    train, test = _split_entries(manifest, "train"), _split_entries(manifest, "test")
+    shape = _read_map(train[0], (None, None, None)).shape  # every map has the first's shape
     config = HeadConfig(
         in_channels=shape[2], in_spatial=(shape[0], shape[1]), classes=manifest.n_classes,
         **{name: getattr(args, dest) for dest, name in _head_flags(HeadConfig).items()},
     )
     hp = TrainConfig(**{name: getattr(args, dest) for dest, name in _head_flags(TrainConfig).items()})
 
-    def as_arrays(items):
-        maps = np.stack([fmap for _, fmap in items]).astype(np.float64)
-        labels = np.array([manifest.class_index[entry.class_label] for entry, _ in items])
-        return maps, labels
+    def as_arrays(entries):
+        maps = np.empty((len(entries), *shape))
+        for i, entry in enumerate(entries):
+            maps[i] = _read_map(entry, shape)
+        return maps, np.array([manifest.class_index[entry.class_label] for entry in entries])
 
     head = head_init(config, seed=args.seed)
-    head, state = head_train(head, as_arrays(train_items), as_arrays(test_items), hp, seed=args.seed)
+    head, state = head_train(head, as_arrays(train), as_arrays(test), hp, seed=args.seed)
     out = Path(args.out)
     save_head(out, head, state)
     with open(out / "history.csv", "w", newline="") as fh:
@@ -366,14 +366,12 @@ def cmd_head_train(args) -> dict:
         f"trained {state.epoch} epochs: train_acc={last.train_acc:.4f} "
         f"test_acc={last.test_acc:.4f} lr_drops={state.lr_drops}"
     )
-    return vars(args)
 
 
-def cmd_index_build(args) -> dict:
+def cmd_index_build(args) -> None:
     idx = index_rows(load_features(args.features), load_manifest(args.manifest))
     save_index(Path(args.out), idx)
     print(f"indexed {idx.size} features of dim {idx.dim}")
-    return vars(args)
 
 
 def _write_rankings(path: Path, idx, ranking, query_column: bool) -> None:
@@ -389,7 +387,7 @@ def _write_rankings(path: Path, idx, ranking, query_column: bool) -> None:
                 writer.writerow(prefix + [pos, idx.ids[hit], idx.labels[hit], f"{dist:.6f}"])
 
 
-def cmd_query(args) -> dict:
+def cmd_query(args) -> None:
     if bool(args.id) == bool(args.all):
         raise CliError("pass exactly one of --id or --all")
     if args.long and not args.all:
@@ -413,10 +411,9 @@ def cmd_query(args) -> dict:
         rows_written = idx.size - (not args.self_included)
         written = f"{idx.size} queries" if args.long else f"{rows_written} rows"
     print(f"wrote {written} to {out}")
-    return vars(args)
 
 
-def cmd_eval(args) -> dict:
+def cmd_eval(args) -> None:
     manifest = load_manifest(args.manifest)
     fs = load_features(args.features)
     protocol = EvalProtocol(
@@ -425,7 +422,6 @@ def cmd_eval(args) -> dict:
     report = evaluate_dataset(index_rows(fs, manifest), manifest, protocol)
     write_report(report, Path(args.out))
     print(f"ANMRR={report.anmrr:.4f} mAP={report.mean_ap:.4f} queries={len(report.per_query)}")
-    return vars(args)
 
 
 # ---------------------------------------------------------------------------
@@ -770,8 +766,8 @@ def main(argv=None) -> int:
     # argparse dispatches on the first argument that is not an option: fill only that command.
     command = next((arg for arg in argv if not arg.startswith("-")), None)
     args = build_parser(command).parse_args(argv)
-    try:
-        _write_effective_config(args, args.func(args))
+    try:  # a command that returns None ran with its parsed, default-filled arguments
+        _write_effective_config(args, args.func(args) or vars(args))
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

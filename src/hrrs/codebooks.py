@@ -257,8 +257,6 @@ def gmm_fit(X, k: int, seed: int = 0, max_iter: int = MAX_ITER, tol: float = TOL
     X = _as_points(X)
     rng = np.random.default_rng(seed)
     X = _maybe_subsample(X, rng)
-    if X.shape[0] < k:
-        raise ValueError(f"insufficient data: {X.shape[0]} points for k={k}")
     n, d = X.shape
     cb, labels = _lloyd(X, k, seed, max_iter, tol)
     counts = np.bincount(labels, minlength=k)

@@ -96,12 +96,12 @@ def read_tensor(path: str | Path) -> np.ndarray:
     if any(dim < 1 for dim in shape):
         raise TensorFormatError(f"{path}: empty dimension in shape {shape}")
     expected = 4 * math.prod(shape)
-    payload = blob[dims_end:]
-    if len(payload) != expected:
+    payload_bytes = len(blob) - dims_end
+    if payload_bytes != expected:
         raise TensorFormatError(
-            f"{path}: payload length mismatch (expected {expected} bytes, got {len(payload)})"
+            f"{path}: payload length mismatch (expected {expected} bytes, got {payload_bytes})"
         )
-    arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
+    arr = np.frombuffer(blob, dtype="<f4", offset=dims_end).reshape(shape)  # no copy of the payload
     if not np.all(np.isfinite(arr)):
         raise TensorFormatError(f"{path}: payload contains non-finite values")
     arr.flags.writeable = False

@@ -820,12 +820,13 @@ def test_main_reads_sys_argv(tmp_path, monkeypatch):
 
 
 ODD_MAP_MESSAGE = "{odd_map}: feature map has shape (3, 3, 5), expected (h, w, c) = (3, 3, 6)"
+ODD_CHANNELS_MESSAGE = "{odd_map}: feature map has shape (3, 3, 5), expected (h, w, c) = (h, w, 6)"
 
 
 def _odd_map_inputs(dataset, tmp_path):
     """A copy of the dataset whose map class01-001 is 3x3x5, one whose first map is a vector,
-    a head trained on the 3x3x6 original, and a sweep config with an ldcnn cell over the
-    first copy."""
+    a head, a k-means codebook and a GMM trained on the 3x3x6 original, and sweep configs
+    with an ldcnn cell and a bovw cell over the first copy."""
     odd, flat = tmp_path / "odd", tmp_path / "flat"
     shutil.copytree(dataset.parent, odd)
     shutil.copytree(dataset.parent, flat)
@@ -835,13 +836,18 @@ def _odd_map_inputs(dataset, tmp_path):
     head = tmp_path / "head"
     assert run("head", "train", "--manifest", dataset, "--hidden1", 2, "--hidden2", 2,
                "--max-epochs", 1, "--out", head) == 0
-    config = tmp_path / "odd-sweep.json"
-    config.write_text(json.dumps({"dataset": {"manifest": str(odd / "manifest.json")},
-                                  "encoder": {"kind": "ldcnn"},
-                                  "head": {"checkpoint": str(head)}}))
-    return {"{odd}": odd / "manifest.json", "{odd_map}": odd_map, "{head}": head,
-            "{odd_sweep}": config, "{flat}": flat / "manifest.json",
-            "{flat_map}": flat / "class00-000.ftns"}
+    paths = {"{odd}": odd / "manifest.json", "{odd_map}": odd_map, "{head}": head,
+             "{flat}": flat / "manifest.json", "{flat_map}": flat / "class00-000.ftns"}
+    for kind in ("kmeans", "gmm"):
+        paths[f"{{{kind}}}"] = tmp_path / kind
+        assert run("codebook", "train", "--kind", kind, "--k", 2, "--manifest", dataset,
+                   "--out", tmp_path / kind) == 0
+    sweeps = {"{odd_sweep}": {"kind": "ldcnn"}, "{odd_bovw_sweep}": {"kind": "bovw", "k": 2}}
+    for name, encoder in sweeps.items():
+        paths[name] = tmp_path / f"{name[1:-1]}.json"
+        paths[name].write_text(json.dumps({"dataset": {"manifest": str(odd / "manifest.json")},
+                                           "encoder": encoder, "head": {"checkpoint": str(head)}}))
+    return paths
 
 
 @pytest.mark.parametrize(
@@ -908,6 +914,12 @@ def _odd_map_inputs(dataset, tmp_path):
                       "--out", "{out}"], ODD_MAP_MESSAGE, id="encode-ldcnn-map-shape"),
         pytest.param(["sweep", "--config", "{odd_sweep}", "--out", "{out}"], ODD_MAP_MESSAGE,
                      id="sweep-ldcnn-map-shape"),
+        pytest.param(["encode", "--manifest", "{odd}", "--encoder", "vlad", "--model", "{kmeans}",
+                      "--out", "{out}"], ODD_CHANNELS_MESSAGE, id="encode-vlad-map-channels"),
+        pytest.param(["encode", "--manifest", "{odd}", "--encoder", "ifk", "--model", "{gmm}",
+                      "--out", "{out}"], ODD_CHANNELS_MESSAGE, id="encode-ifk-map-channels"),
+        pytest.param(["sweep", "--config", "{odd_bovw_sweep}", "--out", "{out}"],
+                     ODD_CHANNELS_MESSAGE, id="sweep-bovw-map-channels"),
     ],
 )
 def test_cli_rejects_bad_arguments(dataset, tmp_path, capsys, monkeypatch, argv, message):
@@ -916,7 +928,7 @@ def test_cli_rejects_bad_arguments(dataset, tmp_path, capsys, monkeypatch, argv,
     assert run("encode", "--manifest", dataset, "--encoder", "fc_raw", "--split", "train",
                "--out", feats) == 0
     paths = {"{ds}": dataset, "{feats}": feats, "{out}": tmp_path / "out"}
-    if any(str(a).startswith(("{odd", "{flat", "{head")) for a in argv):
+    if any(str(a).startswith(("{odd", "{flat", "{head", "{kmeans", "{gmm")) for a in argv):
         paths.update(_odd_map_inputs(dataset, tmp_path))
     monkeypatch.setenv(cli.CACHE_ENV_VAR, str(tmp_path / "cache"))
     for placeholder, path in paths.items():
@@ -1076,9 +1088,32 @@ def test_descriptor_pool_matches_concatenation(dataset, tmp_path, relu):
 
 
 def test_descriptor_pool_rejects_mixed_channels(tmp_path):
+    """The pool names the first map whose channels differ from the first map's."""
     manifest = _mixed_manifest(tmp_path, [(2, 2, 4), (2, 2, 3)])
-    with pytest.raises(CliError, match="differ in rank or channels"):
+    message = (f"{tmp_path / 'm1.ftns'}: feature map has shape (2, 2, 3), "
+               "expected (h, w, c) = (h, w, 4)")
+    with pytest.raises(CliError, match=re.escape(message)):
         _descriptor_pool(manifest, "all", False)
+
+
+def test_encode_holds_one_map_at_a_time(dataset, tmp_path, monkeypatch):
+    """`hrrs encode` reads a map, encodes it, then reads the next: reads and encodes alternate."""
+    assert run("codebook", "train", "--kind", "kmeans", "--k", 2, "--manifest", dataset,
+               "--out", tmp_path / "cb") == 0
+    events = []
+
+    def recorded(name, real):
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "read_tensor", recorded("read", cli.read_tensor))
+    spec = ENCODERS["vlad"]
+    monkeypatch.setitem(ENCODERS, "vlad", spec._replace(encode=recorded("encode", spec.encode)))
+    assert run("encode", "--manifest", dataset, "--encoder", "vlad", "--model", tmp_path / "cb",
+               "--out", tmp_path / "feats") == 0
+    assert events == ["read", "encode"] * 12
 
 
 def test_sweep_resolves_checkpoint_against_config(dataset, tmp_path, monkeypatch):
