@@ -35,7 +35,7 @@ from .encoders import (
     load_features,
     save_features,
 )
-from .evaluation import DEFAULT_K_LIST, EvalProtocol, evaluate_dataset, score_cells, write_report
+from .evaluation import DEFAULT_K_LIST, EvalProtocol, evaluate_dataset, write_report, write_scores
 from .head import (
     HeadConfig,
     TrainConfig,
@@ -305,21 +305,18 @@ def cmd_pca_sweep(args) -> None:
     protocol = EvalProtocol(self_included=args.self_included, k_list=k_list)
     matrix = _fit_set_matrix(fs, args)
     cap = min(matrix.shape)
-    capped = tuple(d for d in dims if d <= cap)
-    if capped != dims:
+    capped = [d for d in dims if d <= cap]
+    if not capped:
+        raise CliError(f"--dims leaves nothing to sweep: capping at {cap}-D drops {list(dims)}")
+    if len(capped) < len(dims):
         print(f"capping sweep at {cap}-D: dropping {[d for d in dims if d > cap]}")
     rows = []
     for d in capped:
         projected = _project_features(fs, pca_fit(matrix, d))
         report = evaluate_dataset(index_rows(projected, manifest), manifest, protocol)
-        rows.append([d] + score_cells((report.anmrr, report.mean_ap), report.p_at_k, k_list))
+        rows.append(([d], (report.anmrr, report.mean_ap), report.p_at_k))
         print(f"dim {d}: ANMRR={report.anmrr:.4f} mAP={report.mean_ap:.4f}")
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dim", "ANMRR", "mAP"] + [f"P@{k}" for k in k_list])
-        writer.writerows(rows)
+    write_scores(args.out, ["dim", "ANMRR", "mAP"], k_list, rows)
 
 
 # `head train` has one flag per HeadConfig/TrainConfig hyperparameter, in field order, named
@@ -395,7 +392,8 @@ def cmd_query(args) -> None:
     idx = load_index(args.index)
     out = Path(args.out)
     rows = range(idx.size) if args.all else [idx.row(args.id)]
-    ranking = rank(idx, rows, args.self_included)
+    blocks = rank(idx, rows, args.self_included)
+    ranking = ((row, order) for blk, orders in blocks for row, order in zip(blk.tolist(), orders))
     if args.all and not args.long:
         # Per-query files are named by id: an id must not name a path outside --out.
         for image_id in idx.ids:
@@ -522,17 +520,23 @@ def _cell_key(cell: dict, manifest_sha: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _cached_row(cache_file: Path) -> dict | None:
-    """The row cached in `cache_file`, or None to recompute it: absent, or unreadable."""
+def _cached_row(cache_file: Path, cell: dict) -> dict | None:
+    """The row cached in `cache_file`, or None to recompute it: absent, unreadable, or not a
+    row of `cell` (its kind, relu and pca_dim, numeric scores, P_at_k keyed by integers)."""
     if not cache_file.exists():
         return None
     try:
         row = json.loads(cache_file.read_text())
     except (json.JSONDecodeError, UnicodeDecodeError):
         row = None
-    fields = {"kind", "relu", "pca_dim", "ANMRR", "mAP", "P_at_k"}
-    if isinstance(row, dict) and fields <= row.keys() and isinstance(row["P_at_k"], dict):
-        return row
+    if isinstance(row, dict) and isinstance(row.get("P_at_k"), dict):
+        want = (cell["kind"], cell["relu"], cell["dim"])
+        got = (row.get("kind"), row.get("relu"), row.get("pca_dim"))
+        scores = [row.get("ANMRR"), row.get("mAP"), *row["P_at_k"].values()]
+        if (got == want and list(map(type, got)) == list(map(type, want))  # 7.0 is not dim 7
+                and all(type(s) in (int, float) for s in scores)  # a bool is no score
+                and all(k.isascii() and k.isdigit() for k in row["P_at_k"])):
+            return row
     print(f"unreadable cache entry {cache_file}: recomputing")
     return None
 
@@ -597,7 +601,7 @@ def cmd_sweep(args) -> dict:
                 }
                 key = _cell_key(cell, manifest_sha)
                 cache_file = cache_dir / f"{key}.json"
-                row = _cached_row(cache_file)
+                row = _cached_row(cache_file, cell)
                 if row is not None:
                     print(f"cache hit {key[:12]} ({kind}, relu={use_relu}, dim={dim})")
                     rows.append(row)
@@ -619,16 +623,11 @@ def cmd_sweep(args) -> dict:
                 tmp.write_text(json.dumps(row, indent=2) + "\n")
                 os.replace(tmp, cache_file)
                 rows.append(row)
-    out_dir.mkdir(parents=True, exist_ok=True)
     out_csv = out_dir / "sweep.csv"
-    k_list = cfg["k_list"]
-    with open(out_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "relu", "pca_dim", "ANMRR", "mAP"] + [f"P@{k}" for k in k_list])
-        for row in rows:
-            p_at_k = {int(k): v for k, v in row["P_at_k"].items()}
-            scores = score_cells((row["ANMRR"], row["mAP"]), p_at_k, k_list)
-            writer.writerow([row["kind"], int(row["relu"]), row["pca_dim"]] + scores)  # None -> ""
+    write_scores(out_csv, ["kind", "relu", "pca_dim", "ANMRR", "mAP"], cfg["k_list"], (
+        ([row["kind"], int(row["relu"]), row["pca_dim"]],  # pca_dim None -> ""
+         (row["ANMRR"], row["mAP"]), {int(k): v for k, v in row["P_at_k"].items()})
+        for row in rows))
     print(f"sweep report: {out_csv}")
     return {"config": str(config_path), **cfg}
 

@@ -10,14 +10,13 @@ with same-class relevance.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .retrieval import TILE_BYTES, Index, rank
+from .retrieval import Index, rank
 from .tensor_store import DatasetManifest
 
 DEFAULT_K_LIST = (5, 10, 50, 100, 1000)
@@ -104,26 +103,18 @@ def evaluate_dataset(
     """Query every indexed image; relevance is same-class membership.
 
     Under self-exclusion a query whose class has a single member has no
-    ground truth; such queries are skipped and listed in the report. Scores
-    are computed for blocks of rankings as arrays, with the same float
-    operations, in the same order, as `nmrr`, `average_precision` and
-    `precision_at_k` on each query's hit ranks.
+    ground truth; such queries are skipped and listed in the report. Each
+    block of rankings from `rank` is scored as it comes, as arrays, with the
+    same float operations, in the same order, as `nmrr`, `average_precision`
+    and `precision_at_k` on each query's hit ranks.
     """
     protocol = protocol or EvalProtocol()
     cls = np.unique(idx.labels, return_inverse=True)[1]
     class_size = np.bincount(cls)
     ng = class_size[cls] - (not protocol.self_included)
     skipped = [i for i, n in zip(idx.ids, ng) if n < 1]
-    rows = np.flatnonzero(ng >= 1)
-    ranking = rank(idx, rows, protocol.self_included)
-    length = idx.size - (not protocol.self_included)
-    block = max(1, TILE_BYTES // (8 * idx.size))  # rankings per block, as one int64 array
     per_query: list[PerQueryResult] = []
-    for b0 in range(0, rows.size, block):
-        blk = rows[b0 : b0 + block]
-        orders = np.empty((blk.size, length), dtype=np.intp)
-        for i, (_, order) in enumerate(itertools.islice(ranking, blk.size)):
-            orders[i] = order
+    for blk, orders in rank(idx, np.flatnonzero(ng >= 1), protocol.self_included):
         scores = _block_scores(cls[orders] == cls[blk, None], ng[blk], protocol.k_list)
         for row, nmrr_q, avep_q, p_at_k in zip(blk.tolist(), *scores):
             per_query.append(PerQueryResult(idx.ids[row], idx.labels[row], nmrr_q, avep_q, p_at_k))
@@ -166,28 +157,30 @@ def _block_scores(rel: np.ndarray, ng: np.ndarray, k_list) -> tuple[list, list, 
 
 
 # ---------------------------------------------------------------------------
-# Report emission: per-query and aggregate CSVs (4 decimals, matching the
-# result tables) plus a JSON summary at full precision.
+# Report emission: score tables and the aggregate CSV (4 decimals, matching
+# the result tables) plus a JSON summary at full precision.
 
 
-def score_cells(scores, p_at_k: dict[int, float], k_list) -> list[str]:
-    """CSV cells of one score row: each score, then P@k for each k in k_list,
-    to 4 decimals; P@k is blank where k exceeds the ranked list's length."""
-    return [f"{s:.4f}" for s in scores] + [
-        f"{p_at_k[k]:.4f}" if k in p_at_k else "" for k in k_list
-    ]
+def write_scores(path: str | Path, header: list[str], k_list, rows) -> None:
+    """The one writer of score tables (per_query.csv, `pca sweep`'s CSV, sweep.csv). Each of
+    `rows`, `(lead, scores, p_at_k)`, is written as its lead cells, then each score and P@k for
+    each k in k_list to 4 decimals; P@k is blank where k passes the list length (not in p_at_k)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header + [f"P@{k}" for k in k_list])
+        for lead, scores, p_at_k in rows:
+            writer.writerow(lead + [f"{s:.4f}" for s in scores]
+                            + [f"{p_at_k[k]:.4f}" if k in p_at_k else "" for k in k_list])
 
 
 def write_report(report: EvalReport, out_dir: str | Path) -> None:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     k_list = report.protocol.k_list
-    with open(out_dir / "per_query.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_id", "class", "NMRR", "AveP"] + [f"P@{k}" for k in k_list])
-        for r in report.per_query:
-            cells = score_cells((r.nmrr, r.avep), r.p_at_k, k_list)
-            writer.writerow([r.query_id, r.class_label] + cells)
+    write_scores(out_dir / "per_query.csv", ["query_id", "class", "NMRR", "AveP"], k_list,
+                 (([r.query_id, r.class_label], (r.nmrr, r.avep), r.p_at_k)
+                  for r in report.per_query))
     with open(out_dir / "aggregate.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "value"])

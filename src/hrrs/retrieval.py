@@ -86,9 +86,9 @@ def build_index(features: Mapping[str, EncodedFeature], manifest: DatasetManifes
     return index_rows(feature_set(features), manifest)
 
 
-# Byte budget of one ranking block: its Gram tile plus any copy of its query
-# rows (and, in `distances`, one chunk of difference rows). Few large blocks
-# beat many small ones: each multithreaded BLAS call has a fixed cost.
+# Byte budget of a ranking block's Gram tile (with any copy of its query rows),
+# of its int64 orders and of one `distances` chunk. Few large blocks beat many
+# small ones: each multithreaded BLAS call has a fixed cost.
 TILE_BYTES = 8 << 20
 
 
@@ -136,14 +136,15 @@ def _tie_margin(dim: int, sq_max: float) -> float:
 
 def rank(
     idx: Index, rows: Iterable[int], include_self: bool = True
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Rank the whole index against each query row; yields `(row, order)`.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Rank the whole index against each query row; yields `(block, orders)` per Gram tile.
 
-    `order` holds the ranked row indices under the module's tie rule; with
-    include_self=False the query row is left out. Blocks of query rows go
-    through one Gram tile `S = sq[q] + sq - 2 M[q] @ M.T`; every run of
-    sorted Gram values whose adjacent gaps are within `_tie_margin` is
-    re-sorted by (`distances`, id). Zero-row queries use `distances` alone.
+    Row i of the (len(block), N) intp `orders` ranks the index for query row
+    `block[i]` under the module's tie rule (N - 1 columns with include_self=False:
+    the query row is left out). The tile `S = sq[q] + sq - 2 M[q] @ M.T` and the
+    orders each fit TILE_BYTES; every run of sorted Gram values whose adjacent
+    gaps are within `_tie_margin` is re-sorted by (`distances`, id). Zero-row
+    queries use `distances` alone.
     """
     matrix, zero, n = idx.matrix, idx.zero, idx.size
     rows = np.fromiter(rows, dtype=np.intp)
@@ -161,7 +162,8 @@ def rank(
         tile *= -2.0
         tile += sq
         tile += sq[blk, None]
-        for gram, row in zip(tile, blk.tolist()):
+        orders = np.empty((blk.size, n - (not include_self)), dtype=np.intp)
+        for gram, row, out in zip(tile, blk.tolist(), orders):
             # A zero query's distances are exact and cheap: 1 to every unit row.
             key = distances(idx, row, by_id) if zero[row] else gram[by_id]
             key[id_pos[row]] = -np.inf  # the query wins its distance-0 tie
@@ -170,8 +172,8 @@ def rank(
                 close = np.diff(key[order]) <= margin
                 if close.any():
                     _refine(idx, row, order, close, by_id)
-            order = by_id[order]
-            yield row, order if include_self else order[1:]
+            np.take(by_id, order if include_self else order[1:], out=out)
+        yield blk, orders
 
 
 def _refine(idx: Index, row: int, order: np.ndarray, close: np.ndarray, by_id: np.ndarray):

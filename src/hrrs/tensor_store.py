@@ -51,9 +51,12 @@ def validate_tensor(values: np.ndarray) -> np.ndarray:
         raise TensorFormatError("tensor rank must be >= 1")
     if any(dim < 1 for dim in arr.shape):
         raise TensorFormatError(f"empty dimension in shape {tuple(arr.shape)}")
-    if not np.all(np.isfinite(arr)):
-        raise TensorFormatError("tensor contains non-finite values")
-    return np.ascontiguousarray(arr, dtype="<f4")
+    with np.errstate(over="ignore"):  # checked below: a value past float32's range becomes inf
+        out = np.ascontiguousarray(arr, dtype="<f4")
+    if not np.all(np.isfinite(out)):
+        raise TensorFormatError("tensor contains non-finite values or values outside the "
+                                f"float32 range ±{np.finfo(np.float32).max:.7g}")
+    return out
 
 
 def write_tensor(path: str | Path, values: np.ndarray) -> None:

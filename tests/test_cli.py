@@ -366,6 +366,13 @@ def test_pca_fit_set_restriction(dataset, tmp_path):
                      "config requires an 'encoder' section", id="no-encoder-section"),
         pytest.param({"pca": {"d": 2, "dims": [2]}}, [], "either 'd' or 'dims', not both",
                      id="d-and-dims"),
+        pytest.param({"dataset": {}}, [], "config section 'dataset' missing keys ['manifest']",
+                     id="missing-section-key"),
+        pytest.param({"encoder": {"kind": ["vlad", "sift"]}}, [],
+                     "invalid encoder kind(s) ['sift']; choose from "
+                     "['bovw', 'fc_raw', 'ifk', 'ldcnn', 'vlad']", id="unknown-kind"),
+        pytest.param({"encoder": {"kind": "vlad", "relu": [False, 1]}}, [],
+                     "encoder.relu must be a boolean or list of booleans", id="integer-relu"),
     ],
 )
 def test_sweep_config_validation(dataset, tmp_path, capsys, edit, argv, message):
@@ -654,6 +661,22 @@ def test_sweep_has_no_workers_flag(dataset, tmp_path):
                      id="missing-field"),
         pytest.param(lambda doc: json.dumps([doc]), id="not-an-object"),
         pytest.param(lambda doc: json.dumps({**doc, "P_at_k": [0.5]}), id="p-at-k-not-an-object"),
+        pytest.param(lambda doc: json.dumps({**doc, "kind": "vlad" if doc["kind"] == "bovw" else "bovw"}),
+                     id="other-kind"),
+        pytest.param(lambda doc: json.dumps({**doc, "relu": True}), id="other-relu"),
+        pytest.param(lambda doc: json.dumps({**doc, "relu": 0}), id="relu-not-a-boolean"),
+        pytest.param(lambda doc: json.dumps({**doc, "pca_dim": 7}), id="other-pca-dim"),
+        pytest.param(lambda doc: json.dumps({**doc, "mAP": True}), id="map-boolean"),
+        pytest.param(lambda doc: json.dumps({**doc, "ANMRR": "oops"}), id="anmrr-string"),
+        pytest.param(lambda doc: json.dumps({**doc, "ANMRR": None}), id="anmrr-null"),
+        pytest.param(lambda doc: json.dumps({**doc, "P_at_k": {"one": 0.5}}),
+                     id="p-at-k-key-not-an-integer"),
+        pytest.param(lambda doc: json.dumps({**doc, "P_at_k": {"-1": 0.5}}),
+                     id="p-at-k-key-negative"),
+        pytest.param(lambda doc: json.dumps({**doc, "P_at_k": {"1": "0.5"}}),
+                     id="p-at-k-value-string"),
+        pytest.param(lambda doc: json.dumps({**doc, "P_at_k": {"1": False}}),
+                     id="p-at-k-value-boolean"),
     ],
 )
 def test_sweep_recomputes_an_unreadable_cache_entry(dataset, tmp_path, capsys, sweep_calls, damage):
@@ -920,6 +943,21 @@ def _odd_map_inputs(dataset, tmp_path):
                       "--out", "{out}"], ODD_CHANNELS_MESSAGE, id="encode-ifk-map-channels"),
         pytest.param(["sweep", "--config", "{odd_bovw_sweep}", "--out", "{out}"],
                      ODD_CHANNELS_MESSAGE, id="sweep-bovw-map-channels"),
+        pytest.param(["synth", "--classes", 2, "--per-class", 2, "--shape", "a,b",
+                      "--out", "{out}"], "--shape expects a comma-separated integer list, got 'a,b'",
+                     id="synth-shape-not-integers"),
+        pytest.param(["synth", "--classes", 2, "--per-class", 2, "--shape", ",",
+                      "--out", "{out}"], "--shape: empty integer list ','", id="synth-shape-empty"),
+        pytest.param(["encode", "--manifest", "{train_only}", "--encoder", "fc_raw", "--split",
+                      "test", "--out", "{out}"], "manifest has no entries for split 'test'",
+                     id="encode-empty-split"),
+        pytest.param(["pca", "fit", "--features", "{feats}", "--d", 2, "--manifest",
+                      "{train_only}", "--split", "test", "--out", "{out}"],
+                     "fit set is empty for split 'test'", id="pca-fit-set-empty"),
+        pytest.param(["pca", "sweep", "--features", "{feats}", "--manifest", "{ds}", "--split",
+                      "train", "--dims", "50,60", "--out", "{out}"],
+                     "--dims leaves nothing to sweep: capping at 10-D drops [50, 60]",
+                     id="pca-sweep-every-dim-capped"),
     ],
 )
 def test_cli_rejects_bad_arguments(dataset, tmp_path, capsys, monkeypatch, argv, message):
@@ -927,7 +965,11 @@ def test_cli_rejects_bad_arguments(dataset, tmp_path, capsys, monkeypatch, argv,
     feats = tmp_path / "feats"
     assert run("encode", "--manifest", dataset, "--encoder", "fc_raw", "--split", "train",
                "--out", feats) == 0
-    paths = {"{ds}": dataset, "{feats}": feats, "{out}": tmp_path / "out"}
+    paths = {"{ds}": dataset, "{feats}": feats, "{out}": tmp_path / "out",
+             "{train_only}": dataset.with_name("train-only.json")}
+    doc = json.loads(dataset.read_text())
+    paths["{train_only}"].write_text(json.dumps(
+        {"entries": [{**entry, "split": "train"} for entry in doc["entries"]]}))
     if any(str(a).startswith(("{odd", "{flat", "{head", "{kmeans", "{gmm")) for a in argv):
         paths.update(_odd_map_inputs(dataset, tmp_path))
     monkeypatch.setenv(cli.CACHE_ENV_VAR, str(tmp_path / "cache"))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -274,6 +275,21 @@ class TestKmeansFit:
         X = np.random.default_rng(5).standard_normal((20, 2))
         with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {max_iter}"):
             fit(X, 2, seed=0, max_iter=max_iter)
+
+    @pytest.mark.parametrize("fit", [kmeans_fit, gmm_fit])
+    @pytest.mark.parametrize(
+        ("shape", "kwargs", "message"),
+        [
+            ((20,), {}, "descriptor set must be 2-D (N, d), got shape (20,)"),
+            ((20, 2), {"k": 0}, "k must be >= 1"),
+            ((20, 2), {"tol": -1e-3}, "tol must be >= 0"),
+        ],
+        ids=["points-1d", "k-0", "tol-negative"],
+    )
+    def test_bad_arguments_rejected(self, fit, shape, kwargs, message):
+        X = np.random.default_rng(5).standard_normal(shape)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit(X, **{"k": 2, "seed": 0, **kwargs})
 
     def test_inertia_nonincreasing(self):
         rng = np.random.default_rng(3)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,10 @@ class TestBovw:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dim"):
             encode_bovw(_codebook([[0.0, 0.0]]), np.zeros((3, 3)))
+
+    def test_descriptors_must_be_2d(self):
+        with pytest.raises(ValueError, match=re.escape("descriptors must be 2-D (m, n), got shape (3,)")):
+            encode_bovw(_codebook([[0.0]]), np.zeros(3))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
@@ -332,6 +337,10 @@ class TestFcEncoding:
     def test_relu_toggle(self):
         feat = encode_fc(np.array([-3.0, 4.0]), apply_relu=True)
         np.testing.assert_allclose(feat.vector, [0.0, 1.0])
+
+    def test_empty_vector_rejected(self):
+        with pytest.raises(ValueError, match="empty Fc vector"):
+            encode_fc(np.zeros((2, 0)))
 
 
 class TestFeatureSerialization:

@@ -99,6 +99,8 @@ class TestNmrr:
     def test_ng_zero_rejected(self):
         with pytest.raises(ValueError):
             nmrr(_judgment(0, []))
+        with pytest.raises(ValueError, match="ng must be >= 1"):
+            average_precision(_judgment(0, []))
 
 
 class TestAnmrrMeanAp:
@@ -301,11 +303,10 @@ class TestArrayMetrics:
     def test_per_query_scores_equal_scalar_functions(
         self, monkeypatch, seed, tile_bytes, self_included
     ):
-        from hrrs import evaluation, retrieval
+        from hrrs import retrieval
 
         if tile_bytes:  # blocks of a few queries
             monkeypatch.setattr(retrieval, "TILE_BYTES", tile_bytes)
-            monkeypatch.setattr(evaluation, "TILE_BYTES", tile_bytes)
         rng = np.random.default_rng(seed)
         sizes = rng.integers(1, 30, 12)  # singleton classes have no ground truth when excluded
         labels = [f"c{c:02d}" for c, size in enumerate(sizes) for _ in range(size)]
@@ -318,7 +319,9 @@ class TestArrayMetrics:
         report = evaluate_dataset(idx, manifest, EvalProtocol(self_included, k_list))
         scored = {r.query_id: r for r in report.per_query}
         assert len(scored) + len(report.skipped) == len(ids)
-        for row, order in retrieval.rank(idx, range(idx.size), self_included):
+        pairs = [(row, order) for blk, orders in retrieval.rank(idx, range(idx.size), self_included)
+                 for row, order in zip(blk.tolist(), orders)]
+        for row, order in pairs:
             same = [idx.labels[hit] == idx.labels[row] for hit in order.tolist()]
             hits = [pos for pos, hit in enumerate(same, start=1) if hit]
             if not hits:

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -32,7 +33,7 @@ from hrrs.head import (
     param_count,
     save_head,
 )
-from hrrs.tensor_store import gen_synthetic, load_bundle
+from hrrs.tensor_store import BundleError, gen_synthetic, load_bundle
 
 from oracles import naive_head_gap
 
@@ -145,6 +146,14 @@ class TestHeadConfig:
             (TrainConfig, "min_lr", math.nan, "min_lr must be finite, got nan"),
             (TrainConfig, "min_improvement", math.nan, "min_improvement must be finite, got nan"),
             (TrainConfig, "min_improvement", -1e-3, "min_improvement must be >= 0, got -0.001"),
+            (TrainConfig, "lr0", 0.0, "learning rates must be > 0"),
+            (TrainConfig, "min_lr", -1e-6, "learning rates must be > 0"),
+            (TrainConfig, "batch_size", 0, "batch_size, plateau_patience and max_epochs must be >= 1"),
+            (TrainConfig, "plateau_patience", 0,
+             "batch_size, plateau_patience and max_epochs must be >= 1"),
+            (TrainConfig, "max_epochs", 0, "batch_size, plateau_patience and max_epochs must be >= 1"),
+            (TrainConfig, "lr_drop", 1.0, "lr_drop must lie in (0, 1)"),
+            (TrainConfig, "lr_drop", 0.0, "lr_drop must lie in (0, 1)"),
         ],
     )
     def test_rejects_bad_floats_naming_the_field(self, config, name, value, message):
@@ -438,6 +447,12 @@ class TestHeadTrain:
         with pytest.raises(ValueError, match="labels"):
             head_train(head, data, data)
 
+    def test_maps_and_labels_must_have_one_count(self):
+        head = head_init(SMALL_CFG, seed=0)
+        good = (np.zeros((2, 8, 8, 4)), np.array([0, 1]))
+        with pytest.raises(ValueError, match="maps and labels disagree on sample count"):
+            head_train(head, (np.zeros((2, 8, 8, 4)), np.array([0])), good)
+
 
 class TestHeadFeature:
     def test_dimension_is_class_count(self):
@@ -488,6 +503,25 @@ class TestCheckpoint:
         head = head_init(cfg, seed=0)
         save_head(tmp_path / "head", head)
         assert asdict(load_head(tmp_path / "head").config) == asdict(cfg)
+
+    def test_parameters_that_disagree_with_the_config_rejected(self, tmp_path):
+        save_head(tmp_path / "head", head_init(SMALL_CFG, seed=0))
+        sidecar = tmp_path / "head" / "bundle.json"
+        doc = json.loads(sidecar.read_text())
+        doc["meta"]["config"]["in_channels"] = 5
+        sidecar.write_text(json.dumps(doc))
+        message = (f"{sidecar}: field 'meta.config' does not fit the parameters "
+                   "(W1 has shape (3, 3, 4, 6), expected (3, 3, 5, 6))")
+        with pytest.raises(BundleError, match=re.escape(message)):
+            load_head(tmp_path / "head")
+
+    def test_head_needs_every_finite_parameter(self):
+        params = head_init(SMALL_CFG, seed=0).params
+        missing = {name: arr for name, arr in params.items() if name != "b3"}
+        with pytest.raises(ValueError, match=re.escape("params must have exactly keys")):
+            MlpconvHead(SMALL_CFG, missing)
+        with pytest.raises(ValueError, match="W2 contains non-finite values"):
+            MlpconvHead(SMALL_CFG, {**params, "W2": np.full_like(params["W2"], np.nan)})
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,10 @@ class TestPcaFit:
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="2 samples"):
             pca_fit(np.zeros((1, 5)), 1)
+
+    def test_rank_1_input_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("X must be 2-D (N, D), got shape (5,)")):
+            pca_fit(np.arange(5.0), 1)
 
 
 class TestAgainstSvd:

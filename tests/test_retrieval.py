@@ -26,9 +26,15 @@ def _features(vectors, tag="fc_raw"):
     return {i: EncodedFeature(np.asarray(v, dtype=np.float64), tag, False) for i, v in vectors.items()}
 
 
+def _pairs(idx, rows, include_self=True):
+    """`rank`'s blocks flattened into (row, order) pairs, in query order."""
+    return [(row, order) for blk, orders in rank(idx, rows, include_self)
+            for row, order in zip(blk.tolist(), orders)]
+
+
 def _ranked(idx, query_id, include_self=True):
     """One query through `rank`, as (id, exact distance) pairs in rank order."""
-    [(row, order)] = rank(idx, [idx.row(query_id)], include_self)
+    [(row, order)] = _pairs(idx, [idx.row(query_id)], include_self)
     assert idx.ids[row] == query_id
     dists = distances(idx, row, order)
     return [(idx.ids[r], d) for r, d in zip(order.tolist(), dists.tolist())]
@@ -217,7 +223,7 @@ class TestQuery:
             idx = build_index(_features(dict(zip(ids, vecs))), _manifest(ids))
             rows = np.flatnonzero(~idx.zero)
             for include_self in (True, False):
-                for row, order in rank(idx, rows, include_self):
+                for row, order in _pairs(idx, rows, include_self):
                     oracle = ranked_scan(idx.ids, idx.matrix, idx.ids[row], include_self)
                     assert [idx.ids[r] for r in order] == [i for i, _ in oracle]
 
@@ -293,7 +299,7 @@ class TestGramScreen:
         every, odd = np.arange(idx.size), np.arange(1, idx.size, 2)  # sliced and copied rows
         for rows in (every, odd):
             for include_self in (True, False):
-                got = list(rank(idx, rows, include_self))
+                got = _pairs(idx, rows, include_self)
                 want = _rank_by_difference_rows(idx, rows, include_self)
                 assert [r for r, _ in got] == rows.tolist()
                 assert np.array_equal([o for _, o in got], [o for _, o, _ in want])
@@ -317,7 +323,24 @@ class TestGramScreen:
         rows = rng.permutation(idx.size)
         want = [o.tolist() for _, o, _ in _rank_by_difference_rows(idx, rows, False)]
         monkeypatch.setattr(retrieval, "TILE_BYTES", 8 * (idx.size + idx.dim) * 3)
-        assert [o.tolist() for _, o in rank(idx, rows, False)] == want
+        assert [o.tolist() for _, o in _pairs(idx, rows, False)] == want
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_blocks_are_one_tile_of_queries(self, monkeypatch, include_self):
+        """A block holds TILE_BYTES // (8 N) consecutive queries, or TILE_BYTES // (8 (N + d))
+        copied ones, with one (queries, N or N - 1) intp array of orders."""
+        rng = np.random.default_rng(8)
+        vecs, ids = _screen_fixture("integer-ties", rng)
+        idx = build_index(_features(dict(zip(ids, vecs))), _manifest(ids))
+        n, d = idx.size, idx.dim
+        monkeypatch.setattr(retrieval, "TILE_BYTES", 8 * n * 7 + 8)
+        for rows, size in ((np.arange(3, n), 7), (np.arange(0, n, 2), 8 * n * 7 // (8 * (n + d)))):
+            blocks = list(rank(idx, rows, include_self))
+            assert [b.tolist() for b, _ in blocks] == [
+                rows[lo : lo + size].tolist() for lo in range(0, rows.size, size)]
+            for blk, orders in blocks:
+                assert orders.dtype == np.intp and orders.shape == (blk.size, n - (not include_self))
+        assert list(rank(idx, [], include_self)) == []
 
 
 class TestIndexSerialization:

@@ -77,6 +77,29 @@ class TestTensorValidation:
         with pytest.raises(TensorFormatError, match="non-finite"):
             write_tensor(tmp_path / "t.ftns", np.array([1.0, np.nan]))
 
+    def test_value_beyond_float32_range_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "t.ftns"
+        message = "non-finite values or values outside the float32 range ±3.402823e+38"
+        with pytest.raises(TensorFormatError, match=re.escape(message)):
+            write_tensor(path, np.array([1.0, 1e39]))
+        assert not path.exists()
+
+    def test_write_into_a_missing_directory_names_the_file(self, tmp_path):
+        path = tmp_path / "missing" / "t.ftns"
+        with pytest.raises(OSError, match=re.escape(f"cannot write tensor file {path}")):
+            write_tensor(path, np.ones(2))
+
+    @pytest.mark.parametrize(
+        ("dims", "message"),
+        [((), "rank must be >= 1, got 0"), ((2, 0), "empty dimension in shape (2, 0)")],
+        ids=["rank-0", "zero-dimension"],
+    )
+    def test_header_without_elements_rejected_on_read(self, tmp_path, dims, message):
+        path = tmp_path / "t.ftns"
+        path.write_bytes(b"FTNS" + struct.pack(f"<III{len(dims)}Q", 1, 1, len(dims), *dims))
+        with pytest.raises(TensorFormatError, match=re.escape(f"{path}: {message}")):
+            read_tensor(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "t.ftns"
         write_tensor(path, np.ones(2, dtype=np.float32))
@@ -309,6 +332,8 @@ class TestManifest:
         assert [e.image_id for e in manifest.select("train")] == ["a", "c"]
         assert [e.image_id for e in manifest.select("test")] == ["b", "c"]
         assert len(manifest.select("all")) == 3
+        with pytest.raises(ManifestError, match="unknown split 'val'"):
+            manifest.select("val")
 
 
 class TestGenSynthetic:
@@ -364,6 +389,13 @@ class TestGenSynthetic:
             gen_synthetic(5, 2, (2, 2, 4), 1.0, seed=0)  # more classes than channels
         with pytest.raises(ValueError):
             gen_synthetic(2, 2, (2, 2, 4), -1.0, seed=0)
+        with pytest.raises(ValueError, match=re.escape("map_shape must be [h, w, c] with positive "
+                                                       "dims, got (2, 0, 4)")):
+            gen_synthetic(2, 2, (2, 0, 4), 1.0, seed=0)
+        with pytest.raises(ValueError, match=re.escape("map_shape must be [h, w, c]")):
+            gen_synthetic(2, 2, (2, 4), 1.0, seed=0)
+        with pytest.raises(ValueError, match=re.escape("train_frac must lie in [0, 1]")):
+            gen_synthetic(2, 2, (2, 2, 4), 1.0, seed=0, train_frac=1.5)
 
     def test_write_and_reload(self, tmp_path):
         manifest, maps = gen_synthetic(2, 4, (2, 2, 4), 3.0, seed=9)
