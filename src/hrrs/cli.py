@@ -304,7 +304,7 @@ def cmd_pca_sweep(args) -> None:
     k_list = _parse_distinct("--k-list", args.k_list)
     protocol = EvalProtocol(self_included=args.self_included, k_list=k_list)
     matrix = _fit_set_matrix(fs, args)
-    cap = min(matrix.shape)
+    cap = min(matrix.shape[0] - 1, matrix.shape[1])  # N centred rows span at most N - 1 axes
     capped = [d for d in dims if d <= cap]
     if not capped:
         raise CliError(f"--dims leaves nothing to sweep: capping at {cap}-D drops {list(dims)}")
@@ -312,7 +312,11 @@ def cmd_pca_sweep(args) -> None:
         print(f"capping sweep at {cap}-D: dropping {[d for d in dims if d > cap]}")
     rows = []
     for d in capped:
-        projected = _project_features(fs, pca_fit(matrix, d))
+        try:
+            model = pca_fit(matrix, d)
+        except ValueError as exc:  # the fit set's rank is below d
+            raise CliError(f"--dims entry {d} does not fit the fit set: {exc}") from None
+        projected = _project_features(fs, model)
         report = evaluate_dataset(index_rows(projected, manifest), manifest, protocol)
         rows.append(([d], (report.anmrr, report.mean_ap), report.p_at_k))
         print(f"dim {d}: ANMRR={report.anmrr:.4f} mAP={report.mean_ap:.4f}")
@@ -636,127 +640,99 @@ def cmd_sweep(args) -> dict:
 # Argument parsing.
 
 
-def _add_seed(p):
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+# Every command flag but `head train`'s hyperparameters, with its `add_argument` keywords.
+_FLAGS = {
+    "classes": dict(type=int, required=True),
+    "per-class": dict(type=int, required=True),
+    "shape": dict(required=True, help="feature-map shape h,w,c"),
+    "separation": dict(type=float, default=0.0),
+    "train-frac": dict(type=float, default=0.8),
+    "kind": dict(choices=("kmeans", "gmm"), required=True),
+    "k": dict(type=int, required=True, help="dictionary size"),
+    "manifest": dict(required=True),
+    "split": dict(choices=VALID_SPLITS, default="all"),
+    "relu": dict(action="store_true"),
+    "max-iter": dict(type=int, default=MAX_ITER),
+    "tol": dict(type=float, default=TOL),
+    "encoder": dict(choices=tuple(ENCODERS), required=True),
+    "model": dict(required=True),
+    "head": dict(help="head checkpoint directory (ldcnn)"),
+    "alpha": dict(type=float, help=f"power-normalization exponent (ifk; default {DEFAULT_ALPHA})"),
+    "features": dict(required=True),
+    "d": dict(type=int, required=True),
+    "dims": dict(required=True, help="comma-separated dimension list"),
+    "self-included": dict(action=argparse.BooleanOptionalAction, default=True),
+    "k-list": dict(default=K_LIST_TEXT),
+    "index": dict(required=True),
+    "id": dict(help="single query id"),
+    "all": dict(action="store_true", help="batch mode: query every indexed id"),
+    "long": dict(action="store_true",
+                 help="with --all, write one long-format CSV instead of per-query files"),
+    "config": dict(required=True),
+    "seed": dict(type=int, default=0, help="seed for all randomness"),
+    "out": dict(required=True),
+}
+
+# Each command path -> (help, handler or None for a group, flags in help order). A flag is a
+# `_FLAGS` name, or a (name, keywords) pair whose keywords are merged over its entry, if any.
+_COMMANDS = {
+    ("synth",): ("generate a synthetic labelled feature-map dataset", cmd_synth, [
+        "classes", "per-class", "shape", "separation", "train-frac", "seed", "out"]),
+    ("codebook",): ("visual dictionary training", None, []),
+    ("codebook", "train"): ("fit k-means or GMM on local descriptors", cmd_codebook_train, [
+        "kind", "k", "manifest", "split", ("relu", dict(help="apply ReLU to descriptors")),
+        "max-iter", "tol", "seed", "out"]),
+    ("encode",): ("encode every image into one feature vector", cmd_encode, [
+        "manifest", "encoder",
+        ("model", dict(required=False, help="codebook/GMM bundle (bovw, vlad, ifk)")),
+        "head", "alpha", "relu", "split", "out"]),
+    ("pca",): ("dimensionality reduction", None, []),
+    ("pca", "fit"): ("fit a PCA model on a feature set", cmd_pca_fit, [
+        "features", "d",
+        ("manifest", dict(required=False, help="explicit fit-set manifest (optional)")),
+        ("split", dict(default=None, help="fit-set split of --manifest (default all)")), "out"]),
+    ("pca", "apply"): ("project a feature set with a fitted model", cmd_pca_apply, [
+        "features", "model", "out"]),
+    ("pca", "sweep"): ("evaluate retrieval across target dimensions", cmd_pca_sweep, [
+        "features", "manifest", "dims", ("split", dict(help="fit-set split for the PCA model")),
+        "self-included", "k-list", ("out", dict(help="output CSV path"))]),
+    ("head",): ("mlpconv retrieval head", None, []),
+    ("head", "train"): ("train the head on a labelled manifest", cmd_head_train, [
+        "manifest",
+        *((dest.replace("_", "-"), dict(type=type(getattr(o, name)), default=getattr(o, name)))
+          for o in (HeadConfig, TrainConfig) for dest, name in _head_flags(o).items()),
+        "seed", "out"]),
+    ("index",): ("retrieval index", None, []),
+    ("index", "build"): ("build an index from a feature set", cmd_index_build, [
+        "features", "manifest", "out"]),
+    ("query",): ("rank the whole index against query id(s)", cmd_query, [
+        "index", "id", "all", "long", "self-included",
+        ("out", dict(help="output CSV path (or directory with --all)"))]),
+    ("eval",): ("score retrieval over a whole manifest", cmd_eval, [
+        "manifest", "features", "self-included", "k-list", "out"]),
+    ("sweep",): ("evaluate a config's axis product with caching", cmd_sweep, ["config", "out"]),
+}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `hrrs` parser. Every command is declared with its help, but only `command` (each
-    command when None) gets its arguments; help, usage and errors read as the full parser's."""
+    """The `hrrs` parser, built from `_COMMANDS`. Every command is declared with its help, but
+    only `command` (each command when None) gets its arguments and its subcommands; help,
+    usage and errors read as the full parser's."""
     parser = argparse.ArgumentParser(prog="hrrs", description=__doc__)
     parser.add_argument("--version", action="version", version=f"hrrs {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def declare(name: str, text: str) -> argparse.ArgumentParser | None:
-        """The parser of top-level command `name` to fill, or None when it is only declared."""
-        p = sub.add_parser(name, help=text)
-        return p if command in (None, name) else None
-
-    if p := declare("synth", "generate a synthetic labelled feature-map dataset"):
-        p.add_argument("--classes", type=int, required=True)
-        p.add_argument("--per-class", type=int, required=True)
-        p.add_argument("--shape", required=True, help="feature-map shape h,w,c")
-        p.add_argument("--separation", type=float, default=0.0)
-        p.add_argument("--train-frac", type=float, default=0.8)
-        _add_seed(p)
-        p.add_argument("--out", required=True)
-        p.set_defaults(func=cmd_synth)
-
-    if p_cb := declare("codebook", "visual dictionary training"):
-        cb_sub = p_cb.add_subparsers(dest="subcommand", required=True)
-        p = cb_sub.add_parser("train", help="fit k-means or GMM on local descriptors")
-        p.add_argument("--kind", choices=("kmeans", "gmm"), required=True)
-        p.add_argument("--k", type=int, required=True, help="dictionary size")
-        p.add_argument("--manifest", required=True)
-        p.add_argument("--split", choices=VALID_SPLITS, default="all")
-        p.add_argument("--relu", action="store_true", help="apply ReLU to descriptors")
-        p.add_argument("--max-iter", type=int, default=MAX_ITER)
-        p.add_argument("--tol", type=float, default=TOL)
-        _add_seed(p)
-        p.add_argument("--out", required=True)
-        p.set_defaults(func=cmd_codebook_train)
-
-    if p := declare("encode", "encode every image into one feature vector"):
-        p.add_argument("--manifest", required=True)
-        p.add_argument("--encoder", choices=tuple(ENCODERS), required=True)
-        p.add_argument("--model", help="codebook/GMM bundle (bovw, vlad, ifk)")
-        p.add_argument("--head", help="head checkpoint directory (ldcnn)")
-        p.add_argument("--alpha", type=float,
-                       help=f"power-normalization exponent (ifk; default {DEFAULT_ALPHA})")
-        p.add_argument("--relu", action="store_true")
-        p.add_argument("--split", choices=VALID_SPLITS, default="all")
-        p.add_argument("--out", required=True)
-        p.set_defaults(func=cmd_encode)
-
-    if p_pca := declare("pca", "dimensionality reduction"):
-        pca_sub = p_pca.add_subparsers(dest="subcommand", required=True)
-        p = pca_sub.add_parser("fit", help="fit a PCA model on a feature set")
-        p.add_argument("--features", required=True)
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--manifest", help="explicit fit-set manifest (optional)")
-        p.add_argument("--split", choices=VALID_SPLITS,
-                       help="fit-set split of --manifest (default all)")
-        p.add_argument("--out", required=True)
-        p.set_defaults(func=cmd_pca_fit)
-        p = pca_sub.add_parser("apply", help="project a feature set with a fitted model")
-        p.add_argument("--features", required=True)
-        p.add_argument("--model", required=True)
-        p.add_argument("--out", required=True)
-        p.set_defaults(func=cmd_pca_apply)
-        p = pca_sub.add_parser("sweep", help="evaluate retrieval across target dimensions")
-        p.add_argument("--features", required=True)
-        p.add_argument("--manifest", required=True)
-        p.add_argument("--dims", required=True, help="comma-separated dimension list")
-        p.add_argument("--split", choices=VALID_SPLITS, default="all",
-                       help="fit-set split for the PCA model")
-        p.add_argument("--self-included", action=argparse.BooleanOptionalAction, default=True)
-        p.add_argument("--k-list", default=K_LIST_TEXT)
-        p.add_argument("--out", required=True, help="output CSV path")
-        p.set_defaults(func=cmd_pca_sweep)
-
-    if p_head := declare("head", "mlpconv retrieval head"):
-        head_sub = p_head.add_subparsers(dest="subcommand", required=True)
-        p = head_sub.add_parser("train", help="train the head on a labelled manifest")
-        p.add_argument("--manifest", required=True)
-        for owner in (HeadConfig, TrainConfig):
-            for dest, name in _head_flags(owner).items():
-                default = getattr(owner, name)
-                p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default)
-        _add_seed(p)
-        p.add_argument("--out", required=True)
-        p.set_defaults(func=cmd_head_train)
-
-    if p_idx := declare("index", "retrieval index"):
-        idx_sub = p_idx.add_subparsers(dest="subcommand", required=True)
-        p = idx_sub.add_parser("build", help="build an index from a feature set")
-        p.add_argument("--features", required=True)
-        p.add_argument("--manifest", required=True)
-        p.add_argument("--out", required=True)
-        p.set_defaults(func=cmd_index_build)
-
-    if p := declare("query", "rank the whole index against query id(s)"):
-        p.add_argument("--index", required=True)
-        p.add_argument("--id", help="single query id")
-        p.add_argument("--all", action="store_true", help="batch mode: query every indexed id")
-        p.add_argument("--long", action="store_true",
-                       help="with --all, write one long-format CSV instead of per-query files")
-        p.add_argument("--self-included", action=argparse.BooleanOptionalAction, default=True)
-        p.add_argument("--out", required=True, help="output CSV path (or directory with --all)")
-        p.set_defaults(func=cmd_query)
-
-    if p := declare("eval", "score retrieval over a whole manifest"):
-        p.add_argument("--manifest", required=True)
-        p.add_argument("--features", required=True)
-        p.add_argument("--self-included", action=argparse.BooleanOptionalAction, default=True)
-        p.add_argument("--k-list", default=K_LIST_TEXT)
-        p.add_argument("--out", required=True)
-        p.set_defaults(func=cmd_eval)
-
-    if p := declare("sweep", "evaluate a config's axis product with caching"):
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", required=True)
-        p.set_defaults(func=cmd_sweep)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, (text, handler, flags) in _COMMANDS.items():
+        if path[:-1] not in groups:  # a subcommand of a group that is only declared
+            continue
+        p = groups[path[:-1]].add_parser(path[-1], help=text)
+        if command not in (None, path[0]):
+            continue
+        if handler is None:
+            groups[path] = p.add_subparsers(dest="subcommand", required=True)
+            continue
+        for name, keywords in ((f, {}) if isinstance(f, str) else f for f in flags):
+            p.add_argument("--" + name, **{**_FLAGS.get(name, {}), **keywords})
+        p.set_defaults(func=handler)
     return parser
 
 

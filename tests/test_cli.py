@@ -176,17 +176,47 @@ def test_pca_commands(dataset, tmp_path, capsys):
     doc = json.loads((projected / "bundle.json").read_text())
     assert doc["tensors"]["matrix"] == [12, 4]
 
-    # 12 images of 18-D VLAD: dims above 12 are dropped with a message, the rest scored.
+    # 12 images of 18-D VLAD span at most 11 axes: dims above 11 are dropped with a message,
+    # the rest scored.
     out_csv = tmp_path / "sweep.csv"
     capsys.readouterr()
     assert run("pca", "sweep", "--features", feats, "--manifest", dataset,
                "--dims", "2,16,4,30", "--k-list", "1,5", "--out", out_csv) == 0
-    assert "capping sweep at 12-D: dropping [16, 30]" in capsys.readouterr().out
+    assert "capping sweep at 11-D: dropping [16, 30]" in capsys.readouterr().out
     with open(out_csv) as fh:
         rows = list(csv.reader(fh))
     assert rows[0][:3] == ["dim", "ANMRR", "mAP"]
     assert [r[0] for r in rows[1:]] == ["2", "4"]
 
+
+def test_pca_sweep_caps_one_axis_below_the_row_count(dataset, tmp_path, capsys):
+    """12 fc_raw vectors of 54-D: centred, they span at most 11 axes, so dim 12 is dropped."""
+    feats, out_csv = tmp_path / "feats", tmp_path / "dims.csv"
+    assert run("encode", "--manifest", dataset, "--encoder", "fc_raw", "--out", feats) == 0
+    capsys.readouterr()
+    assert run("pca", "sweep", "--features", feats, "--manifest", dataset,
+               "--dims", "2,12", "--out", out_csv) == 0
+    assert "capping sweep at 11-D: dropping [12]" in capsys.readouterr().out
+    with open(out_csv) as fh:
+        assert [r[0] for r in csv.reader(fh)] == ["dim", "2"]
+
+
+def test_pca_sweep_names_a_dim_above_the_fit_sets_rank(dataset, tmp_path, capsys):
+    """Maps 6-11 repeat maps 0-5, so the 12 rows span 5 axes: dim 8 passes the 11-D cap, then
+    fails naming --dims, and no CSV is written."""
+    for i in range(6):
+        shutil.copyfile(dataset.parent / f"class00-{i:03d}.ftns",
+                        dataset.parent / f"class01-{i:03d}.ftns")
+    feats, out_csv = tmp_path / "feats", tmp_path / "dims.csv"
+    assert run("encode", "--manifest", dataset, "--encoder", "fc_raw", "--out", feats) == 0
+    capsys.readouterr()
+    assert run("pca", "sweep", "--features", feats, "--manifest", dataset,
+               "--dims", "2,8", "--out", out_csv) == 1
+    printed = capsys.readouterr()
+    assert printed.out.startswith("dim 2: ")
+    assert ("error: --dims entry 8 does not fit the fit set: "
+            "data supports only 5 principal axes, requested 8") in printed.err
+    assert not out_csv.exists()
 
 def test_head_train_and_ldcnn_encode(dataset, tmp_path):
     head_dir = tmp_path / "head"
@@ -833,6 +863,120 @@ def test_main_declares_only_the_named_commands_arguments(dataset, tmp_path, monk
     assert len(declared) == 72  # the full parser: 88 arguments, less its 16 parsers' --help
 
 
+# Each leaf command's arguments, written out so that a `cli._FLAGS` or `cli._COMMANDS` entry
+# that alters a flag fails here (the help tests only compare the parser with itself):
+# (option strings, type, required, default, choices, help), in help order.
+ARGUMENT_SPECS = {
+    "synth": [
+        ("--classes", "int", True, None, None, None),
+        ("--per-class", "int", True, None, None, None),
+        ("--shape", None, True, None, None, "feature-map shape h,w,c"),
+        ("--separation", "float", False, 0.0, None, None),
+        ("--train-frac", "float", False, 0.8, None, None),
+        ("--seed", "int", False, 0, None, "seed for all randomness"),
+        ("--out", None, True, None, None, None),
+    ],
+    "codebook train": [
+        ("--kind", None, True, None, ("kmeans", "gmm"), None),
+        ("--k", "int", True, None, None, "dictionary size"),
+        ("--manifest", None, True, None, None, None),
+        ("--split", None, False, "all", ("train", "test", "all"), None),
+        ("--relu", None, False, False, None, "apply ReLU to descriptors"),
+        ("--max-iter", "int", False, 100, None, None),
+        ("--tol", "float", False, 0.0001, None, None),
+        ("--seed", "int", False, 0, None, "seed for all randomness"),
+        ("--out", None, True, None, None, None),
+    ],
+    "encode": [
+        ("--manifest", None, True, None, None, None),
+        ("--encoder", None, True, None, ("bovw", "vlad", "ifk", "fc_raw", "ldcnn"), None),
+        ("--model", None, False, None, None, "codebook/GMM bundle (bovw, vlad, ifk)"),
+        ("--head", None, False, None, None, "head checkpoint directory (ldcnn)"),
+        ("--alpha", "float", False, None, None, "power-normalization exponent (ifk; default 0.5)"),
+        ("--relu", None, False, False, None, None),
+        ("--split", None, False, "all", ("train", "test", "all"), None),
+        ("--out", None, True, None, None, None),
+    ],
+    "pca fit": [
+        ("--features", None, True, None, None, None),
+        ("--d", "int", True, None, None, None),
+        ("--manifest", None, False, None, None, "explicit fit-set manifest (optional)"),
+        ("--split", None, False, None, ("train", "test", "all"),
+         "fit-set split of --manifest (default all)"),
+        ("--out", None, True, None, None, None),
+    ],
+    "pca apply": [
+        ("--features", None, True, None, None, None),
+        ("--model", None, True, None, None, None),
+        ("--out", None, True, None, None, None),
+    ],
+    "pca sweep": [
+        ("--features", None, True, None, None, None),
+        ("--manifest", None, True, None, None, None),
+        ("--dims", None, True, None, None, "comma-separated dimension list"),
+        ("--split", None, False, "all", ("train", "test", "all"),
+         "fit-set split for the PCA model"),
+        ("--self-included --no-self-included", None, False, True, None, None),
+        ("--k-list", None, False, "5,10,50,100,1000", None, None),
+        ("--out", None, True, None, None, "output CSV path"),
+    ],
+    "head train": [
+        ("--manifest", None, True, None, None, None),
+        ("--hidden1", "int", False, 4096, None, None),
+        ("--hidden2", "int", False, 4096, None, None),
+        ("--dropout", "float", False, 0.5, None, None),
+        ("--init-std", "float", False, 0.01, None, None),
+        ("--lr0", "float", False, 0.001, None, None),
+        ("--momentum", "float", False, 0.9, None, None),
+        ("--weight-decay", "float", False, 0.0005, None, None),
+        ("--batch", "int", False, 50, None, None),
+        ("--patience", "int", False, 5, None, None),
+        ("--lr-drop", "float", False, 0.1, None, None),
+        ("--min-lr", "float", False, 1e-06, None, None),
+        ("--max-epochs", "int", False, 30, None, None),
+        ("--min-improvement", "float", False, 0.001, None, None),
+        ("--seed", "int", False, 0, None, "seed for all randomness"),
+        ("--out", None, True, None, None, None),
+    ],
+    "index build": [
+        ("--features", None, True, None, None, None),
+        ("--manifest", None, True, None, None, None),
+        ("--out", None, True, None, None, None),
+    ],
+    "query": [
+        ("--index", None, True, None, None, None),
+        ("--id", None, False, None, None, "single query id"),
+        ("--all", None, False, False, None, "batch mode: query every indexed id"),
+        ("--long", None, False, False, None,
+         "with --all, write one long-format CSV instead of per-query files"),
+        ("--self-included --no-self-included", None, False, True, None, None),
+        ("--out", None, True, None, None, "output CSV path (or directory with --all)"),
+    ],
+    "eval": [
+        ("--manifest", None, True, None, None, None),
+        ("--features", None, True, None, None, None),
+        ("--self-included --no-self-included", None, False, True, None, None),
+        ("--k-list", None, False, "5,10,50,100,1000", None, None),
+        ("--out", None, True, None, None, None),
+    ],
+    "sweep": [
+        ("--config", None, True, None, None, None),
+        ("--out", None, True, None, None, None),
+    ],
+}
+
+
+@pytest.mark.parametrize("path", ARGUMENT_SPECS)
+def test_parser_declares_each_commands_arguments(path):
+    parser = cli.build_parser()
+    for name in path.split():
+        [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = subparsers.choices[name]
+    assert [(" ".join(a.option_strings), getattr(a.type, "__name__", None), a.required, a.default,
+             tuple(a.choices) if a.choices else None, a.help)
+            for a in parser._actions if a.dest != "help"] == ARGUMENT_SPECS[path]
+
+
 def test_main_reads_sys_argv(tmp_path, monkeypatch):
     out = tmp_path / "ds"
     monkeypatch.setattr(sys, "argv", ["hrrs", "synth", "--classes", "2", "--per-class", "2",
@@ -956,7 +1100,7 @@ def _odd_map_inputs(dataset, tmp_path):
                      "fit set is empty for split 'test'", id="pca-fit-set-empty"),
         pytest.param(["pca", "sweep", "--features", "{feats}", "--manifest", "{ds}", "--split",
                       "train", "--dims", "50,60", "--out", "{out}"],
-                     "--dims leaves nothing to sweep: capping at 10-D drops [50, 60]",
+                     "--dims leaves nothing to sweep: capping at 9-D drops [50, 60]",
                      id="pca-sweep-every-dim-capped"),
     ],
 )
