@@ -45,7 +45,7 @@ from .head import (
     load_head,
     save_head,
 )
-from .reduction import load_pca, pca_apply, pca_fit, save_pca
+from .reduction import load_pca, max_axes, pca_apply, pca_fit, save_pca
 from .retrieval import distances, index_rows, load_index, rank, save_index
 from .tensor_store import (
     VALID_SPLITS,
@@ -285,7 +285,10 @@ def cmd_pca_fit(args) -> None:
     elif not args.manifest:
         raise CliError("--split selects fit-set entries of --manifest; pass --manifest too")
     matrix = _fit_set_matrix(load_features(args.features), args)
-    model = pca_fit(matrix, args.d)
+    try:
+        model = pca_fit(matrix, args.d)
+    except ValueError as exc:  # d above `max_axes` or the fit set's rank
+        raise CliError(f"--d {args.d} does not fit the fit set: {exc}") from None
     save_pca(Path(args.out), model)
     print(f"pca {model.in_dim}-D -> {model.out_dim}-D on {matrix.shape[0]} samples")
 
@@ -304,7 +307,7 @@ def cmd_pca_sweep(args) -> None:
     k_list = _parse_distinct("--k-list", args.k_list)
     protocol = EvalProtocol(self_included=args.self_included, k_list=k_list)
     matrix = _fit_set_matrix(fs, args)
-    cap = min(matrix.shape[0] - 1, matrix.shape[1])  # N centred rows span at most N - 1 axes
+    cap = max_axes(*matrix.shape)
     capped = [d for d in dims if d <= cap]
     if not capped:
         raise CliError(f"--dims leaves nothing to sweep: capping at {cap}-D drops {list(dims)}")
@@ -527,10 +530,10 @@ def _cell_key(cell: dict, manifest_sha: str) -> str:
 def _cached_row(cache_file: Path, cell: dict) -> dict | None:
     """The row cached in `cache_file`, or None to recompute it: absent, unreadable, or not a
     row of `cell` (its kind, relu and pca_dim, numeric scores, P_at_k keyed by integers)."""
-    if not cache_file.exists():
-        return None
     try:
         row = json.loads(cache_file.read_text())
+    except FileNotFoundError:
+        return None
     except (json.JSONDecodeError, UnicodeDecodeError):
         row = None
     if isinstance(row, dict) and isinstance(row.get("P_at_k"), dict):
@@ -573,8 +576,9 @@ def cmd_sweep(args) -> dict:
     config_path, out_dir = Path(args.config), Path(args.out)
     cfg = validate_config(read_json(config_path, CliError))
     manifest_path = (config_path.parent / cfg["manifest"]).resolve()
-    manifest = load_manifest(manifest_path)
-    manifest_sha = hashlib.sha256(manifest_path.read_bytes()).hexdigest()
+    blob = manifest_path.read_bytes()  # one read: the cells key on the bytes that were parsed
+    manifest = load_manifest(manifest_path, blob)
+    manifest_sha = hashlib.sha256(blob).hexdigest()
     # The run's models: the head under "head", and one fit per (fit, k, relu).
     models = {}
     head_key = None  # a head cell keys on its checkpoint's content, so retraining in place misses
@@ -715,18 +719,20 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `hrrs` parser, built from `_COMMANDS`. Every command is declared with its help, but
-    only `command` (each command when None) gets its arguments and its subcommands; help,
-    usage and errors read as the full parser's."""
+    """The `hrrs` parser, built from `_COMMANDS`: every command, or, when `command` names a
+    top-level command, that command alone with its subcommands. The lone command's usage line
+    spells out every command, so its usage and errors read as the full parser's."""
+    lone = (command,) in _COMMANDS
+    names = ",".join(path[0] for path in _COMMANDS if len(path) == 1)
+    # The full parser keeps argparse's own metavar: it names the argument `command` in errors.
+    metavar = f"{{{names}}}" if lone else None
     parser = argparse.ArgumentParser(prog="hrrs", description=__doc__)
     parser.add_argument("--version", action="version", version=f"hrrs {__version__}")
-    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    groups = {(): parser.add_subparsers(dest="command", required=True, metavar=metavar)}
     for path, (text, handler, flags) in _COMMANDS.items():
-        if path[:-1] not in groups:  # a subcommand of a group that is only declared
+        if lone and path[0] != command:
             continue
         p = groups[path[:-1]].add_parser(path[-1], help=text)
-        if command not in (None, path[0]):
-            continue
         if handler is None:
             groups[path] = p.add_subparsers(dest="subcommand", required=True)
             continue
@@ -738,9 +744,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # argparse dispatches on the first argument that is not an option: fill only that command.
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    # Only a command named first is built alone: an option before it (`hrrs -h sweep`) is read
+    # by the top-level parser, which then needs every command.
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:  # a command that returns None ran with its parsed, default-filled arguments
         _write_effective_config(args, args.func(args) or vars(args))
     except (ValueError, KeyError, OSError) as exc:

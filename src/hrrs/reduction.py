@@ -25,12 +25,19 @@ class PcaModel:
         return self.components.shape[0]
 
 
+def max_axes(n: int, dim: int) -> int:
+    """The most principal axes N rows of D-dimensional data have: centred, they span at most
+    N - 1 axes."""
+    return min(n - 1, dim)
+
+
 def pca_fit(X, d: int) -> PcaModel:
     """Top-d principal axes of X (N, D) from `eigh` of the centered Gram matrix on its
     short side: Xc Xcᵀ when N <= D, where an axis is Xcᵀ u / sqrt(λ) (the method of
     snapshots), else Xcᵀ Xc, whose eigenvectors are the axes. An axis's variance is
     λ / (N - 1). The rank counts λ > max(N, D)·eps·λ_max (`matrix_rank`'s rule on the
-    Gram, which squares the data's condition number); requesting more axes is an error.
+    Gram, which squares the data's condition number); requesting more axes, or more than
+    `max_axes`, is an error.
 
     Sign convention: the largest-magnitude entry of each axis is positive, which makes
     the fit a pure function of (X, d).
@@ -41,8 +48,8 @@ def pca_fit(X, d: int) -> PcaModel:
     n, dim = X.shape
     if n < 2:
         raise ValueError("need at least 2 samples to fit PCA")
-    if not 1 <= d <= min(dim, n):
-        raise ValueError(f"d must lie in [1, {min(dim, n)}], got {d}")
+    if not 1 <= d <= max_axes(n, dim):
+        raise ValueError(f"d must lie in [1, {max_axes(n, dim)}], got {d}")
     mean = X.mean(axis=0)
     centered = X - mean
     snapshots = n <= dim

@@ -111,10 +111,11 @@ def read_tensor(path: str | Path) -> np.ndarray:
     return arr
 
 
-def read_json(path: str | Path, error: type[ValueError]):
-    """Parse a JSON file; a file that is not UTF-8 JSON raises `error` naming it."""
+def read_json(path: str | Path, error: type[ValueError], blob: bytes | None = None):
+    """Parse a JSON file, or `blob` when the caller has read its bytes; a file that is not UTF-8
+    JSON raises `error` naming it."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text() if blob is None else blob.decode())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise error(f"{path}: invalid JSON ({exc})") from None
 
@@ -294,10 +295,11 @@ def make_manifest(entries: list[ManifestEntry]) -> DatasetManifest:
     return DatasetManifest(tuple(entries), class_index, label_of)
 
 
-def load_manifest(path: str | Path) -> DatasetManifest:
-    """Load a JSON manifest; tensor paths resolve relative to the manifest's directory."""
+def load_manifest(path: str | Path, blob: bytes | None = None) -> DatasetManifest:
+    """Load a JSON manifest, from `blob` when the caller has read its bytes; tensor paths
+    resolve relative to the manifest's directory."""
     path = Path(path)
-    doc = read_json(path, ManifestError)
+    doc = read_json(path, ManifestError, blob)
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ManifestError(f"{path}: top-level object must contain an 'entries' list")
     unknown = set(doc) - {"entries"}

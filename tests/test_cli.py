@@ -218,6 +218,19 @@ def test_pca_sweep_names_a_dim_above_the_fit_sets_rank(dataset, tmp_path, capsys
             "data supports only 5 principal axes, requested 8") in printed.err
     assert not out_csv.exists()
 
+
+@pytest.mark.parametrize("d", [40, 12])
+def test_pca_fit_names_a_d_above_the_fit_sets_axes(dataset, tmp_path, capsys, d):
+    """12 fc_raw vectors of 54-D span at most 11 axes: --d 12 fails on the same bound as 40."""
+    feats, model = tmp_path / "feats", tmp_path / "pm"
+    assert run("encode", "--manifest", dataset, "--encoder", "fc_raw", "--out", feats) == 0
+    capsys.readouterr()
+    assert run("pca", "fit", "--features", feats, "--d", d, "--out", model) == 1
+    assert (f"error: --d {d} does not fit the fit set: d must lie in [1, 11], got {d}"
+            in capsys.readouterr().err)
+    assert not model.exists()
+
+
 def test_head_train_and_ldcnn_encode(dataset, tmp_path):
     head_dir = tmp_path / "head"
     assert run(
@@ -734,6 +747,37 @@ def test_sweep_recomputes_an_unreadable_cache_entry(dataset, tmp_path, capsys, s
     assert entry.read_bytes() == body  # republished
 
 
+def test_cached_row_treats_a_missing_entry_as_a_miss(tmp_path, capsys, monkeypatch):
+    """An entry that is absent, or deleted after an existence check would have passed, is a
+    plain miss: no row and no "unreadable" line."""
+    entry, cell = tmp_path / "cache" / "0123.json", {"kind": "bovw", "relu": False, "dim": None}
+    assert cli._cached_row(entry, cell) is None
+    monkeypatch.setattr(Path, "exists", lambda self: True)  # the entry vanishes after a check
+    assert cli._cached_row(entry, cell) is None
+    assert capsys.readouterr().out == ""
+
+
+def test_sweep_opens_its_manifest_once(dataset, tmp_path, monkeypatch):
+    """The cells key on the bytes that were parsed: one read feeds both the parse and the hash."""
+    opened = []
+    path_open, builtin_open = Path.open, open
+
+    def counted(opener):
+        def wrapper(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file).resolve() == dataset.resolve():
+                opened.append(file)
+            return opener(file, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Path, "open", counted(path_open))
+    monkeypatch.setattr("builtins.open", counted(builtin_open))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"dataset": {"manifest": str(dataset)},
+                                  "encoder": {"kind": "fc_raw"}}))
+    assert run("sweep", "--config", config, "--out", tmp_path / "sweep") == 0
+    assert len(opened) == 1
+
+
 def test_sweep_names_the_cell_of_a_pca_dim_too_large(dataset, tmp_path, capsys):
     config = {
         "dataset": {"manifest": str(dataset)},
@@ -810,11 +854,16 @@ def _full_parse(argv):
     return cli.build_parser().parse_args(argv)
 
 
-@pytest.mark.parametrize("path", [(), *_command_paths(cli.build_parser())],
-                         ids=lambda path: " ".join(path) or "hrrs")
-def test_help_matches_the_full_parser(monkeypatch, path):
+@pytest.mark.parametrize(
+    "argv",
+    [[*path, "--help"] for path in [(), *_command_paths(cli.build_parser())]]
+    # A help flag before the command is the top-level help: argparse reads it first.
+    + [["-h", "sweep"], ["--help", "pca", "sweep"]],
+    ids=lambda argv: " ".join(argv[:-1]) or "hrrs" if argv[-1] == "--help" else " ".join(argv),
+)
+def test_help_matches_the_full_parser(monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
-    argv = [*path, "--help"]
+    path = argv[:next(i for i, arg in enumerate(argv) if arg.startswith("-"))]
     code, out, err = _usage_exit(main, argv)
     assert (code, out, err) == _usage_exit(_full_parse, argv)
     assert code == 0 and out.startswith(f"usage: {' '.join(('hrrs', *path))}") and err == ""
@@ -831,9 +880,11 @@ def test_help_matches_the_full_parser(monkeypatch, path):
         ["pca", "fit", "--features", "f", "--out", "o"],
         # argparse dispatches on the first argument that is not an option
         ["--bogus", "sweep", "--config", "a", "--out", "b"],
+        # a top-level option after the command is the command's unrecognized argument
+        ["sweep", "--config", "a", "--out", "b", "--version"],
     ],
     ids=["no-command", "invalid-choice", "no-subcommand", "unrecognized", "missing-out",
-         "missing-d", "option-before-command"],
+         "missing-d", "option-before-command", "version-after-command"],
 )
 def test_usage_errors_match_the_full_parser(monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
@@ -842,25 +893,59 @@ def test_usage_errors_match_the_full_parser(monkeypatch, argv):
     assert code == 2 and out == "" and err.startswith("usage: hrrs")
 
 
+# The expected bytes, written out: the tests above compare `main` with `build_parser()`, so a
+# change to both (such as a metavar on the full parser, which renames `command`) passes them.
+TOP_USAGE = ("usage: hrrs [-h] [--version]\n"
+             "            {synth,codebook,encode,pca,head,index,query,eval,sweep} ...\n")
+
+
+@pytest.mark.parametrize(
+    ("argv", "error"),
+    [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'synth', 'codebook', "
+                    "'encode', 'pca', 'head', 'index', 'query', 'eval', 'sweep')"),
+        (["sweep", "--config", "a", "--out", "b", "--bogus"], "unrecognized arguments: --bogus"),
+    ],
+    ids=["no-command", "invalid-choice", "unrecognized"],
+)
+def test_usage_errors_print_the_top_level_usage(monkeypatch, argv, error):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _usage_exit(main, argv) == (2, "", f"{TOP_USAGE}hrrs: error: {error}\n")
+
+
 def test_main_declares_only_the_named_commands_arguments(dataset, tmp_path, monkeypatch):
-    declared = []
+    declared, parsers = [], []
     add_argument = argparse.ArgumentParser.add_argument
+    add_parser = argparse._SubParsersAction.add_parser
 
     def counted(parser, *names, **kwargs):
         if names != ("-h", "--help"):
             declared.append((parser.prog, names))
         return add_argument(parser, *names, **kwargs)
 
+    def counted_parser(action, name, **kwargs):
+        parsers.append(f"{action._prog_prefix} {name}")
+        return add_parser(action, name, **kwargs)
+
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted_parser)
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"dataset": {"manifest": str(dataset)},
                                 "encoder": {"kind": "fc_raw"}}))
     assert run("sweep", "--config", path, "--out", tmp_path / "sweep") == 0
     assert declared == [("hrrs", ("--version",)),
                         ("hrrs sweep", ("--config",)), ("hrrs sweep", ("--out",))]
+    assert parsers == ["hrrs sweep"]
     declared.clear()
+    parsers.clear()
+    cli.build_parser("pca")
+    assert parsers == ["hrrs pca", "hrrs pca fit", "hrrs pca apply", "hrrs pca sweep"]
+    declared.clear()
+    parsers.clear()
     cli.build_parser()
     assert len(declared) == 72  # the full parser: 88 arguments, less its 16 parsers' --help
+    assert len(parsers) == 15  # every command path: 16 parsers, less the top-level one
 
 
 # Each leaf command's arguments, written out so that a `cli._FLAGS` or `cli._COMMANDS` entry

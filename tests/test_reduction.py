@@ -131,6 +131,13 @@ class TestPcaFit:
         with pytest.raises(ValueError):
             pca_fit(X, 6)
 
+    def test_d_bounded_by_one_less_than_the_rows(self):
+        """N centred rows span at most N - 1 axes, so d = N fails the bound, not the rank."""
+        X = np.random.default_rng(7).standard_normal((5, 10))
+        assert pca_fit(X, 4).out_dim == 4
+        with pytest.raises(ValueError, match=re.escape("d must lie in [1, 4], got 5")):
+            pca_fit(X, 5)
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="2 samples"):
             pca_fit(np.zeros((1, 5)), 1)
