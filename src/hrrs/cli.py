@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .codebooks import (MAX_ITER, TOL, gmm_fit, kmeans_fit, load_codebook, load_gmm,
+from .codebooks import (MAX_ITER, TOL, gmm_em, gmm_fit, kmeans_fit, load_codebook, load_gmm,
                         save_codebook, save_gmm)
 from .encoders import (
     DEFAULT_ALPHA,
@@ -66,7 +66,7 @@ class EncoderSpec(NamedTuple):
     encode: Callable  # (model, feature map, relu, alpha) -> EncodedFeature
     model_flag: str | None = None  # `encode` option naming the model bundle
     load: Callable | None = None  # loader of that bundle
-    fit: Callable | None = None  # sweep: seeded fit on the descriptor pool
+    fit: Callable | None = None  # sweep: kmeans_fit, or gmm_em to run EM from that k-means fit
     default_k: int | None = None  # sweep: dictionary size when encoder.k is unset
     reads_relu: bool = True  # False: `encode --relu` is an error, the sweep keeps relu 0
     reads_alpha: bool = False  # True only for ifk: its sweep cells key on encoder.alpha
@@ -86,7 +86,7 @@ ENCODERS = {
     ),
     "ifk": EncoderSpec(
         lambda gmm, fmap, relu, alpha: encode_ifk(gmm, extract_descriptors(fmap, relu), alpha),
-        "model", load_gmm, gmm_fit, 100, reads_alpha=True,
+        "model", load_gmm, gmm_em, 100, reads_alpha=True,
     ),
     "fc_raw": EncoderSpec(lambda _, fc, relu, alpha: encode_fc(fc, relu)),
     "ldcnn": EncoderSpec(
@@ -296,6 +296,9 @@ def cmd_pca_fit(args) -> None:
 def cmd_pca_apply(args) -> None:
     fs = load_features(args.features)
     model = load_pca(args.model)
+    if fs.matrix.shape[1] != model.in_dim:
+        raise CliError(f"--features {args.features} holds {fs.matrix.shape[1]}-D features; "
+                       f"--model {args.model} was fit on {model.in_dim}-D features")
     save_features(Path(args.out), _project_features(fs, model))
     print(f"projected {len(fs.ids)} features to {model.out_dim}-D")
 
@@ -398,6 +401,8 @@ def cmd_query(args) -> None:
         raise CliError("--long requires --all")
     idx = load_index(args.index)
     out = Path(args.out)
+    if args.id and args.id not in idx.ids:
+        raise CliError(f"--id {args.id!r} names no image in index {args.index}")
     rows = range(idx.size) if args.all else [idx.row(args.id)]
     blocks = rank(idx, rows, args.self_included)
     ranking = ((row, order) for blk, orders in blocks for row, order in zip(blk.tolist(), orders))
@@ -569,17 +574,35 @@ def _cell_row(cell: dict, fs: FeatureSet, manifest: DatasetManifest) -> dict:
     }
 
 
+def _sweep_model(models: dict, manifest: DatasetManifest, cell: dict, spec: EncoderSpec):
+    """A sweep cell's model: bovw, vlad and ifk share one k-means fit per (k, relu) in `models`,
+    and ifk runs EM from it. A pool is built only to fit, and dropped before the encode pass."""
+    if not spec.fit:
+        return models.get(spec.model_flag)  # the head, or None for fc_raw
+    k, relu, pool = cell["k"], cell["relu"], None
+    if (k, relu) not in models:
+        pool = _descriptor_pool(manifest, "all", relu)
+        try:
+            models[k, relu] = kmeans_fit(pool, k, seed=cell["seed"])
+        except ValueError as exc:
+            raise CliError(f"encoder.k {k} does not fit encoder {cell['kind']!r} "
+                           f"with relu={relu}: {exc}") from None
+    if spec.fit is not gmm_em:
+        return models[k, relu]
+    pool = _descriptor_pool(manifest, "all", relu) if pool is None else pool
+    return gmm_em(pool, models[k, relu], cell["seed"], MAX_ITER, TOL)
+
+
 def cmd_sweep(args) -> dict:
     """Evaluate the config's axis product one cell at a time, caching each row. A (kind, relu)
-    pair is encoded once, on its first missed cell, for all of its PCA dims; bovw and vlad
-    share one k-means fit at equal k and relu."""
+    pair is encoded once, on its first missed cell, for all of its PCA dims."""
     config_path, out_dir = Path(args.config), Path(args.out)
     cfg = validate_config(read_json(config_path, CliError))
     manifest_path = (config_path.parent / cfg["manifest"]).resolve()
     blob = manifest_path.read_bytes()  # one read: the cells key on the bytes that were parsed
     manifest = load_manifest(manifest_path, blob)
     manifest_sha = hashlib.sha256(blob).hexdigest()
-    # The run's models: the head under "head", and one fit per (fit, k, relu).
+    # The run's models: the head under "head", and one k-means fit per (k, relu).
     models = {}
     head_key = None  # a head cell keys on its checkpoint's content, so retraining in place misses
     if any(ENCODERS[kind].model_flag == "head" for kind in cfg["kinds"]):
@@ -592,7 +615,7 @@ def cmd_sweep(args) -> dict:
     for kind in cfg["kinds"]:
         spec = ENCODERS[kind]
         # A kind that reads no ReLU gets one relu-0 cell whatever the relu axis holds;
-        # k (read only by kinds with a fit) and alpha are None in cells that do not read them.
+        # k, seed (read only by kinds with a fit) and alpha are None in cells that do not read them.
         for use_relu in cfg["relus"] if spec.reads_relu else [False]:
             fs = None
             for dim in cfg["dims"]:
@@ -605,7 +628,7 @@ def cmd_sweep(args) -> dict:
                     "head_checkpoint": head_key if spec.model_flag == "head" else None,
                     "self_included": cfg["self_included"],
                     "k_list": list(cfg["k_list"]),
-                    "seed": cfg["seed"],
+                    "seed": cfg["seed"] if spec.fit else None,
                 }
                 key = _cell_key(cell, manifest_sha)
                 cache_file = cache_dir / f"{key}.json"
@@ -615,16 +638,7 @@ def cmd_sweep(args) -> dict:
                     rows.append(row)
                     continue
                 if fs is None:  # once per (kind, relu)
-                    model_key = (spec.fit, cell["k"], use_relu) if spec.fit else spec.model_flag
-                    if spec.fit and model_key not in models:
-                        pool = _descriptor_pool(manifest, "all", use_relu)
-                        try:
-                            models[model_key] = spec.fit(pool, cell["k"], seed=cell["seed"])
-                        except ValueError as exc:
-                            raise CliError(f"encoder.k {cell['k']} does not fit encoder {kind!r} "
-                                           f"with relu={use_relu}: {exc}") from None
-                        del pool  # dropped before the encode pass re-reads the maps
-                    model = models.get(model_key)
+                    model = _sweep_model(models, manifest, cell, spec)
                     fs = _encode_entries(manifest, "all", kind, use_relu, cell["alpha"], model)
                 row = _cell_row(cell, fs, manifest)
                 tmp = cache_file.with_suffix(f".{os.getpid()}.tmp")  # atomic publish

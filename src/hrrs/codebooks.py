@@ -16,8 +16,7 @@ import numpy as np
 
 from .tensor_store import BundleError, load_bundle, save_bundle
 
-# Codebook training on very large descriptor pools works on a seeded uniform
-# subsample to bound memory.
+# Both fits of a larger descriptor pool work on a seeded subsample (`_fit_points`) to bound memory.
 SUBSAMPLE_LIMIT = 500_000
 VARIANCE_FLOOR = 1e-6
 # Default iteration cap and stopping tolerance of both fits (`codebook train`, the sweep).
@@ -148,19 +147,13 @@ def _kmeans_pp_init(
 ) -> np.ndarray:
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
-    centers[0] = X[rng.integers(n)]
-    d2 = np.empty(n)
-    for lo, hi, block in _dist_blocks(X, centers[:1], x2):
-        d2[lo:hi] = block[:, 0]
-    for j in range(1, k):
+    d2 = np.full(n, np.inf)  # squared distance to the nearest center placed so far
+    for j in range(k):
         total = d2.sum()
-        if total > 0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            idx = rng.integers(n)
-        centers[j] = X[idx]
-        for lo, hi, block in _dist_blocks(X, centers[j : j + 1], x2):
-            np.minimum(d2[lo:hi], block[:, 0], out=d2[lo:hi])
+        centers[j] = X[rng.choice(n, p=d2 / total) if j and total > 0 else rng.integers(n)]
+        if j + 1 < k:
+            for lo, hi, block in _dist_blocks(X, centers[j : j + 1], x2):
+                np.minimum(d2[lo:hi], block[:, 0], out=d2[lo:hi])
     return centers
 
 
@@ -183,37 +176,36 @@ def _update_centroids(
     return new
 
 
-def _maybe_subsample(X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _fit_points(X, seed: int) -> np.ndarray:
+    """The one subsample rule of both fits: a fit of X is the fit of this seeded uniform
+    subsample of SUBSAMPLE_LIMIT rows, or of X itself when it has no more rows than that."""
+    X = _as_points(X)
     if X.shape[0] > SUBSAMPLE_LIMIT:
-        return X[rng.choice(X.shape[0], SUBSAMPLE_LIMIT, replace=False)]
+        return X[np.random.default_rng(seed).choice(X.shape[0], SUBSAMPLE_LIMIT, replace=False)]
     return X
 
 
-def kmeans_fit(X, k: int, seed: int = 0, max_iter: int = MAX_ITER, tol: float = TOL) -> Codebook:
-    """Lloyd's algorithm from k-means++ seeding.
-
-    Stops when the relative inertia decrease falls below `tol` or after
-    `max_iter` update steps. Deterministic given (X, k, seed, max_iter, tol).
-    """
-    return _lloyd(_as_points(X), k, seed, max_iter, tol)[0]
-
-
-def _lloyd(
-    X: np.ndarray, k: int, seed: int, max_iter: int, tol: float
-) -> tuple[Codebook, np.ndarray]:
-    """`kmeans_fit` on 2-D points; also returns the labels of the final centroids."""
+def _check_fit(X: np.ndarray, k: int, max_iter: int, tol: float) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    rng = np.random.default_rng(seed)
-    X = _maybe_subsample(X, rng)
     if X.shape[0] < k:
         raise ValueError(f"insufficient data: {X.shape[0]} points for k={k}")
+
+
+def kmeans_fit(X, k: int, seed: int = 0, max_iter: int = MAX_ITER, tol: float = TOL) -> Codebook:
+    """Lloyd's algorithm from k-means++ seeding drawn from a fresh `default_rng(seed)`.
+
+    Stops when the relative inertia decrease falls below `tol` or after
+    `max_iter` update steps. Deterministic given (X, k, seed, max_iter, tol).
+    """
+    X = _fit_points(X, seed)
+    _check_fit(X, k, max_iter, tol)
     x2 = _row_norms(X)
-    centers = _kmeans_pp_init(X, x2, k, rng)
+    centers = _kmeans_pp_init(X, x2, k, np.random.default_rng(seed))
     labels, d2 = _assign(X, centers, x2)
     history = [float(d2.sum())]
     for _ in range(max_iter):
@@ -224,9 +216,8 @@ def _lloyd(
         prev = history[-2]
         if prev == 0.0 or (prev - inertia) < tol * prev:
             break
-    centers = centers.copy()
     centers.flags.writeable = False
-    return Codebook(centers, tuple(history)), labels
+    return Codebook(centers, tuple(history))
 
 
 def _log_joint(X: np.ndarray, XX: np.ndarray, weights, means, variances) -> np.ndarray:
@@ -248,20 +239,28 @@ def _e_step(X, XX, weights, means, variances) -> tuple[np.ndarray, float]:
 
 
 def gmm_fit(X, k: int, seed: int = 0, max_iter: int = MAX_ITER, tol: float = TOL) -> GmmModel:
-    """Diagonal-covariance EM initialized from a k-means fit.
+    """`gmm_em` from `kmeans_fit(X, k, seed, max_iter, tol)`."""
+    return gmm_em(X, kmeans_fit(X, k, seed, max_iter, tol), seed, max_iter, tol)
 
-    Initial means are the centroids, variances the within-cluster variances
-    (floored at VARIANCE_FLOOR), weights the cluster fractions. Stops when
-    the mean log-likelihood improves by less than `tol`.
+
+def gmm_em(X, codebook: Codebook, seed: int, max_iter: int, tol: float) -> GmmModel:
+    """Diagonal-covariance EM from a k-means codebook of X, subsampled by `kmeans_fit`'s rule.
+
+    Each point starts in its nearest centroid's cluster: initial means are the
+    centroids, variances the within-cluster variances (floored at
+    VARIANCE_FLOOR), weights the cluster fractions. Stops when the mean
+    log-likelihood improves by less than `tol` or after `max_iter` E-steps.
     """
-    X = _as_points(X)
-    rng = np.random.default_rng(seed)
-    X = _maybe_subsample(X, rng)
+    X = _fit_points(X, seed)
     n, d = X.shape
-    cb, labels = _lloyd(X, k, seed, max_iter, tol)
+    k = codebook.k
+    _check_fit(X, k, max_iter, tol)
+    if codebook.dim != d:
+        raise ValueError(f"codebook of k={k} has dim {codebook.dim}; the descriptors have dim {d}")
+    labels = _nearest(X, codebook.centroids)
     counts = np.bincount(labels, minlength=k)
     weights = counts / n
-    means = cb.centroids.copy()
+    means = codebook.centroids.copy()
     variances = np.full((k, d), VARIANCE_FLOOR)
     # One stable sort groups each cluster's rows, in input order, into a slice.
     groups = np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])

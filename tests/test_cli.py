@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hrrs
-from hrrs import cli, tensor_store
+from hrrs import cli, codebooks, tensor_store
 from hrrs.cli import ENCODERS, CliError, _descriptor_pool, main
 from hrrs.encoders import extract_descriptors, load_features
 from hrrs.head import HeadConfig, TrainConfig, load_head
@@ -142,6 +142,14 @@ def test_query_all_rejects_ids_that_are_not_file_names(dataset, tmp_path, capsys
     assert run("query", "--index", idx, "--all", "--out", work / "q") == 1
     assert repr(bad_id) in capsys.readouterr().err
     assert list(work.iterdir()) == []
+
+
+def test_query_names_an_unknown_id(dataset, tmp_path, capsys):
+    idx = _fc_index(dataset, tmp_path)
+    capsys.readouterr()
+    assert run("query", "--index", idx, "--id", "nope", "--out", tmp_path / "q.csv") == 1
+    assert capsys.readouterr().err == f"error: --id 'nope' names no image in index {idx}\n"
+    assert not (tmp_path / "q.csv").exists()
 
 
 def test_gmm_ifk_encode(dataset, tmp_path, capsys):
@@ -324,7 +332,7 @@ def test_sweep_with_ldcnn_checkpoint(dataset, tmp_path):
 
 
 def test_sweep_keys_only_values_a_kind_reads(dataset, tmp_path, capsys):
-    """fc_raw fits no codebook and ignores alpha: editing k or alpha hits the cache."""
+    """fc_raw fits no codebook and ignores alpha: editing k, alpha or the seed hits the cache."""
     path = tmp_path / "c.json"
     out = tmp_path / "sweep"
     for k, alpha in ((2, 0.5), (3, 0.5), (3, 0.25)):
@@ -344,6 +352,14 @@ def test_sweep_keys_only_values_a_kind_reads(dataset, tmp_path, capsys):
         assert run("sweep", "--config", path, "--out", out) == 0
     assert "cache hit" not in capsys.readouterr().out
     assert len(list((out / "cache").glob("*.json"))) == 4
+    # fc_raw reads no seed, so seeds 0 and 1 hit its cell; bovw fits with the seed: both miss
+    for kind, hits in (("fc_raw", 2), ("bovw", 0)):
+        config["encoder"] = {"kind": kind, "k": 2}
+        for seed in (0, 1):
+            config["seed"] = seed
+            path.write_text(json.dumps(config))
+            assert run("sweep", "--config", path, "--out", out) == 0
+        assert capsys.readouterr().out.count("cache hit") == hits
 
 
 def test_pca_fit_set_restriction(dataset, tmp_path):
@@ -631,29 +647,51 @@ def test_sweep_encodes_each_kind_and_relu_once(dataset, tmp_path, capsys, sweep_
     assert entries[3].exists()
 
 
+def _sweep_k3(dataset, tmp_path, kinds, out):
+    """Sweep `kinds` at k=3 with relu off and on: the cache entries by name, and sweep.csv's rows."""
+    config = {
+        "dataset": {"manifest": str(dataset)},
+        "encoder": {"kind": kinds, "k": 3, "relu": [False, True]},
+        "eval": {"k_list": [1, 5]},
+    }
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert run("sweep", "--config", tmp_path / "c.json", "--out", out) == 0
+    with open(out / "sweep.csv") as fh:
+        rows = list(csv.reader(fh))
+    return {p.name: p.read_bytes() for p in (out / "cache").glob("*.json")}, rows
+
+
 def test_sweep_fits_one_codebook_for_bovw_and_vlad(dataset, tmp_path, sweep_calls):
     """bovw and vlad at equal k and relu share one pool and k-means fit, with unchanged bytes."""
-    def sweep(kinds, out):
-        config = {
-            "dataset": {"manifest": str(dataset)},
-            "encoder": {"kind": kinds, "k": 3, "relu": [False, True]},
-            "eval": {"k_list": [1, 5]},
-        }
-        (tmp_path / "c.json").write_text(json.dumps(config))
-        assert run("sweep", "--config", tmp_path / "c.json", "--out", out) == 0
-        return {p.name: p.read_bytes() for p in (out / "cache").glob("*.json")}
-
-    both = sweep(["bovw", "vlad"], tmp_path / "both")
+    both, both_rows = _sweep_k3(dataset, tmp_path, ["bovw", "vlad"], tmp_path / "both")
     assert sweep_calls == {"_descriptor_pool": 2, "_encode_entries": 4, "load_head": 0}
-    apart = {**sweep("bovw", tmp_path / "bovw"), **sweep("vlad", tmp_path / "vlad")}
+    bovw, bovw_rows = _sweep_k3(dataset, tmp_path, "bovw", tmp_path / "bovw")
+    vlad, vlad_rows = _sweep_k3(dataset, tmp_path, "vlad", tmp_path / "vlad")
     assert sweep_calls["_descriptor_pool"] == 6
-    assert len(both) == 4 and both == apart
-    with open(tmp_path / "bovw" / "sweep.csv") as fh:
-        bovw = list(csv.reader(fh))
-    with open(tmp_path / "vlad" / "sweep.csv") as fh:
-        vlad = list(csv.reader(fh))
-    with open(tmp_path / "both" / "sweep.csv") as fh:
-        assert list(csv.reader(fh)) == bovw + vlad[1:]
+    assert len(both) == 4 and both == {**bovw, **vlad}
+    assert both_rows == bovw_rows + vlad_rows[1:]
+
+
+def test_sweep_fits_one_kmeans_for_bovw_vlad_and_ifk(dataset, tmp_path, monkeypatch, sweep_calls):
+    """ifk's EM starts from the k-means fit that bovw and vlad use: one fit per relu value, and
+    the cache entries and rows of one sweep per kind. ifk builds its pool again for EM."""
+    fits = {"kmeans_fit": 0, "_kmeans_pp_init": 0}  # every k-means fit seeds once
+    for module, name in ((cli, "kmeans_fit"), (codebooks, "_kmeans_pp_init")):
+        def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
+            fits[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    every, every_rows = _sweep_k3(dataset, tmp_path, ["bovw", "vlad", "ifk"], tmp_path / "every")
+    assert fits == {"kmeans_fit": 2, "_kmeans_pp_init": 2}
+    assert sweep_calls == {"_descriptor_pool": 4, "_encode_entries": 6, "load_head": 0}
+    apart, apart_rows = {}, []
+    for kind in ("bovw", "vlad", "ifk"):
+        bodies, rows = _sweep_k3(dataset, tmp_path, kind, tmp_path / kind)
+        apart.update(bodies)
+        apart_rows += rows[bool(apart_rows):]  # one header
+    assert len(every) == 6 and every == apart
+    assert every_rows == apart_rows
 
 
 def test_sweep_names_the_cell_of_a_k_too_large(dataset, tmp_path, capsys):
@@ -1077,8 +1115,9 @@ ODD_CHANNELS_MESSAGE = "{odd_map}: feature map has shape (3, 3, 5), expected (h,
 
 def _odd_map_inputs(dataset, tmp_path):
     """A copy of the dataset whose map class01-001 is 3x3x5, one whose first map is a vector,
-    a head, a k-means codebook and a GMM trained on the 3x3x6 original, and sweep configs
-    with an ldcnn cell and a bovw cell over the first copy."""
+    a head, a k-means codebook and a GMM trained on the 3x3x6 original, a PCA model of the
+    codebook's 2-D bovw features, and sweep configs with an ldcnn cell and a bovw cell over
+    the first copy."""
     odd, flat = tmp_path / "odd", tmp_path / "flat"
     shutil.copytree(dataset.parent, odd)
     shutil.copytree(dataset.parent, flat)
@@ -1094,6 +1133,10 @@ def _odd_map_inputs(dataset, tmp_path):
         paths[f"{{{kind}}}"] = tmp_path / kind
         assert run("codebook", "train", "--kind", kind, "--k", 2, "--manifest", dataset,
                    "--out", tmp_path / kind) == 0
+    assert run("encode", "--manifest", dataset, "--encoder", "bovw", "--model", paths["{kmeans}"],
+               "--out", tmp_path / "bovw") == 0
+    paths["{pca}"] = tmp_path / "pca"
+    assert run("pca", "fit", "--features", tmp_path / "bovw", "--d", 1, "--out", paths["{pca}"]) == 0
     sweeps = {"{odd_sweep}": {"kind": "ldcnn"}, "{odd_bovw_sweep}": {"kind": "bovw", "k": 2}}
     for name, encoder in sweeps.items():
         paths[name] = tmp_path / f"{name[1:-1]}.json"
@@ -1187,6 +1230,9 @@ def _odd_map_inputs(dataset, tmp_path):
                       "train", "--dims", "50,60", "--out", "{out}"],
                      "--dims leaves nothing to sweep: capping at 9-D drops [50, 60]",
                      id="pca-sweep-every-dim-capped"),
+        pytest.param(["pca", "apply", "--features", "{feats}", "--model", "{pca}", "--out", "{out}"],
+                     "--features {feats} holds 54-D features; --model {pca} was fit on 2-D features",
+                     id="pca-apply-dim-mismatch"),
     ],
 )
 def test_cli_rejects_bad_arguments(dataset, tmp_path, capsys, monkeypatch, argv, message):
@@ -1199,7 +1245,7 @@ def test_cli_rejects_bad_arguments(dataset, tmp_path, capsys, monkeypatch, argv,
     doc = json.loads(dataset.read_text())
     paths["{train_only}"].write_text(json.dumps(
         {"entries": [{**entry, "split": "train"} for entry in doc["entries"]]}))
-    if any(str(a).startswith(("{odd", "{flat", "{head", "{kmeans", "{gmm")) for a in argv):
+    if any(str(a).startswith(("{odd", "{flat", "{head", "{kmeans", "{gmm", "{pca")) for a in argv):
         paths.update(_odd_map_inputs(dataset, tmp_path))
     monkeypatch.setenv(cli.CACHE_ENV_VAR, str(tmp_path / "cache"))
     for placeholder, path in paths.items():

@@ -7,8 +7,12 @@ import pytest
 
 from hrrs import codebooks
 from hrrs.codebooks import (
+    MAX_ITER,
+    TOL,
     VARIANCE_FLOOR,
+    Codebook,
     _segment_sum,
+    gmm_em,
     gmm_fit,
     gmm_responsibilities,
     kmeans_fit,
@@ -221,7 +225,7 @@ class TestByteIdentityWithReference:
 
 
 def test_gmm_fit_assigns_once_per_lloyd_step(monkeypatch):
-    """The EM initialisation reuses the k-means fit's final labels."""
+    """EM labels the k-means fit's final centroids with one more `_nearest` pass."""
     X, k = _fixture("relu-d64")
     calls = {"_assign": 0, "_nearest": 0}
     for name in calls:
@@ -236,7 +240,7 @@ def test_gmm_fit_assigns_once_per_lloyd_step(monkeypatch):
     assert passes == 5  # the seeding assignment plus one per Lloyd step
     calls.update(_assign=0, _nearest=0)
     gmm_fit(X, k, seed=4, max_iter=4, tol=0.0)
-    assert calls == {"_assign": passes, "_nearest": passes}
+    assert calls == {"_assign": passes, "_nearest": passes + 1}
 
 
 class TestKmeansFit:
@@ -326,6 +330,15 @@ class TestKmeansFit:
         X = np.random.default_rng(11).standard_normal((100, 3))
         a, b = kmeans_fit(X, 4, seed=6), kmeans_fit(X, 4, seed=6)
         assert seen == [40, 40]
+        assert a.centroids.tobytes() == b.centroids.tobytes()
+        assert a.inertia_history == b.inertia_history
+
+    def test_subsampled_fit_equals_fit_on_the_seeded_subsample(self, monkeypatch):
+        monkeypatch.setattr(codebooks, "SUBSAMPLE_LIMIT", 60)
+        X = np.random.default_rng(12).standard_normal((150, 4))
+        seed = 3
+        subsample = X[np.random.default_rng(seed).choice(150, 60, replace=False)]
+        a, b = kmeans_fit(X, 3, seed=seed), kmeans_fit(subsample, 3, seed=seed)
         assert a.centroids.tobytes() == b.centroids.tobytes()
         assert a.inertia_history == b.inertia_history
 
@@ -422,6 +435,20 @@ class TestGmmFit:
         for name in ("weights", "means", "variances"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert a.loglik_history == b.loglik_history
+
+    @pytest.mark.parametrize(
+        ("centroids", "message"),
+        [
+            (np.zeros((2, 3)), "codebook of k=2 has dim 3; the descriptors have dim 4"),
+            (np.zeros((21, 4)), "insufficient data: 20 points for k=21"),
+            (np.zeros((0, 4)), "k must be >= 1"),
+        ],
+        ids=["dim", "k-above-points", "k-0"],
+    )
+    def test_em_rejects_a_codebook_that_does_not_fit(self, centroids, message):
+        X = np.random.default_rng(13).standard_normal((20, 4))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gmm_em(X, Codebook(centroids, ()), 0, MAX_ITER, TOL)
 
 
 class TestGmmPosteriors:
