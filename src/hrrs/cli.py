@@ -45,7 +45,7 @@ from .head import (
     load_head,
     save_head,
 )
-from .reduction import load_pca, max_axes, pca_apply, pca_fit, save_pca
+from .reduction import check_axes, load_pca, max_axes, pca_apply, pca_fit, save_pca
 from .retrieval import distances, index_rows, load_index, rank, save_index
 from .tensor_store import (
     VALID_SPLITS,
@@ -70,6 +70,7 @@ class EncoderSpec(NamedTuple):
     default_k: int | None = None  # sweep: dictionary size when encoder.k is unset
     reads_relu: bool = True  # False: `encode --relu` is an error, the sweep keeps relu 0
     reads_alpha: bool = False  # True only for ifk: its sweep cells key on encoder.alpha
+    size: Callable | None = None  # sweep: (k, first entry, head) -> the vector's length, unfitted
 
 
 # The only list of encoder kinds: `encode --encoder`, the sweep config check
@@ -78,20 +79,25 @@ class EncoderSpec(NamedTuple):
 ENCODERS = {
     "bovw": EncoderSpec(
         lambda cb, fmap, relu, alpha: encode_bovw(cb, extract_descriptors(fmap, relu)),
-        "model", load_codebook, kmeans_fit, 1000,
+        "model", load_codebook, kmeans_fit, 1000, size=lambda k, first, head: k,
     ),
     "vlad": EncoderSpec(
         lambda cb, fmap, relu, alpha: encode_vlad(cb, extract_descriptors(fmap, relu)),
         "model", load_codebook, kmeans_fit, 100,
+        size=lambda k, first, head: k * _read_map(first, (None, None, None)).shape[2],
     ),
     "ifk": EncoderSpec(
         lambda gmm, fmap, relu, alpha: encode_ifk(gmm, extract_descriptors(fmap, relu), alpha),
         "model", load_gmm, gmm_em, 100, reads_alpha=True,
+        size=lambda k, first, head: 2 * k * _read_map(first, (None, None, None)).shape[2],
     ),
-    "fc_raw": EncoderSpec(lambda _, fc, relu, alpha: encode_fc(fc, relu)),
+    "fc_raw": EncoderSpec(
+        lambda _, fc, relu, alpha: encode_fc(fc, relu),
+        size=lambda k, first, head: _read_map(first, None).size,
+    ),
     "ldcnn": EncoderSpec(
         lambda head, fmap, relu, alpha: head_feature(head, fmap),
-        "head", load_head, reads_relu=False,
+        "head", load_head, reads_relu=False, size=lambda k, first, head: head.config.classes,
     ),
 }
 
@@ -553,14 +559,32 @@ def _cached_row(cache_file: Path, cell: dict) -> dict | None:
     return None
 
 
+def _dim_error(cell: dict, dim: int, exc: ValueError) -> CliError:
+    where = f"encoder {cell['kind']!r} with relu={cell['relu']}"
+    return CliError(f"pca.dims entry {dim} does not fit {where}: {exc}")
+
+
+def _check_dims(dims: list, cell: dict, spec: EncoderSpec, manifest: DatasetManifest, head):
+    """Reject a PCA dim above `max_axes` of a (kind, relu) pair's feature set before the pair's
+    fit and encode: the set has a row per entry, and `spec.size` needs no fit."""
+    dims = [dim for dim in dims if dim is not None]
+    if dims:
+        entries = _split_entries(manifest, "all")
+        size = spec.size(cell["k"], entries[0], head)
+        for dim in dims:
+            try:
+                check_axes(len(entries), size, dim)
+            except ValueError as exc:
+                raise _dim_error(cell, dim, exc) from None
+
+
 def _cell_row(cell: dict, fs: FeatureSet, manifest: DatasetManifest) -> dict:
     """Score the cell's features, PCA-projected to the cell's dim if it has one."""
     if cell["dim"] is not None:
         try:
             model = pca_fit(fs.matrix, cell["dim"])
-        except ValueError as exc:
-            where = f"encoder {cell['kind']!r} with relu={cell['relu']}"
-            raise CliError(f"pca.dims entry {cell['dim']} does not fit {where}: {exc}") from None
+        except ValueError as exc:  # the fit set's rank; `_check_dims` ran the axis bound
+            raise _dim_error(cell, cell["dim"], exc) from None
         fs = _project_features(fs, model)
     protocol = EvalProtocol(self_included=cell["self_included"], k_list=tuple(cell["k_list"]))
     report = evaluate_dataset(index_rows(fs, manifest), manifest, protocol)
@@ -638,6 +662,7 @@ def cmd_sweep(args) -> dict:
                     rows.append(row)
                     continue
                 if fs is None:  # once per (kind, relu)
+                    _check_dims(cfg["dims"], cell, spec, manifest, models.get("head"))
                     model = _sweep_model(models, manifest, cell, spec)
                     fs = _encode_entries(manifest, "all", kind, use_relu, cell["alpha"], model)
                 row = _cell_row(cell, fs, manifest)

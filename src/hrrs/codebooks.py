@@ -118,28 +118,28 @@ def _assign(X: np.ndarray, C: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, n
 def _segment_sum(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Per-label row sums (k, d), bit-identical to an unbuffered scatter-add into zeros.
 
-    Rows are stable-sorted by label; step r adds the r-th row of every label
-    that has more than r rows, so each sum adds its rows in input order from
-    0.0, one rounding per row, as numpy's `ufunc.at` does. np.add.reduceat
-    and a per-segment np.add.reduce (pairwise when the reduced axis is
-    innermost) round differently.
+    Rank r holds the r-th row, in input order, of each label with more than r rows, a prefix of
+    the labels in by-size order; one add into that prefix of a (k, d) accumulator serves it, so
+    each sum adds its rows in input order from 0.0 (np.add.reduceat and reduces do not).
     """
+    n, d = X.shape
     counts = np.bincount(labels, minlength=k)
     order = np.argsort(labels, kind="stable")
-    starts = np.cumsum(counts) - counts
-    by_size = np.argsort(-counts, kind="stable")  # active labels form a prefix
-    sizes, firsts = counts[by_size], starts[by_size]
-    out = np.empty((k, X.shape[1]))
-    acc = np.zeros_like(out)
-    rows = np.empty_like(out)
-    active = k
-    for r in range(int(sizes[0])):
-        while sizes[active - 1] <= r:
-            active -= 1
-        np.take(X, order[firsts[:active] + r], axis=0, out=rows[:active])
-        np.add(acc[:active], rows[:active], out=acc[:active])
-    out[by_size] = acc
-    return out
+    grouped = labels[order]
+    rank = np.arange(n) - (np.cumsum(counts) - counts)[grouped]
+    place = np.argsort(np.argsort(-counts, kind="stable"))  # each label's place by size
+    order = order[np.lexsort((place[grouped], rank))]  # rank-major
+    ends = np.cumsum(np.bincount(rank))  # where each rank's rows end in `order`
+    buf = np.empty((min(n, max(k, (1 << 16) // max(d, 1))), d))  # holds whole ranks
+    acc = np.zeros((k, d))
+    lo = hi = 0  # `buf` holds rows [lo, hi)
+    for a, b in zip([0, *ends[:-1].tolist()], ends.tolist()):  # one rank: rows [a, b)
+        if b > hi:  # gather the most whole ranks from row a that fit; "clip" skips a copy
+            lo, hi = a, int(ends[np.searchsorted(ends, a + len(buf), side="right") - 1])
+            np.take(X, order[lo:hi], axis=0, out=buf[: hi - lo], mode="clip")
+        head = acc[: b - a]
+        np.add(head, buf[a - lo : b - lo], head)  # `out` positionally: a cheaper call
+    return acc[place]
 
 
 def _kmeans_pp_init(

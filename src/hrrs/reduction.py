@@ -31,6 +31,14 @@ def max_axes(n: int, dim: int) -> int:
     return min(n - 1, dim)
 
 
+def check_axes(n: int, dim: int, d: int) -> None:
+    """`pca_fit`'s checks of N rows of D-dimensional data and of d, made without the data."""
+    if n < 2:
+        raise ValueError("need at least 2 samples to fit PCA")
+    if not 1 <= d <= max_axes(n, dim):
+        raise ValueError(f"d must lie in [1, {max_axes(n, dim)}], got {d}")
+
+
 def pca_fit(X, d: int) -> PcaModel:
     """Top-d principal axes of X (N, D) from `eigh` of the centered Gram matrix on its
     short side: Xc Xcᵀ when N <= D, where an axis is Xcᵀ u / sqrt(λ) (the method of
@@ -46,10 +54,7 @@ def pca_fit(X, d: int) -> PcaModel:
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D (N, D), got shape {X.shape}")
     n, dim = X.shape
-    if n < 2:
-        raise ValueError("need at least 2 samples to fit PCA")
-    if not 1 <= d <= max_axes(n, dim):
-        raise ValueError(f"d must lie in [1, {max_axes(n, dim)}], got {d}")
+    check_axes(n, dim, d)
     mean = X.mean(axis=0)
     centered = X - mean
     snapshots = n <= dim

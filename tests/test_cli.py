@@ -831,11 +831,48 @@ def test_sweep_names_the_cell_of_a_pca_dim_too_large(dataset, tmp_path, capsys):
     assert ("pca.dims entry 4 does not fit encoder 'bovw' with relu=False: "
             "d must lie in [1, 3], got 4") in err
     assert not (out / "sweep.csv").exists()
-    # The cell computed before the failure was cached.
+    # The dims were checked before the pair's fit, so no cell was computed or cached.
+    assert not list((out / "cache").iterdir())
     config["pca"] = {"dims": [2]}
     path.write_text(json.dumps(config))
     assert run("sweep", "--config", path, "--out", out) == 0
-    assert capsys.readouterr().out.count("cache hit") == 1
+    assert capsys.readouterr().out.count("cache hit") == 0
+
+
+@pytest.mark.parametrize("kind, k, size", [
+    ("bovw", 16, 16), ("vlad", 2, 6), ("ifk", 2, 12), ("fc_raw", None, 12), ("ldcnn", None, 3),
+])
+def test_sweep_rejects_a_pca_dim_too_large_before_fitting(tmp_path, capsys, sweep_calls,
+                                                          monkeypatch, kind, k, size):
+    """Each kind's dimension, known without a fit, bounds its dims before any fit or encode.
+    On 30 maps of 2x2x3 it is below N - 1 = 29: bovw k, vlad k*3, ifk 2*k*3, fc_raw 2*2*3 and
+    ldcnn the head's 3 classes."""
+    dataset = tmp_path / "ds"
+    assert run("synth", "--classes", 3, "--per-class", 10, "--shape", "2,2,3",
+               "--separation", 6.0, "--seed", 5, "--out", dataset) == 0
+    dataset /= "manifest.json"
+    _train_head(dataset, tmp_path / "head", seed=1)
+    fits = {"kmeans_fit": 0}
+
+    def counted(*args, **kwargs):
+        fits["kmeans_fit"] += 1
+        return codebooks.kmeans_fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "kmeans_fit", counted)
+    config = {
+        "dataset": {"manifest": str(dataset)},
+        "encoder": {"kind": kind, **({"k": k} if k else {})},
+        "head": {"checkpoint": str(tmp_path / "head")},
+        "pca": {"dims": [size, 64]},
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run("sweep", "--config", path, "--out", tmp_path / "sweep") == 1
+    assert capsys.readouterr().err == (f"error: pca.dims entry 64 does not fit encoder {kind!r} "
+                                       f"with relu=False: d must lie in [1, {size}], got 64\n")
+    assert fits["kmeans_fit"] == sweep_calls["_encode_entries"] == 0
+    assert sweep_calls["_descriptor_pool"] == 0
 
 
 def test_exit_codes(tmp_path, capsys):

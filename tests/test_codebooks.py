@@ -138,7 +138,8 @@ def _add_at(X, labels, k):
 
 
 def _fixture(name):
-    """(points, k) pools; "relu-d64" spans four point-distance chunks of 2**16 // 64 rows."""
+    """(points, k) pools; "relu-d64" spans four point-distance chunks of 2**16 // 64 rows, and
+    "k2-d64" four segment-sum gather chunks of as many rows, mostly in one cluster."""
     rng = np.random.default_rng(sum(map(ord, name)))
     if name == "d1":
         return rng.standard_normal((3000, 1)) * 1e3, 8
@@ -150,23 +151,32 @@ def _fixture(name):
         X = np.maximum(rng.standard_normal((3500, 64)), 0.0)
         X[::5, :3] = -0.0
         return X, 16
+    if name == "k2-d64":
+        X = rng.standard_normal((3500, 64))
+        X[:300] += 4.0
+        return X, 2
     raise KeyError(name)
 
 
-FIXTURES = ["d1", "duplicates", "magnitudes", "relu-d64"]
+FIXTURES = ["d1", "duplicates", "magnitudes", "relu-d64", "k2-d64"]
 
 
 class TestSegmentSum:
-    @pytest.mark.parametrize("d", [1, 512])
-    @pytest.mark.parametrize(
-        "case", ["shuffled", "empty-clusters", "one-cluster", "sorted", "negative-zero"]
-    )
+    @pytest.mark.parametrize("d", [1, 2, 7, 512])
+    @pytest.mark.parametrize("case", [
+        "shuffled", "empty-clusters", "one-cluster", "sorted", "negative-zero", "wide-rank",
+        "skewed",
+    ])
     def test_matches_add_at_bytes(self, d, case):
+        """"wide-rank" has ranks of k=300 rows, wider than 2**16 // 512 = 128; in "skewed" about
+        97% of the rows share one of k=2 labels, so at d=512 its ranks span 24 gather chunks."""
         rng = np.random.default_rng(d)
-        n, k = 700, 9
+        n, k = {"wide-rank": (3000, 300), "skewed": (3000, 2)}.get(case, (700, 9))
         X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 6, (n, 1))
         labels = rng.integers(0, k, n)
-        if case == "empty-clusters":
+        if case == "skewed":
+            labels = (rng.random(n) < 0.97).astype(np.intp)
+        elif case == "empty-clusters":
             labels = rng.choice([1, 4, 5], n)
         elif case == "one-cluster":
             labels = np.full(n, 3)
