@@ -55,6 +55,7 @@ from .tensor_store import (
     gen_synthetic,
     load_manifest,
     read_json,
+    read_shape,
     read_tensor,
     write_synthetic,
 )
@@ -167,30 +168,34 @@ def _split_entries(manifest: DatasetManifest, split: str):
     return entries
 
 
-def _read_map(entry: ManifestEntry, shape: tuple | None) -> np.ndarray:
-    """The one map-shape rule: read an entry's tensor and, given an (h, w, c) `shape` in which
-    None matches any size, reject a map of another rank or size, naming its file."""
-    fmap = read_tensor(entry.tensor_path)
-    if shape is not None and (fmap.ndim != 3 or any(
-            want not in (None, got) for want, got in zip(shape, fmap.shape))):
+def _check_map(entry: ManifestEntry, got: tuple, shape: tuple | None) -> tuple:
+    """The one map-shape rule: given an (h, w, c) `shape` in which None matches any size, reject
+    an entry's map shape `got` of another rank or size, naming its file; returns `got`."""
+    if shape is not None and (len(got) != 3 or any(
+            want not in (None, have) for want, have in zip(shape, got))):
         expected = ", ".join("hwc"[i] if want is None else str(want) for i, want in enumerate(shape))
-        raise CliError(f"{entry.tensor_path}: feature map has shape {fmap.shape}, "
+        raise CliError(f"{entry.tensor_path}: feature map has shape {got}, "
                        f"expected (h, w, c) = ({expected})")
+    return got
+
+
+def _read_map(entry: ManifestEntry, shape: tuple | None) -> np.ndarray:
+    """An entry's tensor, read and checked against `shape` by `_check_map`."""
+    fmap = read_tensor(entry.tensor_path)
+    _check_map(entry, fmap.shape, shape)
     return fmap
 
 
 def _descriptor_pool(manifest: DatasetManifest, split: str, apply_relu: bool) -> np.ndarray:
-    """Every map's descriptors stacked in manifest order, filled into one float64 array; every
-    map has the first map's channels."""
+    """Every map's descriptors in manifest order in one float64 array sized from the tensor
+    headers, filled one map at a time; a map must match its header's (h, w) and the first c."""
     entries = _split_entries(manifest, split)
-    first = _read_map(entries[0], (None, None, None))
-    maps = [first] + [_read_map(entry, (None, None, first.shape[2])) for entry in entries[1:]]
-    pool = np.empty((sum(fmap.shape[0] * fmap.shape[1] for fmap in maps), first.shape[2]))
-    lo = 0
-    for fmap in maps:
-        descriptors = extract_descriptors(fmap, apply_relu)
-        pool[lo : lo + len(descriptors)] = descriptors
-        lo += len(descriptors)
+    c = _check_map(entries[0], read_shape(entries[0].tensor_path), (None, None, None))[2]
+    shapes = [_check_map(e, read_shape(e.tensor_path), (None, None, c)) for e in entries]
+    ends = np.cumsum([h * w for h, w, _ in shapes])
+    pool = np.empty((ends[-1], c))
+    for entry, (h, w, _), end in zip(entries, shapes, ends):
+        pool[end - h * w : end] = extract_descriptors(_read_map(entry, (h, w, c)), apply_relu)
     return pool
 
 

@@ -178,11 +178,11 @@ def _update_centroids(
 
 def _fit_points(X, seed: int) -> np.ndarray:
     """The one subsample rule of both fits: a fit of X is the fit of this seeded uniform
-    subsample of SUBSAMPLE_LIMIT rows, or of X itself when it has no more rows than that."""
-    X = _as_points(X)
-    if X.shape[0] > SUBSAMPLE_LIMIT:
-        return X[np.random.default_rng(seed).choice(X.shape[0], SUBSAMPLE_LIMIT, replace=False)]
-    return X
+    subsample of SUBSAMPLE_LIMIT rows, or of X when it has no more; rows are taken, then widened."""
+    X = np.asarray(X)
+    if X.ndim == 2 and X.shape[0] > SUBSAMPLE_LIMIT:
+        X = X[np.random.default_rng(seed).choice(X.shape[0], SUBSAMPLE_LIMIT, replace=False)]
+    return _as_points(X)
 
 
 def _check_fit(X: np.ndarray, k: int, max_iter: int, tol: float) -> None:
@@ -224,22 +224,30 @@ def _log_joint(X: np.ndarray, XX: np.ndarray, weights, means, variances) -> np.n
     """log(w_j) + log N(x | mu_j, diag var_j) for every point/component pair; XX = X*X."""
     inv = 1.0 / variances
     const = -0.5 * (means.shape[1] * math.log(2.0 * math.pi) + np.log(variances).sum(axis=1))
-    quad = XX @ inv.T - 2.0 * (X @ (means * inv).T) + (means * means * inv).sum(axis=1)
+    quad = XX @ inv.T  # then - 2 X @ (means * inv).T + sum(means^2 * inv), in place, in order
+    cross = X @ (means * inv).T
+    cross *= 2.0
+    quad -= cross
+    quad += (means * means * inv).sum(axis=1)
+    quad *= 0.5
     with np.errstate(divide="ignore"):
         logw = np.log(weights)
-    return logw + const - 0.5 * quad
+    return np.subtract(logw + const, quad, out=quad)
 
 
 def _e_step(X, XX, weights, means, variances) -> tuple[np.ndarray, float]:
+    """Responsibilities (n, k), written over the log-joint, and the mean log-likelihood."""
     logj = _log_joint(X, XX, weights, means, variances)
     m = logj.max(axis=1, keepdims=True)
-    ll = m[:, 0] + np.log(np.exp(logj - m).sum(axis=1))
-    resp = np.exp(logj - ll[:, None])
-    return resp, float(ll.mean())
+    scratch = np.subtract(logj, m)
+    ll = m[:, 0] + np.log(np.exp(scratch, out=scratch).sum(axis=1))
+    logj -= ll[:, None]
+    return np.exp(logj, out=logj), float(ll.mean())
 
 
 def gmm_fit(X, k: int, seed: int = 0, max_iter: int = MAX_ITER, tol: float = TOL) -> GmmModel:
-    """`gmm_em` from `kmeans_fit(X, k, seed, max_iter, tol)`."""
+    """`gmm_em` from `kmeans_fit(X, k, seed, max_iter, tol)`, on X subsampled and widened once."""
+    X = _fit_points(X, seed)
     return gmm_em(X, kmeans_fit(X, k, seed, max_iter, tol), seed, max_iter, tol)
 
 
@@ -265,7 +273,10 @@ def gmm_em(X, codebook: Codebook, seed: int, max_iter: int, tol: float) -> GmmMo
     # One stable sort groups each cluster's rows, in input order, into a slice.
     groups = np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
     for j in np.flatnonzero(counts):
-        variances[j] = np.maximum(((X[groups[j]] - means[j]) ** 2).mean(axis=0), VARIANCE_FLOOR)
+        rows = X[groups[j]]  # a gathered copy, squared in place
+        rows -= means[j]
+        variances[j] = np.maximum(np.multiply(rows, rows, out=rows).mean(axis=0), VARIANCE_FLOOR)
+    del rows  # the last cluster's copy would otherwise live through EM
     XX = X * X
     history: list[float] = []
     for it in range(max_iter):

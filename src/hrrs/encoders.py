@@ -36,8 +36,10 @@ class EncodedFeature:
 
 
 def extract_descriptors(feature_map: np.ndarray, apply_relu: bool = False) -> np.ndarray:
-    """Flatten a [h, w, c] feature map into (h*w, c) local descriptors."""
-    fmap = np.asarray(feature_map, dtype=np.float64)
+    """Flatten a [h, w, c] feature map into (h*w, c) local descriptors: a float32 map's view (a
+    float32 copy with ReLU), else float64. The kernels widen on entry, an exact step."""
+    fmap = np.asarray(feature_map)
+    fmap = fmap if fmap.dtype == np.float32 else np.asarray(fmap, dtype=np.float64)
     if fmap.ndim != 3:
         raise ValueError(f"feature map must be rank 3 [h, w, c], got rank {fmap.ndim}")
     h, w, c = fmap.shape

@@ -73,14 +73,8 @@ def write_tensor(path: str | Path, values: np.ndarray) -> None:
         raise OSError(f"cannot write tensor file {path}: {exc}") from exc
 
 
-def read_tensor(path: str | Path) -> np.ndarray:
-    """Read an FTNS file back into a read-only float32 array.
-
-    Rejects wrong magic, unknown version or dtype, truncated payloads and
-    non-finite values; error messages name the failing field.
-    """
-    path = Path(path)
-    blob = path.read_bytes()
+def _parse_header(path: Path, blob: bytes) -> tuple[tuple[int, ...], int]:
+    """The shape and payload offset of the FTNS header that `blob` starts with, checked."""
     if len(blob) < 4 or blob[:4] != MAGIC:
         raise TensorFormatError(f"{path}: bad magic (expected FTNS)")
     if len(blob) < 4 + _HEADER.size:
@@ -98,6 +92,24 @@ def read_tensor(path: str | Path) -> np.ndarray:
     shape = struct.unpack_from(f"<{rank}Q", blob, 4 + _HEADER.size)
     if any(dim < 1 for dim in shape):
         raise TensorFormatError(f"{path}: empty dimension in shape {shape}")
+    return shape, dims_end
+
+
+def read_shape(path: str | Path) -> tuple[int, ...]:
+    """An FTNS file's shape, read from its header alone with `read_tensor`'s header checks."""
+    with open(path, "rb") as fh:
+        blob = fh.read(4 + _HEADER.size)
+        rank = _HEADER.unpack_from(blob, 4)[2] if len(blob) == 4 + _HEADER.size else 0
+        blob += fh.read(min(8 * rank, os.fstat(fh.fileno()).st_size))  # the dims, within the file
+    return _parse_header(Path(path), blob)[0]
+
+
+def read_tensor(path: str | Path) -> np.ndarray:
+    """Read an FTNS file into a read-only float32 array, checking its header (`_parse_header`),
+    then its payload's length and finiteness; errors name the file and the failing field."""
+    path = Path(path)
+    blob = path.read_bytes()
+    shape, dims_end = _parse_header(path, blob)
     expected = 4 * math.prod(shape)
     payload_bytes = len(blob) - dims_end
     if payload_bytes != expected:

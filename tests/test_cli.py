@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -1438,7 +1439,52 @@ def test_descriptor_pool_matches_concatenation(dataset, tmp_path, relu):
         ])
         pool = _descriptor_pool(manifest, "all", relu)
         assert pool.dtype == np.float64 and pool.shape == expected.shape
-        assert pool.tobytes() == expected.tobytes()
+        assert pool.tobytes() == expected.astype(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("relu", [False, True])
+def test_descriptor_pool_holds_one_map_at_a_time(tmp_path, relu):
+    """Sized from the headers, the pool's extra traced peak is at most two maps (a read and its
+    ReLU copy) plus 64 KiB of interpreter objects; holding every map would take eight."""
+    manifest = _mixed_manifest(tmp_path, [(13, 13, 256)] * 8)
+    map_bytes = 13 * 13 * 256 * 4
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pool = _descriptor_pool(manifest, "all", relu)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= pool.nbytes + 2 * map_bytes + (64 << 10)
+
+
+def test_descriptor_pool_rejects_a_map_rewritten_after_its_header_read(tmp_path, monkeypatch):
+    """The pool is sized from the headers; a map whose shape has changed since is named."""
+    manifest = _mixed_manifest(tmp_path, [(2, 2, 4), (2, 2, 4)])
+    real = cli.read_tensor
+
+    def rewriting(path):
+        if Path(path).name == "m1.ftns":
+            tensor_store.write_tensor(path, np.ones((3, 2, 4), dtype=np.float32))
+        return real(path)
+
+    monkeypatch.setattr(cli, "read_tensor", rewriting)
+    message = (f"{tmp_path / 'm1.ftns'}: feature map has shape (3, 2, 4), "
+               "expected (h, w, c) = (2, 2, 4)")
+    with pytest.raises(CliError, match=re.escape(message)):
+        _descriptor_pool(manifest, "all", False)
+
+
+@pytest.mark.parametrize("shapes", [[(2, 3), (2, 2, 4)], [(2, 2, 4), (2, 2, 4, 1)]],
+                         ids=["first", "second"])
+def test_descriptor_pool_rejects_a_map_of_another_rank(tmp_path, shapes):
+    manifest = _mixed_manifest(tmp_path, shapes)
+    bad = next(i for i, shape in enumerate(shapes) if len(shape) != 3)
+    expected = "h, w, c" if bad == 0 else "h, w, 4"
+    message = (f"{tmp_path / f'm{bad}.ftns'}: feature map has shape {shapes[bad]}, "
+               f"expected (h, w, c) = ({expected})")
+    with pytest.raises(CliError, match=re.escape(message)):
+        _descriptor_pool(manifest, "all", False)
 
 
 def test_descriptor_pool_rejects_mixed_channels(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hrrs.codebooks import (
     TOL,
     VARIANCE_FLOOR,
     Codebook,
+    _e_step,
     _segment_sum,
     gmm_em,
     gmm_fit,
@@ -446,6 +448,21 @@ class TestGmmFit:
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert a.loglik_history == b.loglik_history
 
+    def test_em_extra_peak_is_xx_and_a_few_responsibility_matrices(self):
+        """The variance init holds one cluster's centred rows at a time, before X*X exists, and
+        keeps none of them into EM; here one cluster's rows outweigh 50 (n, k) matrices."""
+        n, d, k = 8_000, 256, 2
+        X = np.random.default_rng(19).standard_normal((n, d))
+        cb = kmeans_fit(X, k, seed=0, max_iter=3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gmm_em(X, cb, 0, 3, 0.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= X.nbytes + 8 * n * k * 8
+
     @pytest.mark.parametrize(
         ("centroids", "message"),
         [
@@ -459,6 +476,39 @@ class TestGmmFit:
         X = np.random.default_rng(13).standard_normal((20, 4))
         with pytest.raises(ValueError, match=re.escape(message)):
             gmm_em(X, Codebook(centroids, ()), 0, MAX_ITER, TOL)
+
+
+class TestEStep:
+    @pytest.mark.parametrize("weights", [[0.5, 0.3, 0.2], [0.6, 0.0, 0.4]],
+                             ids=["positive", "zero-weight"])
+    def test_matches_the_out_of_place_expression(self, weights):
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((400, 5)) * np.logspace(-2, 3, 5)
+        means = rng.standard_normal((3, 5)) * 10.0
+        variances = rng.uniform(0.5, 50.0, (3, 5))
+        weights = np.array(weights)
+        resp, mean_ll = _e_step(X, X * X, weights, means, variances)
+        ref_resp, ref_ll = _ref_e_step(X, weights, means, variances)
+        assert resp.tobytes() == ref_resp.tobytes() and mean_ll == ref_ll
+        assert not resp[:, weights == 0].any()
+
+    def test_extra_peak_is_about_two_responsibility_matrices(self):
+        """The log-joint and one scratch array of (n, k) float64: the out-of-place form held
+        about three."""
+        n, k = 20_000, 50
+        rng = np.random.default_rng(18)
+        X = rng.standard_normal((n, 4))
+        XX = X * X
+        weights = np.full(k, 1.0 / k)
+        means, variances = rng.standard_normal((k, 4)), rng.uniform(0.5, 2.0, (k, 4))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            resp, _ = _e_step(X, XX, weights, means, variances)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert resp.shape == (n, k) and peak <= 2.2 * n * k * 8
 
 
 class TestGmmPosteriors:

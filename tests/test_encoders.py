@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from hrrs.codebooks import Codebook, GmmModel, gmm_fit
+from hrrs import codebooks
+from hrrs.codebooks import Codebook, GmmModel, gmm_em, gmm_fit, kmeans_fit
 from hrrs.encoders import (
     EncodedFeature,
     encode_bovw,
@@ -52,6 +53,25 @@ class TestExtractDescriptors:
     def test_rank_check(self):
         with pytest.raises(ValueError, match="rank 3"):
             extract_descriptors(np.zeros((4, 4)))
+
+    def test_float32_map_gives_a_float32_view(self):
+        fmap = np.arange(2 * 3 * 4, dtype=np.float32).reshape(2, 3, 4)
+        D = extract_descriptors(fmap)
+        assert D.dtype == np.float32 and np.shares_memory(D, fmap)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int32, np.int64, np.float16])
+    def test_other_dtypes_become_float64(self, dtype):
+        fmap = np.arange(2 * 3 * 4).reshape(2, 3, 4).astype(dtype)
+        D = extract_descriptors(fmap)
+        assert D.dtype == np.float64 and D.tolist() == fmap.reshape(6, 4).tolist()
+
+    def test_relu_on_float32_matches_the_float64_path_bytewise(self):
+        fmap = np.random.default_rng(4).standard_normal((3, 5, 6)).astype(np.float32)
+        fmap.flat[::4] = -0.0
+        D = extract_descriptors(fmap, apply_relu=True)
+        assert D.dtype == np.float32 and not np.shares_memory(D, fmap)
+        wide = extract_descriptors(fmap.astype(np.float64), apply_relu=True)
+        assert D.astype(np.float64).tobytes() == wide.tobytes()
 
 
 def _relu(v: np.ndarray) -> np.ndarray:
@@ -288,6 +308,55 @@ class TestFisher:
         g = GmmModel(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)), ())
         with pytest.raises(ValueError, match="empty"):
             encode_ifk(g, np.zeros((0, 2)))
+
+
+class TestFloat32Descriptors:
+    """Every kernel widens float32 descriptors on entry: its output bytes are those of the
+    float64 widening, with relu off and on, with and without the fits' subsample."""
+
+    @staticmethod
+    def _descriptors(relu):
+        rng = np.random.default_rng(21)
+        maps = [(rng.standard_normal((5, 6, 8)) + 2.0 * (i % 3)).astype(np.float32)
+                for i in range(12)]
+        for fmap in maps:
+            fmap.flat[::9] = -0.0
+        narrow = [extract_descriptors(fmap, relu) for fmap in maps]
+        assert all(D.dtype == np.float32 for D in narrow)
+        return narrow, [D.astype(np.float64) for D in narrow]
+
+    @staticmethod
+    def _same(a, b):
+        for name in ("centroids", "inertia_history", "weights", "means", "variances",
+                     "loglik_history"):
+            if hasattr(a, name):
+                left, right = getattr(a, name), getattr(b, name)
+                assert np.asarray(left).tobytes() == np.asarray(right).tobytes(), name
+
+    @pytest.mark.parametrize("limit", [None, 200], ids=["whole", "subsampled"])
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_fits(self, monkeypatch, relu, limit):
+        if limit is not None:
+            monkeypatch.setattr(codebooks, "SUBSAMPLE_LIMIT", limit)
+        narrow, wide = self._descriptors(relu)
+        pool32, pool64 = np.concatenate(narrow), np.concatenate(wide)
+        assert pool32.dtype == np.float32
+        cb = kmeans_fit(pool32, 4, seed=2, max_iter=5, tol=0.0)
+        self._same(cb, kmeans_fit(pool64, 4, seed=2, max_iter=5, tol=0.0))
+        self._same(gmm_fit(pool32, 4, seed=2, max_iter=4, tol=0.0),
+                   gmm_fit(pool64, 4, seed=2, max_iter=4, tol=0.0))
+        self._same(gmm_em(pool32, cb, 2, 4, 0.0), gmm_em(pool64, cb, 2, 4, 0.0))
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_encoders(self, relu):
+        narrow, wide = self._descriptors(relu)
+        pool = np.concatenate(wide)
+        cb = kmeans_fit(pool, 4, seed=1, max_iter=5)
+        g = gmm_fit(pool, 4, seed=1, max_iter=4)
+        for encode, model in ((encode_bovw, cb), (encode_vlad, cb), (encode_ifk, g)):
+            for D32, D64 in zip(narrow, wide):
+                a, b = encode(model, D32), encode(model, D64)
+                assert a.vector.tobytes() == b.vector.tobytes() and a.normalized == b.normalized
 
 
 class TestOutputDimensions:

@@ -15,6 +15,7 @@ from hrrs.tensor_store import (
     gen_synthetic,
     load_bundle,
     load_manifest,
+    read_shape,
     read_tensor,
     save_bundle,
     write_synthetic,
@@ -134,6 +135,31 @@ class TestTensorValidation:
         path.write_bytes(blob[:-1])
         with pytest.raises(TensorFormatError, match="length mismatch"):
             read_tensor(path)
+
+    def test_read_shape_reads_the_header_alone(self, tmp_path):
+        path = tmp_path / "t.ftns"
+        write_tensor(path, np.ones((3, 2, 5), dtype=np.float32))
+        path.write_bytes(path.read_bytes()[:-7])  # a payload fault is left to read_tensor
+        assert read_shape(path) == (3, 2, 5)
+
+    @pytest.mark.parametrize(
+        ("blob", "message"),
+        [
+            (b"", "bad magic (expected FTNS)"),
+            (b"XXXX" + struct.pack("<III1Q", 1, 1, 1, 2), "bad magic (expected FTNS)"),
+            (b"FTNS" + struct.pack("<II", 1, 1), "truncated header"),
+            (b"FTNS" + struct.pack("<III1Q", 1, 1, 3, 2), "truncated dims (rank 3)"),
+            (b"FTNS" + struct.pack("<III", 1, 1, 0xFFFFFFFF), "truncated dims (rank 4294967295)"),
+            (b"FTNS" + struct.pack("<III1Q", 2, 1, 1, 2), "unknown version 2"),
+        ],
+        ids=["empty", "bad-magic", "truncated-header", "truncated-dims", "huge-rank", "version"],
+    )
+    @pytest.mark.parametrize("reader", [read_shape, read_tensor], ids=["shape", "tensor"])
+    def test_header_faults_name_the_file(self, tmp_path, reader, blob, message):
+        path = tmp_path / "t.ftns"
+        path.write_bytes(blob)
+        with pytest.raises(TensorFormatError, match=re.escape(f"{path}: {message}")):
+            reader(path)
 
     def test_non_finite_payload_rejected_on_read(self, tmp_path):
         path = tmp_path / "t.ftns"
