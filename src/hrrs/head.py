@@ -162,6 +162,19 @@ def head_init(config: HeadConfig, seed: int = 0) -> MlpconvHead:
     return MlpconvHead(config, params)
 
 
+def _shifts(h: int, w: int):
+    """Per offset o = 3*di + dj of a 3x3 pad-1 window: o, then the (B, h, w) index of the
+    output sites it fills and of the map sites they read; output site i reads i + d - 1."""
+    def spans(d, n):
+        return slice(max(0, 1 - d), min(n, n + 1 - d)), slice(max(0, d - 1), min(n, n + d - 1))
+
+    for di in range(3):
+        out_i, in_i = spans(di, h)
+        for dj in range(3):
+            out_j, in_j = spans(dj, w)
+            yield 3 * di + dj, (slice(None), out_i, out_j), (slice(None), in_i, in_j)
+
+
 def _im2col3_batch(maps: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
     """(B, h, w, c) -> (B*h*w, 9c) patch matrix for a 3x3 pad-1 convolution.
 
@@ -173,22 +186,20 @@ def _im2col3_batch(maps: np.ndarray, buf: np.ndarray | None = None) -> np.ndarra
     if buf is None:
         buf = np.zeros((b, h, w, 9, c))
     patches = buf[:b]
-
-    def spans(d, n):
-        """At offset d, output sites [lo, hi) read map sites [lo + d - 1, hi + d - 1)."""
-        return slice(max(0, 1 - d), min(n, n + 1 - d)), slice(max(0, d - 1), min(n, n + d - 1))
-
-    for di in range(3):
-        out_i, in_i = spans(di, h)
-        for dj in range(3):
-            out_j, in_j = spans(dj, w)
-            patches[:, out_i, out_j, 3 * di + dj] = maps[:, in_i, in_j]
+    for o, out, src in _shifts(h, w):
+        patches[(*out, o)] = maps[src]
     return patches.reshape(b * h * w, 9 * c)
 
 
 def _dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
-    """Inverted-dropout mask with values in {0, 1/(1-rate)}."""
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    """Bool inverted-dropout mask: each unit survives with probability 1 - rate."""
+    return rng.random(shape) >= rate
+
+
+def _apply_dropout(x: np.ndarray, keep: np.ndarray, rate: float) -> None:
+    """x *= keep / (1 - rate) in place, bit for bit (signed zeros, infs, NaNs), from a bool mask."""
+    x *= keep
+    x *= 1.0 / (1.0 - rate)
 
 
 def _check_maps(maps: np.ndarray, config: HeadConfig) -> np.ndarray:
@@ -201,7 +212,9 @@ def _check_maps(maps: np.ndarray, config: HeadConfig) -> np.ndarray:
 
 def _forward(head: MlpconvHead, maps: np.ndarray, rng=None, buf: np.ndarray | None = None) -> dict:
     """The one forward pass. With an `rng`, dropout masks are drawn from it (training);
-    without one there is no dropout (eval). Every activation is kept for backprop."""
+    without one there is no dropout (eval). Every activation is kept for backprop; a batch
+    of more maps than `buf` holds keeps its maps instead of its patch matrix, which then
+    exists one buffer of maps at a time."""
     cfg = head.config
     maps = _check_maps(maps, cfg)
     hw = cfg.in_spatial[0] * cfg.in_spatial[1]
@@ -209,43 +222,55 @@ def _forward(head: MlpconvHead, maps: np.ndarray, rng=None, buf: np.ndarray | No
     w1 = head.params["W1"].reshape(-1, cfg.hidden1)
     w2 = head.params["W2"].reshape(cfg.hidden1, cfg.hidden2)
     w3 = head.params["W3"].reshape(cfg.hidden2, cfg.classes)
-    cols = _im2col3_batch(maps, buf)
-    a1 = cols @ w1
+    # A batch that fits one chunk keeps its patch matrix, at no extra memory, for one W1
+    # gradient GEMM: split products of 10^6 multiply-adds or fewer would round differently.
+    if buf is None or len(maps) <= len(buf):
+        cols = _im2col3_batch(maps, buf)
+        a1 = cols @ w1
+    else:  # a row split of cols @ w1, one buffer of maps at a time
+        cols, a1, step = None, np.empty((len(maps) * hw, cfg.hidden1)), len(buf)
+        for lo in range(0, len(maps), step):
+            np.matmul(_im2col3_batch(maps[lo : lo + step], buf), w1, out=a1[lo * hw : (lo + step) * hw])
     a1 += head.params["b1"]
     d1 = np.maximum(a1, 0.0, out=a1)  # the backward masks on d1 > 0, so a1 is not kept
     m1 = None
     if drop:
         m1 = _dropout_mask(rng, a1.shape, cfg.dropout_rate)
-        d1 *= m1
+        _apply_dropout(d1, m1, cfg.dropout_rate)
     a2 = d1 @ w2
     a2 += head.params["b2"]
     d2 = np.maximum(a2, 0.0, out=a2)
     m2 = None
     if drop:
         m2 = _dropout_mask(rng, a2.shape, cfg.dropout_rate)
-        d2 *= m2
+        _apply_dropout(d2, m2, cfg.dropout_rate)
     a3 = d2 @ w3
     a3 += head.params["b3"]
     gap = a3.reshape(len(maps), hw, cfg.classes).mean(axis=1)
-    return {"hw": hw, "cols": cols, "d1": d1, "m1": m1, "d2": d2, "m2": m2, "a3": a3, "gap": gap}
+    return {"hw": hw, "maps": maps, "cols": cols, "d1": d1, "m1": m1, "d2": d2, "m2": m2, "a3": a3, "gap": gap}
 
 
-def _gap(head: MlpconvHead, maps: np.ndarray) -> np.ndarray:
-    """Eval-mode GAP matrix (N, classes): `_forward` without an rng, chunk by chunk.
+def _chunk_buffer(cfg: HeadConfig, n: int) -> np.ndarray:
+    """An im2col buffer for chunks of at most n maps whose widest activation,
+    hw * max(9c, hidden1, hidden2) float64 values per map, fits TILE_BYTES."""
+    hw = cfg.in_spatial[0] * cfg.in_spatial[1]
+    chunk = max(1, TILE_BYTES // (8 * hw * max(9 * cfg.in_channels, cfg.hidden1, cfg.hidden2)))
+    return np.zeros((max(1, min(chunk, n)), *cfg.in_spatial, 9, cfg.in_channels))
 
-    Maps go through in chunks whose widest activation, hw * max(9c, hidden1, hidden2)
-    float64 values per map, fits TILE_BYTES; every chunk reuses one im2col buffer. A
-    GEMM row depends on its own map alone, so the chunk size changes no bit of the result.
+
+def _gap(head: MlpconvHead, maps: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
+    """Eval-mode GAP matrix (N, classes): `_forward` without an rng on chunks of `len(buf)`
+    maps (`_chunk_buffer`'s by default), all through the one buffer. A GEMM row depends on
+    its own map alone, so the chunk size changes no bit of the result while each chunk's
+    product takes the whole product's BLAS kernel (OpenBLAS on AVX-512 switches to a
+    small-matrix kernel at 10^6 multiply-adds or fewer).
     """
     cfg = head.config
     maps = _check_maps(maps, cfg)
-    n = maps.shape[0]
-    hw = cfg.in_spatial[0] * cfg.in_spatial[1]
-    chunk = max(1, TILE_BYTES // (8 * hw * max(9 * cfg.in_channels, cfg.hidden1, cfg.hidden2)))
-    buf = np.zeros((min(chunk, n), *cfg.in_spatial, 9, cfg.in_channels))
-    gap = np.empty((n, cfg.classes))
-    for lo in range(0, n, chunk):
-        gap[lo : lo + chunk] = _forward(head, maps[lo : lo + chunk], None, buf)["gap"]
+    buf = _chunk_buffer(cfg, len(maps)) if buf is None else buf
+    gap = np.empty((len(maps), cfg.classes))
+    for lo in range(0, len(maps), len(buf)):
+        gap[lo : lo + len(buf)] = _forward(head, maps[lo : lo + len(buf)], None, buf)["gap"]
     return gap
 
 
@@ -259,15 +284,24 @@ def _grads_from_cache(head: MlpconvHead, cache: dict, dgap: np.ndarray) -> dict[
     g_b3 = da3.sum(axis=0)
     da2 = da3 @ w3.T
     if cache["m2"] is not None:
-        da2 *= cache["m2"]
+        _apply_dropout(da2, cache["m2"], cfg.dropout_rate)
     da2 *= cache["d2"] > 0  # a unit dropout zeroed is already 0 here, and the scale is >= 1
     g_w2 = cache["d1"].T @ da2
     g_b2 = da2.sum(axis=0)
     da1 = da2 @ w2.T
     if cache["m1"] is not None:
-        da1 *= cache["m1"]
+        _apply_dropout(da1, cache["m1"], cfg.dropout_rate)
     da1 *= cache["d1"] > 0
-    g_w1 = cache["cols"].T @ da1
+    if cache["cols"] is not None:
+        g_w1 = cache["cols"].T @ da1
+    else:  # cols.T @ da1 as the row blocks of its 9 offsets, one shifted copy of the maps each
+        c, shifted = cfg.in_channels, np.empty_like(cache["maps"])
+        g_w1 = np.empty((9 * c, cfg.hidden1))
+        for o, (_, rows, sites), src in _shifts(*cfg.in_spatial):
+            shifted[:, : rows.start] = shifted[:, rows.stop :] = 0.0  # the border this offset pads
+            shifted[:, :, : sites.start] = shifted[:, :, sites.stop :] = 0.0
+            shifted[:, rows, sites] = cache["maps"][src]
+            np.matmul(shifted.reshape(-1, c).T, da1, out=g_w1[o * c : (o + 1) * c])
     g_b1 = da1.sum(axis=0)
     return {
         "W1": g_w1.reshape(head.params["W1"].shape), "b1": g_b1,
@@ -317,8 +351,8 @@ def _train_sample(head, feature_map, label, dropout_mask_seed):
     return _loss_and_grads(head, fmap[None], np.array([label]), rng)
 
 
-def _accuracy(head: MlpconvHead, maps: np.ndarray, labels: np.ndarray) -> float:
-    return int((_gap(head, maps).argmax(axis=1) == labels).sum()) / len(labels)
+def _accuracy(head: MlpconvHead, maps: np.ndarray, labels: np.ndarray, buf: np.ndarray | None = None) -> float:
+    return int((_gap(head, maps, buf).argmax(axis=1) == labels).sum()) / len(labels)
 
 
 def _check_dataset(data, config: HeadConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -362,7 +396,7 @@ def head_train(
     best_acc = -np.inf
     stall = 0
     n = len(y_tr)
-    buf = np.zeros((min(hp.batch_size, n), *head.config.in_spatial, 9, head.config.in_channels))
+    buf = _chunk_buffer(head.config, max(n, len(y_te)))  # one buffer for every step and eval pass
     for epoch in range(1, hp.max_epochs + 1):
         rng = np.random.default_rng([seed, epoch])
         perm = rng.permutation(n)
@@ -376,8 +410,8 @@ def head_train(
                 vel *= hp.momentum
                 vel -= state.learning_rate * (grad + hp.weight_decay * head.params[name])
                 head.params[name] += vel
-        train_acc = _accuracy(head, maps_tr, y_tr)
-        test_acc = _accuracy(head, maps_te, y_te)
+        train_acc = _accuracy(head, maps_tr, y_tr, buf=buf)
+        test_acc = _accuracy(head, maps_te, y_te, buf=buf)
         state.history.append(
             EpochRecord(epoch, state.learning_rate, float(np.mean(losses)), train_acc, test_acc)
         )

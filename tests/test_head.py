@@ -17,6 +17,7 @@ from hrrs.head import (
     MlpconvHead,
     TrainConfig,
     _accuracy,
+    _apply_dropout,
     _check_maps,
     _dropout_mask,
     _forward,
@@ -321,14 +322,17 @@ class TestHeadBackward:
 
     def test_cache_keeps_no_pre_activations(self):
         """The backward masks on d > 0: the cache holds d1 and d2, each the reference's
-        bytes, and neither pre-activation a1 nor a2."""
+        bytes, and neither pre-activation a1 nor a2; its dropout masks are the bool
+        survivors of the reference's float masks."""
         head = _open_head(SMALL_CFG, seed=13)
         maps = _maps_with_negative_zeros((3, *SMALL_CFG.map_shape), seed=13)
         cache = _forward(head, maps, rng=np.random.default_rng(4))
         ref = _reference_forward(head, maps, True, np.random.default_rng(4))
         assert not {"a1", "a2"} & cache.keys()
-        for name in ("d1", "d2", "m1", "m2", "gap"):
+        for name in ("d1", "d2", "gap"):
             assert cache[name].tobytes() == ref[name].tobytes()
+        for name in ("m1", "m2"):
+            assert cache[name].tobytes() == (ref[name] > 0).tobytes()
 
 
 class TestDropout:
@@ -339,7 +343,9 @@ class TestDropout:
         trials = 10_000
         acc = np.zeros_like(x)
         for _ in range(trials):
-            acc += x * _dropout_mask(rng, x.shape, rate)
+            y = x.copy()
+            _apply_dropout(y, _dropout_mask(rng, x.shape, rate), rate)
+            acc += y
         mean = acc / trials
         sigma = np.abs(x) * math.sqrt(rate / (1 - rate) / trials)
         assert np.all(np.abs(mean - x) <= 3 * sigma + 1e-12)
@@ -347,7 +353,23 @@ class TestDropout:
     def test_mask_values(self):
         rng = np.random.default_rng(14)
         mask = _dropout_mask(rng, (1000,), 0.5)
-        assert set(np.unique(mask)) == {0.0, 2.0}
+        assert mask.dtype == bool
+        x = np.ones(1000)
+        _apply_dropout(x, mask, 0.5)
+        assert set(np.unique(x)) == {0.0, 2.0}
+
+    @pytest.mark.parametrize("rate", [0.1, 0.5, 0.7])
+    def test_apply_matches_the_float_mask_product(self, rate):
+        """Signed zeros, infs and NaNs come out as from one product with a float mask."""
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal(4000)
+        x[::5], x[1::5], x[2::7], x[3::11] = -0.0, np.inf, -np.inf, np.nan
+        keep = _dropout_mask(rng, x.shape, rate)
+        y = x.copy()
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN on both sides
+            _apply_dropout(y, keep, rate)
+            expected = x * (keep / (1.0 - rate))
+        assert y.tobytes() == expected.tobytes()
 
 
 class TestParamCount:
@@ -552,13 +574,13 @@ def _reference_forward(head, maps, train, rng):
     d1 = np.maximum(a1, 0.0)
     m1 = None
     if drop:
-        m1 = _dropout_mask(rng, a1.shape, cfg.dropout_rate)
+        m1 = _dropout_mask(rng, a1.shape, cfg.dropout_rate) / (1.0 - cfg.dropout_rate)
         d1 = d1 * m1
     a2 = d1 @ w2 + head.params["b2"]
     d2 = np.maximum(a2, 0.0)
     m2 = None
     if drop:
-        m2 = _dropout_mask(rng, a2.shape, cfg.dropout_rate)
+        m2 = _dropout_mask(rng, a2.shape, cfg.dropout_rate) / (1.0 - cfg.dropout_rate)
         d2 = d2 * m2
     a3 = d2 @ w3 + head.params["b3"]
     gap = a3.reshape(b, hw, cfg.classes).mean(axis=1)
@@ -590,7 +612,7 @@ def _reference_loss_and_grads(head, maps, labels, rng, buf=None):
     return float(losses.mean()), grads
 
 
-def _reference_accuracy(head, maps, labels, chunk=256):
+def _reference_accuracy(head, maps, labels, chunk=256, buf=None):
     hits = 0
     for lo in range(0, len(labels), chunk):
         cache = _reference_forward(head, maps[lo : lo + chunk], False, None)
@@ -630,9 +652,11 @@ class TestIm2col:
         assert cols.tobytes() == _reference_im2col3_batch(small).tobytes()
 
 
+# pool5-like maps at the benchmark's hidden width: 9c is the widest activation
+POOL5_CFG = HeadConfig(in_channels=512, in_spatial=(6, 6), hidden1=64, hidden2=64, classes=21)
+
 CHUNK_CONFIGS = [
-    # 9c is the widest activation: pool5-like maps, the benchmark's hidden width
-    HeadConfig(in_channels=512, in_spatial=(6, 6), hidden1=64, hidden2=64, classes=21),
+    POOL5_CFG,
     # hidden1 is the widest activation, on non-square maps
     HeadConfig(in_channels=2, in_spatial=(4, 3), hidden1=24, hidden2=7, classes=4),
 ]
@@ -702,3 +726,51 @@ class TestEvalForward:
 
         small, large = peak(8), peak(64)
         assert large - small < 64 << 10, (small, large)
+
+
+class TestChunkedStep:
+    """A training step takes its patch rows one buffer of maps at a time and W1's gradient
+    one 3x3 offset at a time; the full-batch reference builds the whole patch matrix."""
+
+    @pytest.mark.parametrize(
+        ("cfg", "batch", "chunks"),
+        [
+            (POOL5_CFG, 25, [6, 6, 6, 6, 1]),  # 8 MiB holds 6 maps' patch rows at c=512
+            (POOL5_CFG, 4, [4]),
+            # one chunk: its W1 gradient stays one GEMM, as nine would each be small
+            # enough (32 x 8 x 1800) for OpenBLAS's small-matrix kernel on AVX-512
+            (replace(POOL5_CFG, in_channels=32, hidden1=8, hidden2=8, classes=3), 50, [50]),
+        ],
+        ids=["last-chunk-one-map", "batch-below-chunk", "small-products-one-chunk"],
+    )
+    def test_step_bytes_match_the_full_batch_reference(self, monkeypatch, cfg, batch, chunks):
+        head = _open_head(cfg, seed=batch)
+        maps = _maps_with_negative_zeros((batch, *cfg.map_shape), seed=batch)
+        labels = np.random.default_rng(batch).integers(0, cfg.classes, size=batch)
+        buf = head_module._chunk_buffer(cfg, 50)
+        sizes = []
+        im2col = head_module._im2col3_batch
+        monkeypatch.setattr(head_module, "_im2col3_batch",
+                            lambda maps, buf=None: sizes.append(len(maps)) or im2col(maps, buf))
+        loss, grads = _loss_and_grads(head, maps, labels, np.random.default_rng(7), buf)
+        ref_loss, ref_grads = _reference_loss_and_grads(head, maps, labels, np.random.default_rng(7))
+        assert sizes == chunks
+        assert loss == ref_loss
+        for name in ref_grads:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+    def test_train_peak_stays_below_one_batch_patch_matrix(self):
+        cfg = replace(POOL5_CFG, hidden1=8, hidden2=8, classes=3)
+        rng = np.random.default_rng(0)
+        maps = rng.standard_normal((60, *cfg.map_shape))
+        labels = np.arange(60) % 3
+        hp = TrainConfig(batch_size=25, max_epochs=1)
+        head = head_init(cfg, seed=0)
+        patch_matrix = 25 * 36 * 9 * 512 * 8  # one batch's patch rows, 33.2 MB
+        tracemalloc.start()
+        try:
+            head_train(head, (maps[:50], labels[:50]), (maps[50:], labels[50:]), hp, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < patch_matrix, (peak, patch_matrix)
