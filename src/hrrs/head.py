@@ -227,8 +227,10 @@ def _forward(head: MlpconvHead, maps: np.ndarray, rng=None, buf: np.ndarray | No
     if buf is None or len(maps) <= len(buf):
         cols = _im2col3_batch(maps, buf)
         a1 = cols @ w1
-    else:  # a row split of cols @ w1, one buffer of maps at a time
-        cols, a1, step = None, np.empty((len(maps) * hw, cfg.hidden1)), len(buf)
+    else:  # a row split of cols @ w1 into the fewest chunks `buf` holds, of near-equal size:
+        # a much smaller last chunk's GEMM stalled for up to 100 ms beside a busy process
+        cols, a1 = None, np.empty((len(maps) * hw, cfg.hidden1))
+        step = -(-len(maps) // -(-len(maps) // len(buf)))
         for lo in range(0, len(maps), step):
             np.matmul(_im2col3_batch(maps[lo : lo + step], buf), w1, out=a1[lo * hw : (lo + step) * hw])
     a1 += head.params["b1"]
@@ -274,7 +276,10 @@ def _gap(head: MlpconvHead, maps: np.ndarray, buf: np.ndarray | None = None) -> 
     return gap
 
 
-def _grads_from_cache(head: MlpconvHead, cache: dict, dgap: np.ndarray) -> dict[str, np.ndarray]:
+def _grads_from_cache(head: MlpconvHead, cache: dict, dgap: np.ndarray,
+                      shifted: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Exact gradients from a `_forward` cache. Without a patch matrix in it, W1's gradient
+    shifts the maps into `shifted` (at least the batch's maps; allocated if not given)."""
     cfg = head.config
     hw = cache["hw"]
     w2 = head.params["W2"].reshape(cfg.hidden1, cfg.hidden2)
@@ -295,7 +300,8 @@ def _grads_from_cache(head: MlpconvHead, cache: dict, dgap: np.ndarray) -> dict[
     if cache["cols"] is not None:
         g_w1 = cache["cols"].T @ da1
     else:  # cols.T @ da1 as the row blocks of its 9 offsets, one shifted copy of the maps each
-        c, shifted = cfg.in_channels, np.empty_like(cache["maps"])
+        c, b = cfg.in_channels, len(cache["maps"])
+        shifted = np.empty_like(cache["maps"]) if shifted is None else shifted[:b]
         g_w1 = np.empty((9 * c, cfg.hidden1))
         for o, (_, rows, sites), src in _shifts(*cfg.in_spatial):
             shifted[:, : rows.start] = shifted[:, rows.stop :] = 0.0  # the border this offset pads
@@ -321,13 +327,13 @@ def _softmax_xent_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndar
     return losses, dlogits
 
 
-def _loss_and_grads(head, maps, labels, rng, buf=None) -> tuple[float, dict[str, np.ndarray]]:
+def _loss_and_grads(head, maps, labels, rng, buf=None, shifted=None) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over the batch plus exact parameter gradients."""
     if rng is None and head.config.dropout_rate > 0:
         raise ValueError("training with dropout needs an rng")
     cache = _forward(head, maps, rng, buf)
     losses, dlogits = _softmax_xent_batch(cache["gap"], labels)
-    grads = _grads_from_cache(head, cache, dlogits / len(labels))
+    grads = _grads_from_cache(head, cache, dlogits / len(labels), shifted)
     return float(losses.mean()), grads
 
 
@@ -397,13 +403,16 @@ def head_train(
     stall = 0
     n = len(y_tr)
     buf = _chunk_buffer(head.config, max(n, len(y_te)))  # one buffer for every step and eval pass
+    # and, for batches wider than it, one for W1's gradient: no step allocates either
+    batch = min(hp.batch_size, n)
+    shifted = np.empty((batch, *head.config.map_shape)) if batch > len(buf) else None
     for epoch in range(1, hp.max_epochs + 1):
         rng = np.random.default_rng([seed, epoch])
         perm = rng.permutation(n)
         losses = []
         for lo in range(0, n, hp.batch_size):
             idx = perm[lo : lo + hp.batch_size]
-            loss, grads = _loss_and_grads(head, maps_tr[idx], y_tr[idx], rng, buf)
+            loss, grads = _loss_and_grads(head, maps_tr[idx], y_tr[idx], rng, buf, shifted)
             losses.append(loss)
             for name, grad in grads.items():
                 vel = state.velocities[name]

@@ -588,7 +588,7 @@ def _reference_forward(head, maps, train, rng):
             "gap": gap}
 
 
-def _reference_loss_and_grads(head, maps, labels, rng, buf=None):
+def _reference_loss_and_grads(head, maps, labels, rng, buf=None, shifted=None):
     cfg = head.config
     cache = _reference_forward(head, maps, True, rng)
     losses, dlogits = _softmax_xent_batch(cache["gap"], labels)
@@ -729,19 +729,22 @@ class TestEvalForward:
 
 
 class TestChunkedStep:
-    """A training step takes its patch rows one buffer of maps at a time and W1's gradient
-    one 3x3 offset at a time; the full-batch reference builds the whole patch matrix."""
+    """A training step takes its patch rows in near-equal chunks of at most one buffer of
+    maps and W1's gradient one 3x3 offset at a time; the full-batch reference builds the
+    whole patch matrix."""
 
     @pytest.mark.parametrize(
         ("cfg", "batch", "chunks"),
         [
-            (POOL5_CFG, 25, [6, 6, 6, 6, 1]),  # 8 MiB holds 6 maps' patch rows at c=512
+            # 8 MiB holds 6 maps' patch rows at c=512: 25 maps take 5 chunks of 5, not 6,6,6,6,1
+            (POOL5_CFG, 25, [5, 5, 5, 5, 5]),
+            (POOL5_CFG, 13, [5, 5, 3]),
             (POOL5_CFG, 4, [4]),
             # one chunk: its W1 gradient stays one GEMM, as nine would each be small
             # enough (32 x 8 x 1800) for OpenBLAS's small-matrix kernel on AVX-512
             (replace(POOL5_CFG, in_channels=32, hidden1=8, hidden2=8, classes=3), 50, [50]),
         ],
-        ids=["last-chunk-one-map", "batch-below-chunk", "small-products-one-chunk"],
+        ids=["even-chunks", "short-last-chunk", "batch-below-chunk", "small-products-one-chunk"],
     )
     def test_step_bytes_match_the_full_batch_reference(self, monkeypatch, cfg, batch, chunks):
         head = _open_head(cfg, seed=batch)
@@ -756,6 +759,21 @@ class TestChunkedStep:
         ref_loss, ref_grads = _reference_loss_and_grads(head, maps, labels, np.random.default_rng(7))
         assert sizes == chunks
         assert loss == ref_loss
+        for name in ref_grads:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+    def test_reused_shifted_buffer_keeps_the_bytes(self):
+        # head_train hands every step one copy buffer sized to the batch; a smaller
+        # last batch takes its leading rows, and no value left in it reaches a gradient
+        batch = 13
+        head = _open_head(POOL5_CFG, seed=batch)
+        maps = _maps_with_negative_zeros((batch, *POOL5_CFG.map_shape), seed=batch)
+        labels = np.random.default_rng(batch).integers(0, POOL5_CFG.classes, size=batch)
+        buf = head_module._chunk_buffer(POOL5_CFG, 50)
+        shifted = np.full((batch + 2, *POOL5_CFG.map_shape), np.nan)
+        _, grads = _loss_and_grads(head, maps, labels, np.random.default_rng(7), buf, shifted)
+        _, ref_grads = _reference_loss_and_grads(head, maps, labels, np.random.default_rng(7))
+        assert not np.isnan(shifted[:batch]).any() and np.isnan(shifted[batch:]).all()
         for name in ref_grads:
             assert grads[name].tobytes() == ref_grads[name].tobytes(), name
 
