@@ -5,4 +5,4 @@ descriptor aggregation (BOVW / VLAD / IFK) or a trainable mlpconv+GAP head ->
 L2 nearest-neighbor retrieval -> ANMRR / mAP / P@k scoring.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .codebooks import Codebook, GmmModel, _nearest, _segment_sum, gmm_responsibilities
+from .codebooks import Codebook, GmmModel, _em_pass, _nearest, _segment_sum
 from .tensor_store import BundleError, load_bundle, save_bundle
 
 ZERO_NORM_EPS = 1e-12
@@ -110,10 +110,8 @@ def fisher_vector_raw(g: GmmModel, descriptors: np.ndarray) -> np.ndarray:
     """
     X = _check_descriptors(descriptors, g.dim)
     m = X.shape[0]
-    resp = gmm_responsibilities(g, X)
+    resp, _, s1, s2 = _em_pass(X, g.weights, g.means, g.variances)  # s1, s2: (k, d)
     s0 = resp.sum(axis=0)  # (k,)
-    s1 = resp.T @ X  # (k, d)
-    s2 = resp.T @ (X * X)  # (k, d)
     mu, var = g.means, g.variances
     sigma = np.sqrt(var)
     w = g.weights

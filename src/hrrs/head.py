@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoders import EncodedFeature, l2_normalize
-from .retrieval import TILE_BYTES
-from .tensor_store import BundleError, load_bundle, save_bundle
+from .tensor_store import TILE_BYTES, BundleError, load_bundle, save_bundle, tile_bounds
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
 
@@ -227,12 +226,10 @@ def _forward(head: MlpconvHead, maps: np.ndarray, rng=None, buf: np.ndarray | No
     if buf is None or len(maps) <= len(buf):
         cols = _im2col3_batch(maps, buf)
         a1 = cols @ w1
-    else:  # a row split of cols @ w1 into the fewest chunks `buf` holds, of near-equal size:
-        # a much smaller last chunk's GEMM stalled for up to 100 ms beside a busy process
+    else:  # a row split of cols @ w1 into the fewest near-equal chunks `buf` holds
         cols, a1 = None, np.empty((len(maps) * hw, cfg.hidden1))
-        step = -(-len(maps) // -(-len(maps) // len(buf)))
-        for lo in range(0, len(maps), step):
-            np.matmul(_im2col3_batch(maps[lo : lo + step], buf), w1, out=a1[lo * hw : (lo + step) * hw])
+        for lo, hi in _chunks(len(maps), buf):
+            np.matmul(_im2col3_batch(maps[lo:hi], buf), w1, out=a1[lo * hw : hi * hw])
     a1 += head.params["b1"]
     d1 = np.maximum(a1, 0.0, out=a1)  # the backward masks on d1 > 0, so a1 is not kept
     m1 = None
@@ -260,19 +257,24 @@ def _chunk_buffer(cfg: HeadConfig, n: int) -> np.ndarray:
     return np.zeros((max(1, min(chunk, n)), *cfg.in_spatial, 9, cfg.in_channels))
 
 
+def _chunks(n: int, buf: np.ndarray) -> list[tuple[int, int]]:
+    """The fewest near-equal chunks of at most `len(buf)` of n maps."""
+    return tile_bounds(n, max(1, -(-n // len(buf))))
+
+
 def _gap(head: MlpconvHead, maps: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
-    """Eval-mode GAP matrix (N, classes): `_forward` without an rng on chunks of `len(buf)`
-    maps (`_chunk_buffer`'s by default), all through the one buffer. A GEMM row depends on
-    its own map alone, so the chunk size changes no bit of the result while each chunk's
-    product takes the whole product's BLAS kernel (OpenBLAS on AVX-512 switches to a
+    """Eval-mode GAP matrix (N, classes): `_forward` without an rng on `_chunks` of at most
+    `len(buf)` maps (`_chunk_buffer`'s by default), all through the one buffer. A GEMM row
+    depends on its own map alone, so the chunk size changes no bit of the result while each
+    chunk's product takes the whole product's BLAS kernel (OpenBLAS on AVX-512 switches to a
     small-matrix kernel at 10^6 multiply-adds or fewer).
     """
     cfg = head.config
     maps = _check_maps(maps, cfg)
     buf = _chunk_buffer(cfg, len(maps)) if buf is None else buf
     gap = np.empty((len(maps), cfg.classes))
-    for lo in range(0, len(maps), len(buf)):
-        gap[lo : lo + len(buf)] = _forward(head, maps[lo : lo + len(buf)], None, buf)["gap"]
+    for lo, hi in _chunks(len(maps), buf):
+        gap[lo:hi] = _forward(head, maps[lo:hi], None, buf)["gap"]
     return gap
 
 

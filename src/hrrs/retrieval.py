@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .encoders import ZERO_NORM_EPS, EncodedFeature, FeatureSet, feature_set
-from .tensor_store import BundleError, DatasetManifest, load_bundle, save_bundle
+from .tensor_store import TILE_BYTES, BundleError, DatasetManifest, load_bundle, save_bundle
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,6 @@ def index_rows(fs: FeatureSet, manifest: DatasetManifest) -> Index:
 def build_index(features: Mapping[str, EncodedFeature], manifest: DatasetManifest) -> Index:
     """`index_rows` of a mapping of per-image features."""
     return index_rows(feature_set(features), manifest)
-
-
-# Byte budget of a ranking block's Gram tile (with any copy of its query rows),
-# of its int64 orders and of one `distances` chunk. Few large blocks beat many
-# small ones: each multithreaded BLAS call has a fixed cost.
-TILE_BYTES = 8 << 20
 
 
 def distances(idx: Index, row: int, cols) -> np.ndarray:

@@ -31,6 +31,19 @@ BUNDLE_VERSION = 1
 
 _HEADER = struct.Struct("<III")  # version, dtype code, rank
 
+# The package's one byte budget for a working tile: a ranking block's Gram tile and its
+# orders, a `distances` chunk, the head's im2col chunk and an EM row tile. Few large tiles
+# beat many small ones: each multithreaded BLAS call has a fixed cost.
+TILE_BYTES = 8 << 20
+
+
+def tile_bounds(n: int, parts: int) -> list[tuple[int, int]]:
+    """[lo, hi) bounds of n rows in `parts` tiles whose sizes differ by at most one, the larger
+    first: beside a busy process, a much smaller last tile's GEMM stalled for up to 100 ms."""
+    q, r = divmod(n, parts)
+    cuts = [i * q + min(i, r) for i in range(parts + 1)]
+    return list(zip(cuts, cuts[1:]))
+
 
 class TensorFormatError(ValueError):
     """A tensor (in memory or on disk) violates the FTNS contract."""

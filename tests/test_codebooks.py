@@ -12,7 +12,7 @@ from hrrs.codebooks import (
     TOL,
     VARIANCE_FLOOR,
     Codebook,
-    _e_step,
+    _em_pass,
     _segment_sum,
     gmm_em,
     gmm_fit,
@@ -99,8 +99,13 @@ def _ref_e_step(X, weights, means, variances):
 
 
 def _ref_gmm(X, k, seed, max_iter, tol):
-    n, d = X.shape
     centroids, _ = _ref_kmeans(X, k, seed, max_iter, tol)
+    return _ref_em(X, centroids, max_iter, tol)
+
+
+def _ref_em(X, centroids, max_iter, tol):
+    n, d = X.shape
+    k = len(centroids)
     labels, _ = _ref_assign(X, centroids)
     weights = np.bincount(labels, minlength=k) / n
     means = centroids.copy()
@@ -161,6 +166,9 @@ def _fixture(name):
 
 
 FIXTURES = ["d1", "duplicates", "magnitudes", "relu-d64", "k2-d64"]
+# EM over several row tiles sums the M-step moments in tile order: README's bound for a
+# 6-iteration fit, as max |difference| over max |reference| per array.
+EM_TILE_TOLERANCE = 1e-12
 
 
 class TestSegmentSum:
@@ -448,12 +456,16 @@ class TestGmmFit:
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert a.loglik_history == b.loglik_history
 
-    def test_em_extra_peak_is_xx_and_a_few_responsibility_matrices(self):
-        """The variance init holds one cluster's centred rows at a time, before X*X exists, and
-        keeps none of them into EM; here one cluster's rows outweigh 50 (n, k) matrices."""
+    def test_em_extra_peak_is_one_tile_or_cluster_and_a_few_n_by_k_arrays(self):
+        """EM squares one row tile at a time into one buffer, and the variance init holds one
+        cluster's centred rows at a time: neither keeps a copy as large as the pool (the
+        parent's X*X), only the larger of the two plus a few (n, k) arrays."""
         n, d, k = 8_000, 256, 2
         X = np.random.default_rng(19).standard_normal((n, d))
         cb = kmeans_fit(X, k, seed=0, max_iter=3)
+        tiles = codebooks._em_tiles(n, d, k)
+        largest_cluster = np.bincount(codebooks._nearest(X, cb.centroids)).max()
+        assert len(tiles) == 2
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -461,7 +473,7 @@ class TestGmmFit:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= X.nbytes + 8 * n * k * 8
+        assert peak <= 8 * d * max(tiles[0][1], largest_cluster) + 8 * n * k * 8 < X.nbytes * 0.7
 
     @pytest.mark.parametrize(
         ("centroids", "message"),
@@ -478,6 +490,69 @@ class TestGmmFit:
             gmm_em(X, Codebook(centroids, ()), 0, MAX_ITER, TOL)
 
 
+def _normwise(a, ref) -> float:
+    """max |a - ref| over max |ref|: the error measure of EM's tile-order sums."""
+    return float(np.abs(np.asarray(a) - ref).max() / np.abs(ref).max())
+
+
+class TestRowTiles:
+    @pytest.mark.parametrize(
+        ("n", "d", "k", "tile_rows", "sizes"),
+        [
+            (12_000, 64, 6, 3_000, [3_000] * 4),
+            (10_001, 64, 6, 4_000, [3_334, 3_334, 3_333]),  # not 4,000, 4,000 and 2,001
+            # 1,000-row tiles would be products of 384,000 multiply-adds: fewer, larger tiles
+            (12_000, 64, 6, 1_000, [3_000] * 4),
+            (500, 4, 2, 10, [500]),  # a pool of one small product stays whole
+        ],
+        ids=["even", "near-equal", "product-floor", "one-small-tile"],
+    )
+    def test_tiles(self, monkeypatch, n, d, k, tile_rows, sizes):
+        monkeypatch.setattr(codebooks, "TILE_BYTES", tile_rows * d * 8)
+        tiles = codebooks._em_tiles(n, d, k)
+        assert [hi - lo for lo, hi in tiles] == sizes
+        assert tiles[0][0] == 0 and tiles[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
+        assert len(tiles) == 1 or all((hi - lo) * d * k > 10**6 for lo, hi in tiles)
+
+    def test_em_over_several_tiles(self, monkeypatch):
+        """EM over four row tiles, with a zero-weight component and ReLU'd rows holding -0.0:
+        the first E-step keeps the one-product bytes, the fit stays within the documented
+        tolerance of the one-product reference and repeats byte for byte."""
+        rng = np.random.default_rng(23)
+        n, d = 12_000, 64
+        X = np.maximum(rng.standard_normal((n, d)) + rng.integers(0, 3, (n, 1)), 0.0)
+        X[::7, :5] = -0.0
+        centroids = np.vstack([kmeans_fit(X, 5, seed=1, max_iter=3).centroids,
+                               np.full((1, d), 1e3)])  # nearest to no row: weight 0
+        cb = Codebook(centroids, ())
+        monkeypatch.setattr(codebooks, "TILE_BYTES", 3_000 * d * 8)
+        tiles, passes = [], []
+        em_tiles, em_pass = codebooks._em_tiles, codebooks._em_pass
+        monkeypatch.setattr(codebooks, "_em_tiles",
+                            lambda *a: tiles.append(em_tiles(*a)) or tiles[-1])
+        monkeypatch.setattr(codebooks, "_em_pass",  # gmm_em updates the means in place: copy
+                            lambda X, *model: passes.append(([m.copy() for m in model],
+                                                             em_pass(X, *model))) or passes[-1][1])
+        runs = [gmm_em(X, cb, 0, 6, 0.0) for _ in range(2)]
+        assert len(tiles) == 12 and all(len(t) == 4 for t in tiles)
+        assert all((hi - lo) * d * 6 > 10**6 for t in tiles for lo, hi in t)
+        (weights, means, variances), (resp, loglik, _, _) = passes[0]
+        ref_resp, ref_ll = _ref_e_step(X, weights, means, variances)
+        assert weights[5] == 0 and not resp[:, 5].any()
+        assert resp.tobytes() == ref_resp.tobytes() and float(loglik.mean()) == ref_ll
+        a, b = runs
+        for name in ("weights", "means", "variances", "loglik_history"):
+            assert np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes()
+        weights, means, variances, history = _ref_em(X, centroids, 6, 0.0)
+        assert a.loglik_history[0] == history[0] and a.weights[5] == 0.0
+        assert a.means[5].tobytes() == means[5].tobytes()
+        assert (a.variances[5] == VARIANCE_FLOOR).all()
+        pairs = [(a.weights, weights), (a.means[:5], means[:5]), (a.variances, variances),
+                 (a.loglik_history, history)]
+        assert all(_normwise(got, want) <= EM_TILE_TOLERANCE for got, want in pairs)
+
+
 class TestEStep:
     @pytest.mark.parametrize("weights", [[0.5, 0.3, 0.2], [0.6, 0.0, 0.4]],
                              ids=["positive", "zero-weight"])
@@ -487,10 +562,12 @@ class TestEStep:
         means = rng.standard_normal((3, 5)) * 10.0
         variances = rng.uniform(0.5, 50.0, (3, 5))
         weights = np.array(weights)
-        resp, mean_ll = _e_step(X, X * X, weights, means, variances)
+        resp, loglik, s1, s2 = _em_pass(X, weights, means, variances)
         ref_resp, ref_ll = _ref_e_step(X, weights, means, variances)
-        assert resp.tobytes() == ref_resp.tobytes() and mean_ll == ref_ll
+        assert resp.tobytes() == ref_resp.tobytes() and float(loglik.mean()) == ref_ll
         assert not resp[:, weights == 0].any()
+        assert s1.tobytes() == (ref_resp.T @ X).tobytes()
+        assert s2.tobytes() == (ref_resp.T @ (X * X)).tobytes()
 
     def test_extra_peak_is_about_two_responsibility_matrices(self):
         """The log-joint and one scratch array of (n, k) float64: the out-of-place form held
@@ -498,13 +575,12 @@ class TestEStep:
         n, k = 20_000, 50
         rng = np.random.default_rng(18)
         X = rng.standard_normal((n, 4))
-        XX = X * X
         weights = np.full(k, 1.0 / k)
         means, variances = rng.standard_normal((k, 4)), rng.uniform(0.5, 2.0, (k, 4))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            resp, _ = _e_step(X, XX, weights, means, variances)
+            resp, _, _, _ = _em_pass(X, weights, means, variances)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

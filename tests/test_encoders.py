@@ -24,6 +24,7 @@ from hrrs.encoders import (
 from hrrs.tensor_store import load_bundle
 
 from oracles import central_difference_5pt, gmm_mean_loglik
+from test_codebooks import _ref_e_step
 
 
 def _codebook(centroids):
@@ -252,7 +253,39 @@ def _fd_fisher_oracle(g: GmmModel, X: np.ndarray, step: float = 1e-3) -> np.ndar
     return np.concatenate([g_mu.ravel(), g_sig.ravel()])
 
 
+def _ref_fisher(g, X):
+    """`fisher_vector_raw` before the EM kernel: `_ref_e_step`, resp.T @ X, resp.T @ (X * X)."""
+    m = X.shape[0]
+    resp, _ = _ref_e_step(X, g.weights, g.means, g.variances)
+    s0, s1, s2 = resp.sum(axis=0), resp.T @ X, resp.T @ (X * X)
+    mu, var = g.means, g.variances
+    sigma = np.sqrt(var)
+    w = g.weights
+    active = w > 0
+    wsafe = np.where(active, w, 1.0)
+    g_mu = (s1 - s0[:, None] * mu) / sigma / (m * np.sqrt(wsafe))[:, None]
+    g_var = (s2 - 2.0 * mu * s1 + s0[:, None] * (mu * mu - var)) / var
+    g_var /= (m * np.sqrt(2.0 * wsafe))[:, None]
+    g_mu[~active] = 0.0
+    g_var[~active] = 0.0
+    return np.concatenate([g_mu.ravel(), g_var.ravel()])
+
+
 class TestFisher:
+    @pytest.mark.parametrize("weights", [[0.4, 0.3, 0.2, 0.1], [0.5, 0.0, 0.3, 0.2]],
+                             ids=["positive", "zero-weight"])
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("side", [13, 6], ids=["169-rows", "36-rows"])
+    def test_matches_the_expression_before_the_em_kernel(self, side, relu, weights):
+        rng = np.random.default_rng(side)
+        fmap = rng.standard_normal((side, side, 512)).astype(np.float32)
+        X = extract_descriptors(fmap, relu).astype(np.float64)
+        X[::5, :3] = -0.0
+        assert (X >= 0).all() == relu
+        g = GmmModel(np.array(weights), rng.standard_normal((4, 512)) * 0.5,
+                     rng.uniform(0.5, 2.0, (4, 512)), ())
+        assert fisher_vector_raw(g, X).tobytes() == _ref_fisher(g, X).tobytes()
+
     def test_single_component_single_descriptor(self):
         g = GmmModel(np.array([1.0]), np.array([[0.0]]), np.array([[1.0]]), ())
         raw = fisher_vector_raw(g, np.array([[1.0]]))

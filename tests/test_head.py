@@ -663,9 +663,11 @@ CHUNK_CONFIGS = [
 
 
 class TestEvalForward:
-    @pytest.mark.parametrize("per_chunk", [1, 3, 11])
+    @pytest.mark.parametrize("per_chunk", [1, 3, 5, 11])
     @pytest.mark.parametrize("cfg", CHUNK_CONFIGS, ids=["9c-widest", "hidden1-widest"])
     def test_gap_bytes_do_not_depend_on_the_chunk(self, monkeypatch, cfg, per_chunk):
+        """11 maps go in the fewest near-equal chunks of at most `per_chunk`, the larger first:
+        at 5 per chunk that is 4, 4, 3, not 5, 5, 1."""
         head = _open_head(cfg, seed=per_chunk)
         maps = _maps_with_negative_zeros((11, *cfg.map_shape), seed=per_chunk)
         expected = _reference_forward(head, maps, False, None)["gap"]  # all 11 maps in one GEMM
@@ -677,7 +679,7 @@ class TestEvalForward:
         monkeypatch.setattr(head_module, "_im2col3_batch",
                             lambda maps, buf=None: sizes.append(len(maps)) or im2col(maps, buf))
         assert _gap(head, maps).tobytes() == expected.tobytes()
-        assert sizes == [per_chunk] * (11 // per_chunk) + [11 % per_chunk] * (11 % per_chunk > 0)
+        assert sizes == {1: [1] * 11, 3: [3, 3, 3, 2], 5: [4, 4, 3], 11: [11]}[per_chunk]
 
     @pytest.mark.parametrize(
         ("n_train", "batch_size", "per_chunk"),
@@ -738,7 +740,7 @@ class TestChunkedStep:
         [
             # 8 MiB holds 6 maps' patch rows at c=512: 25 maps take 5 chunks of 5, not 6,6,6,6,1
             (POOL5_CFG, 25, [5, 5, 5, 5, 5]),
-            (POOL5_CFG, 13, [5, 5, 3]),
+            (POOL5_CFG, 13, [5, 4, 4]),
             (POOL5_CFG, 4, [4]),
             # one chunk: its W1 gradient stays one GEMM, as nine would each be small
             # enough (32 x 8 x 1800) for OpenBLAS's small-matrix kernel on AVX-512
