@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor_store import TILE_BYTES, BundleError, load_bundle, save_bundle, tile_bounds
+from .tensor_store import PASS_BYTES, TILE_BYTES, BundleError, load_bundle, save_bundle, row_tiles
 
 # Both fits of a larger descriptor pool work on a seeded subsample (`_fit_points`) to bound memory.
 SUBSAMPLE_LIMIT = 500_000
@@ -58,28 +58,20 @@ class GmmModel:
         return self.means.shape[1]
 
 
-def _as_points(X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"descriptor set must be 2-D (N, d), got shape {X.shape}")
-    return X
-
-
 def _row_norms(X: np.ndarray) -> np.ndarray:
     return np.einsum("nd,nd->n", X, X)
 
 
 def _dist_blocks(X: np.ndarray, C: np.ndarray, x2: np.ndarray):
-    """Clamped squared distances to C, yielded as (lo, hi, block) row chunks.
+    """Clamped squared distances to C, yielded as (lo, hi, block) row tiles.
 
-    `x2` holds the squared row norms of X. The chunk step bounds a block at
-    2**24 values; it is fixed so that every row sees the same BLAS product.
+    `x2` holds the squared row norms of X. A tile's rows of X and of the block fit TILE_BYTES,
+    above `row_tiles`' floor, so each row keeps one product's bits. A one-centre product (k-means++
+    seeding) stays one call: 14 of 16 row tilings (15 with 2 threads) changed its bits.
     """
-    n, k = X.shape[0], C.shape[0]
+    (n, d), k = X.shape, C.shape[0]
     c2 = np.einsum("kd,kd->k", C, C)
-    step = max(1, (1 << 24) // max(k, 1))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
+    for lo, hi in row_tiles(n, 8 * (d + k), TILE_BYTES, d * k) if k > 1 else [(0, n)]:
         block = X[lo:hi] @ C.T
         block *= -2.0
         block += x2[lo:hi, None]
@@ -97,41 +89,45 @@ def _nearest(X: np.ndarray, C: np.ndarray, x2: np.ndarray | None = None) -> np.n
     return labels
 
 
+def _residuals(X: np.ndarray, C: np.ndarray, labels: np.ndarray):
+    """X - C[labels], yielded as (lo, hi, rows) over PASS_BYTES row tiles of one reused buffer."""
+    tiles = row_tiles(X.shape[0], 8 * X.shape[1], PASS_BYTES)
+    buf = np.empty((tiles[0][1], X.shape[1]))
+    for lo, hi in tiles:
+        yield lo, hi, np.subtract(X[lo:hi], C[labels[lo:hi]], out=buf[: hi - lo])
+
+
 def _assign(X: np.ndarray, C: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid labels and exact squared point-to-centroid distances.
 
-    The expansion in `_dist_blocks` leaves float crumbs, so the point
-    distances are recomputed as |x - c|^2 in row chunks of one reused buffer.
-    """
+    The expansion in `_dist_blocks` leaves float crumbs, so the point distances are recomputed
+    as |x - c|^2, one `_residuals` tile at a time."""
     labels = _nearest(X, C, x2)
-    n, d = X.shape
-    point_d2 = np.empty(n)
-    step = max(1, (1 << 16) // max(d, 1))
-    buf = np.empty((min(n, step), d))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        diffs = np.subtract(X[lo:hi], C[labels[lo:hi]], out=buf[: hi - lo])
+    point_d2 = np.empty(X.shape[0])
+    for lo, hi, diffs in _residuals(X, C, labels):
         point_d2[lo:hi] = np.einsum("nd,nd->n", diffs, diffs)
     return labels, point_d2
 
 
-def _segment_sum(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Per-label row sums (k, d), bit-identical to an unbuffered scatter-add into zeros.
+def _segment_sum(X: np.ndarray, labels: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-label row sums (k, d) added into `out` (zeros by default), as an unbuffered scatter-add.
 
     Rank r holds the r-th row, in input order, of each label with more than r rows, a prefix of
     the labels in by-size order; one add into that prefix of a (k, d) accumulator serves it, so
-    each sum adds its rows in input order from 0.0 (np.add.reduceat and reduces do not).
+    each sum adds its rows in input order onto its start (np.add.reduceat and reduces do not),
+    and calls on consecutive row tiles with one `out` add them as one call does.
     """
     n, d = X.shape
     counts = np.bincount(labels, minlength=k)
     order = np.argsort(labels, kind="stable")
     grouped = labels[order]
     rank = np.arange(n) - (np.cumsum(counts) - counts)[grouped]
-    place = np.argsort(np.argsort(-counts, kind="stable"))  # each label's place by size
+    by_size = np.argsort(-counts, kind="stable")
+    place = np.argsort(by_size)  # each label's place by size
     order = order[np.lexsort((place[grouped], rank))]  # rank-major
     ends = np.cumsum(np.bincount(rank))  # where each rank's rows end in `order`
-    buf = np.empty((min(n, max(k, (1 << 16) // max(d, 1))), d))  # holds whole ranks
-    acc = np.zeros((k, d))
+    buf = np.empty((min(n, max(k, PASS_BYTES // (8 * d))), d))  # holds whole ranks
+    acc = np.zeros((k, d)) if out is None else out[by_size]
     lo = hi = 0  # `buf` holds rows [lo, hi)
     for a, b in zip([0, *ends[:-1].tolist()], ends.tolist()):  # one rank: rows [a, b)
         if b > hi:  # gather the most whole ranks from row a that fit; "clip" skips a copy
@@ -139,7 +135,7 @@ def _segment_sum(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
             np.take(X, order[lo:hi], axis=0, out=buf[: hi - lo], mode="clip")
         head = acc[: b - a]
         np.add(head, buf[a - lo : b - lo], head)  # `out` positionally: a cheaper call
-    return acc[place]
+    return np.take(acc, place, axis=0, out=out)
 
 
 def _kmeans_pp_init(
@@ -180,9 +176,11 @@ def _fit_points(X, seed: int) -> np.ndarray:
     """The one subsample rule of both fits: a fit of X is the fit of this seeded uniform
     subsample of SUBSAMPLE_LIMIT rows, or of X when it has no more; rows are taken, then widened."""
     X = np.asarray(X)
-    if X.ndim == 2 and X.shape[0] > SUBSAMPLE_LIMIT:
+    if X.ndim != 2:
+        raise ValueError(f"descriptor set must be 2-D (N, d), got shape {X.shape}")
+    if X.shape[0] > SUBSAMPLE_LIMIT:
         X = X[np.random.default_rng(seed).choice(X.shape[0], SUBSAMPLE_LIMIT, replace=False)]
-    return _as_points(X)
+    return np.asarray(X, dtype=np.float64)
 
 
 def _check_fit(X: np.ndarray, k: int, max_iter: int, tol: float) -> None:
@@ -220,26 +218,17 @@ def kmeans_fit(X, k: int, seed: int = 0, max_iter: int = MAX_ITER, tol: float = 
     return Codebook(centers, tuple(history))
 
 
-def _em_tiles(n: int, d: int, k: int) -> list[tuple[int, int]]:
-    """Near-equal row tiles of an (n, d) pool, each of at most TILE_BYTES unless that would take
-    a tile's (rows, d) x (d, k) products to 10^6 multiply-adds or fewer: then fewer tiles.
-
-    OpenBLAS on AVX-512 takes a small-matrix kernel, which rounds differently, at that size: a
-    row tile's product keeps the whole product's bits only above it."""
-    most = max(1, TILE_BYTES // (8 * max(1, d)))  # rows in TILE_BYTES
-    fewest = 10**6 // max(1, d * k) + 1  # rows whose products exceed 10^6
-    return tile_bounds(n, max(1, min(-(-n // most), n // fewest)))
-
-
 def _em_pass(X, weights, means, variances) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The one E-step: responsibilities (n, k), per-row log-likelihoods (n,) and the moment sums
-    s1 = resp.T @ X and s2 = resp.T @ (X * X), in one pass over `_em_tiles` of X.
+    s1 = resp.T @ X and s2 = resp.T @ (X * X), in one pass over row tiles of X.
 
-    Each tile squares its rows into one reused buffer and writes its log-joint
-    log(w_j) + log N(x | mu_j, diag var_j) into its rows of `resp`, in place and in order, then
-    the responsibilities over it. Several tiles each exceed 10^6 multiply-adds, so every row
-    keeps the bits of one product over all rows. s1 and s2 add the tiles' products in tile
-    order, the first assigned: one tile keeps one product's bits, more sum in another order.
+    The tiles are products' `row_tiles`: squared rows within TILE_BYTES and, while there is a
+    choice, none of 10^6 multiply-adds or fewer or under 128 rows, the measured floor above which
+    a row tile keeps one product's bits (elementwise passes take PASS_BYTES; k-means++ seeding's
+    one-centre product is never tiled). Each tile squares its rows into one reused buffer and
+    writes its log-joint log(w_j) + log N(x | mu_j, diag var_j) into its rows of `resp`, in
+    place and in order, then the responsibilities over it. s1 and s2 add the tiles' products in
+    tile order, the first assigned: one tile keeps one product's bits, more sum in another order.
     """
     n, d = X.shape
     k = means.shape[0]
@@ -248,7 +237,7 @@ def _em_pass(X, weights, means, variances) -> tuple[np.ndarray, np.ndarray, np.n
     scaled, offset = (means * inv).T, (means * means * inv).sum(axis=1)
     with np.errstate(divide="ignore"):
         lead = np.log(weights) + const
-    tiles = _em_tiles(n, d, k)
+    tiles = row_tiles(n, 8 * d, TILE_BYTES, d * k)
     rows = tiles[0][1]  # the first tile is the largest
     squares, scratch = np.empty((rows, d)), np.empty((rows, k))
     resp, loglik = np.empty((n, k)), np.empty(n)
@@ -303,14 +292,18 @@ def gmm_em(X, codebook: Codebook, seed: int, max_iter: int, tol: float) -> GmmMo
     counts = np.bincount(labels, minlength=k)
     weights = counts / n
     means = codebook.centroids.copy()
-    variances = np.full((k, d), VARIANCE_FLOOR)
-    # One stable sort groups each cluster's rows, in input order, into a slice.
-    groups = np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
-    for j in np.flatnonzero(counts):
-        rows = X[groups[j]]  # a gathered copy, squared in place
-        rows -= means[j]
-        variances[j] = np.maximum(np.multiply(rows, rows, out=rows).mean(axis=0), VARIANCE_FLOOR)
-        del rows  # before the next cluster's copy, and so before EM
+    # Sum each cluster's squared deviations as its rows' mean over axis 0 does: in input order from
+    # 0.0 (here a `_residuals` tile at a time, copying no cluster), but pairwise for one column.
+    variances = np.zeros((k, d))  # the sums, then the variances
+    if d == 1:
+        for j in np.flatnonzero(counts):
+            variances[j] = np.square(X[labels == j] - means[j]).sum(axis=0)
+    else:
+        for lo, hi, dev in _residuals(X, means, labels):
+            _segment_sum(np.multiply(dev, dev, out=dev), labels[lo:hi], k, variances)
+        del dev  # the tile buffer, before EM
+    variances[counts > 0] /= counts[counts > 0, None]
+    np.maximum(variances, VARIANCE_FLOOR, out=variances)
     history: list[float] = []
     for it in range(max_iter):
         resp, loglik, s1, s2 = _em_pass(X, weights, means, variances)
@@ -329,14 +322,6 @@ def gmm_em(X, codebook: Codebook, seed: int, max_iter: int, tol: float) -> GmmMo
     for arr in (weights, means, variances):
         arr.flags.writeable = False
     return GmmModel(weights, means, variances, tuple(history))
-
-
-def gmm_responsibilities(g: GmmModel, X) -> np.ndarray:
-    """Posterior component probabilities (N, k), rows summing to 1 (`_em_pass`'s first output)."""
-    X = _as_points(X)
-    if X.shape[1] != g.dim:
-        raise ValueError(f"expected descriptors of dim {g.dim}, got {X.shape[1]}")
-    return _em_pass(X, g.weights, g.means, g.variances)[0]
 
 
 # ---------------------------------------------------------------------------

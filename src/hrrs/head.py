@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoders import EncodedFeature, l2_normalize
-from .tensor_store import TILE_BYTES, BundleError, load_bundle, save_bundle, tile_bounds
+from .tensor_store import TILE_BYTES, BundleError, load_bundle, save_bundle, row_tiles
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
 
@@ -209,11 +209,25 @@ def _check_maps(maps: np.ndarray, config: HeadConfig) -> np.ndarray:
     return maps
 
 
+def _map_tiles(cfg: HeadConfig, n: int) -> list[tuple[int, int]]:
+    """Chunks of n maps whose widest activation, hw * max(9c, hidden1, hidden2) float64 values a
+    map, fits TILE_BYTES: `row_tiles` without the floor, whose 128 rows would count maps here."""
+    hw = cfg.in_spatial[0] * cfg.in_spatial[1]
+    return row_tiles(n, 8 * hw * max(9 * cfg.in_channels, cfg.hidden1, cfg.hidden2), TILE_BYTES)
+
+
+def _patch_buffer(cfg: HeadConfig, *sizes: int) -> np.ndarray:
+    """A zeroed im2col buffer for the largest chunk `_map_tiles` cuts from `sizes` maps."""
+    rows = max(_map_tiles(cfg, n)[0][1] for n in sizes)
+    return np.zeros((rows, *cfg.in_spatial, 9, cfg.in_channels))
+
+
 def _forward(head: MlpconvHead, maps: np.ndarray, rng=None, buf: np.ndarray | None = None) -> dict:
     """The one forward pass. With an `rng`, dropout masks are drawn from it (training);
     without one there is no dropout (eval). Every activation is kept for backprop; a batch
-    of more maps than `buf` holds keeps its maps instead of its patch matrix, which then
-    exists one buffer of maps at a time."""
+    of several `_map_tiles` chunks keeps its maps instead of its patch matrix, which then
+    exists one chunk at a time in `buf` (a `_patch_buffer`; allocated if not given). Chunks
+    take the products' TILE_BYTES but, as `_gap` says, not `row_tiles`' floor."""
     cfg = head.config
     maps = _check_maps(maps, cfg)
     hw = cfg.in_spatial[0] * cfg.in_spatial[1]
@@ -221,14 +235,16 @@ def _forward(head: MlpconvHead, maps: np.ndarray, rng=None, buf: np.ndarray | No
     w1 = head.params["W1"].reshape(-1, cfg.hidden1)
     w2 = head.params["W2"].reshape(cfg.hidden1, cfg.hidden2)
     w3 = head.params["W3"].reshape(cfg.hidden2, cfg.classes)
-    # A batch that fits one chunk keeps its patch matrix, at no extra memory, for one W1
-    # gradient GEMM: split products of 10^6 multiply-adds or fewer would round differently.
-    if buf is None or len(maps) <= len(buf):
+    # A batch of one chunk keeps its patch matrix, at no extra memory, for one W1 gradient
+    # GEMM: nine per-offset GEMMs of 10^6 multiply-adds or fewer would round differently.
+    tiles = _map_tiles(cfg, len(maps))
+    if len(tiles) == 1:
         cols = _im2col3_batch(maps, buf)
         a1 = cols @ w1
-    else:  # a row split of cols @ w1 into the fewest near-equal chunks `buf` holds
+    else:  # a row split of cols @ w1 into those chunks
+        buf = _patch_buffer(cfg, len(maps)) if buf is None else buf
         cols, a1 = None, np.empty((len(maps) * hw, cfg.hidden1))
-        for lo, hi in _chunks(len(maps), buf):
+        for lo, hi in tiles:
             np.matmul(_im2col3_batch(maps[lo:hi], buf), w1, out=a1[lo * hw : hi * hw])
     a1 += head.params["b1"]
     d1 = np.maximum(a1, 0.0, out=a1)  # the backward masks on d1 > 0, so a1 is not kept
@@ -249,31 +265,18 @@ def _forward(head: MlpconvHead, maps: np.ndarray, rng=None, buf: np.ndarray | No
     return {"hw": hw, "maps": maps, "cols": cols, "d1": d1, "m1": m1, "d2": d2, "m2": m2, "a3": a3, "gap": gap}
 
 
-def _chunk_buffer(cfg: HeadConfig, n: int) -> np.ndarray:
-    """An im2col buffer for chunks of at most n maps whose widest activation,
-    hw * max(9c, hidden1, hidden2) float64 values per map, fits TILE_BYTES."""
-    hw = cfg.in_spatial[0] * cfg.in_spatial[1]
-    chunk = max(1, TILE_BYTES // (8 * hw * max(9 * cfg.in_channels, cfg.hidden1, cfg.hidden2)))
-    return np.zeros((max(1, min(chunk, n)), *cfg.in_spatial, 9, cfg.in_channels))
-
-
-def _chunks(n: int, buf: np.ndarray) -> list[tuple[int, int]]:
-    """The fewest near-equal chunks of at most `len(buf)` of n maps."""
-    return tile_bounds(n, max(1, -(-n // len(buf))))
-
-
 def _gap(head: MlpconvHead, maps: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
-    """Eval-mode GAP matrix (N, classes): `_forward` without an rng on `_chunks` of at most
-    `len(buf)` maps (`_chunk_buffer`'s by default), all through the one buffer. A GEMM row
-    depends on its own map alone, so the chunk size changes no bit of the result while each
-    chunk's product takes the whole product's BLAS kernel (OpenBLAS on AVX-512 switches to a
-    small-matrix kernel at 10^6 multiply-adds or fewer).
+    """Eval-mode GAP matrix (N, classes): `_forward` without an rng on each `_map_tiles` chunk
+    through one `_patch_buffer`. With no floor, a chunk's product at or below 10^6 multiply-adds,
+    or under 128 rows with 2 threads, may round unlike one product over all maps (seen at c=2400
+    on 1x1 maps, hidden 8); tests/test_head.py finds one set of bytes for every chunk size at its
+    shapes. Elementwise passes take PASS_BYTES tiles; k-means++ seeding's product is never tiled.
     """
     cfg = head.config
     maps = _check_maps(maps, cfg)
-    buf = _chunk_buffer(cfg, len(maps)) if buf is None else buf
+    buf = _patch_buffer(cfg, len(maps)) if buf is None else buf
     gap = np.empty((len(maps), cfg.classes))
-    for lo, hi in _chunks(len(maps), buf):
+    for lo, hi in _map_tiles(cfg, len(maps)):
         gap[lo:hi] = _forward(head, maps[lo:hi], None, buf)["gap"]
     return gap
 
@@ -404,10 +407,11 @@ def head_train(
     best_acc = -np.inf
     stall = 0
     n = len(y_tr)
-    buf = _chunk_buffer(head.config, max(n, len(y_te)))  # one buffer for every step and eval pass
-    # and, for batches wider than it, one for W1's gradient: no step allocates either
     batch = min(hp.batch_size, n)
-    shifted = np.empty((batch, *head.config.map_shape)) if batch > len(buf) else None
+    # One patch buffer, and a maps copy for W1's gradient of a batch of several chunks: no step
+    # or eval pass allocates either.
+    buf = _patch_buffer(head.config, batch, n % batch or batch, n, len(y_te))
+    shifted = np.empty((batch, *head.config.map_shape)) if len(_map_tiles(head.config, batch)) > 1 else None
     for epoch in range(1, hp.max_epochs + 1):
         rng = np.random.default_rng([seed, epoch])
         perm = rng.permutation(n)

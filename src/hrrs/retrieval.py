@@ -29,7 +29,8 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .encoders import ZERO_NORM_EPS, EncodedFeature, FeatureSet, feature_set
-from .tensor_store import TILE_BYTES, BundleError, DatasetManifest, load_bundle, save_bundle
+from .tensor_store import (PASS_BYTES, TILE_BYTES, BundleError, DatasetManifest, load_bundle,
+                           row_tiles, save_bundle)
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,10 @@ class Index:
 
 def _unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """L2-normalize rows in place (zero rows kept as-is); read-only result and zero mask.
-    Norms go in row chunks of at most TILE_BYTES: no other N x d array is made."""
+    Norms go in PASS_BYTES row tiles: no other N x d array is made."""
     norms = np.empty(len(matrix))
-    step = max(1, TILE_BYTES // (8 * max(1, matrix.shape[1])))
-    for lo in range(0, len(matrix), step):
-        norms[lo : lo + step] = np.linalg.norm(matrix[lo : lo + step], axis=1)
+    for lo, hi in row_tiles(len(matrix), 8 * matrix.shape[1], PASS_BYTES):
+        norms[lo:hi] = np.linalg.norm(matrix[lo:hi], axis=1)
     zero = norms <= ZERO_NORM_EPS
     np.divide(matrix, norms[:, None], out=matrix, where=~zero[:, None])
     matrix.flags.writeable = zero.flags.writeable = False
@@ -89,15 +89,14 @@ def build_index(features: Mapping[str, EncodedFeature], manifest: DatasetManifes
 def distances(idx: Index, row: int, cols) -> np.ndarray:
     """Euclidean distances from row `row` to rows `cols`: the exact expression.
 
-    `sqrt(sum((M[cols] - M[row])**2))`, row by row, in chunks of at most
-    TILE_BYTES; a zero query sits at exactly 1 from every unit row.
+    `sqrt(sum((M[cols] - M[row])**2))`, row by row, in PASS_BYTES row tiles; a zero
+    query sits at exactly 1 from every unit row.
     """
     matrix, cols = idx.matrix, np.asarray(cols, dtype=np.intp)
     out = np.ones(cols.size)
     todo = np.flatnonzero(idx.zero[cols]) if idx.zero[row] else np.arange(cols.size)
-    step = max(1, TILE_BYTES // (8 * idx.dim))
-    for start in range(0, todo.size, step):
-        part = todo[start : start + step]
+    for lo, hi in row_tiles(todo.size, 8 * idx.dim, PASS_BYTES):
+        part = todo[lo:hi]
         diffs = matrix[cols[part]] - matrix[row]
         out[part] = np.sqrt(np.einsum("nd,nd->n", diffs, diffs))
     return out
@@ -136,9 +135,10 @@ def rank(
     Row i of the (len(block), N) intp `orders` ranks the index for query row
     `block[i]` under the module's tie rule (N - 1 columns with include_self=False:
     the query row is left out). The tile `S = sq[q] + sq - 2 M[q] @ M.T` and the
-    orders each fit TILE_BYTES; every run of sorted Gram values whose adjacent
-    gaps are within `_tie_margin` is re-sorted by (`distances`, id). Zero-row
-    queries use `distances` alone.
+    orders each fit TILE_BYTES, in `row_tiles` of the queries without the product floor:
+    every run of sorted Gram values whose adjacent gaps are within `_tie_margin` is re-sorted
+    by (`distances`, id), so no order depends on how a tile rounds. Zero-row queries use
+    `distances` alone.
     """
     matrix, zero, n = idx.matrix, idx.zero, idx.size
     rows = np.fromiter(rows, dtype=np.intp)
@@ -148,9 +148,8 @@ def rank(
     margin = _tie_margin(idx.dim, sq.max(initial=0.0))
     # A consecutive run of rows is sliced, not copied, block by block.
     sliced = bool(rows.size) and bool((np.diff(rows) == 1).all())
-    block = max(1, TILE_BYTES // (8 * (n + (0 if sliced else idx.dim))))
-    for b0 in range(0, rows.size, block):
-        blk = rows[b0 : b0 + block]
+    for lo, hi in row_tiles(rows.size, 8 * (n + (0 if sliced else idx.dim)), TILE_BYTES):
+        blk = rows[lo:hi]
         queries = matrix[blk[0] : blk[-1] + 1] if sliced else matrix[blk]
         tile = queries @ matrix.T
         tile *= -2.0

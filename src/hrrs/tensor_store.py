@@ -31,15 +31,26 @@ BUNDLE_VERSION = 1
 
 _HEADER = struct.Struct("<III")  # version, dtype code, rank
 
-# The package's one byte budget for a working tile: a ranking block's Gram tile and its
-# orders, a `distances` chunk, the head's im2col chunk and an EM row tile. Few large tiles
-# beat many small ones: each multithreaded BLAS call has a fixed cost.
+# Row-tile budgets: TILE_BYTES for a BLAS product's tile (a distance block, an EM tile, a ranking
+# block, the head's im2col chunk), as each multithreaded call has a fixed cost; PASS_BYTES,
+# 2**16 float64 values, for an elementwise pass's: on a 10,647 x 512 pool `_assign`'s point
+# distances took 15.9/21.5/37.9 ms at k = 2/16/100 in it and 27.2/35.6/48.5 ms in TILE_BYTES.
 TILE_BYTES = 8 << 20
+PASS_BYTES = 8 << 16
 
 
-def tile_bounds(n: int, parts: int) -> list[tuple[int, int]]:
-    """[lo, hi) bounds of n rows in `parts` tiles whose sizes differ by at most one, the larger
-    first: beside a busy process, a much smaller last tile's GEMM stalled for up to 100 ms."""
+def row_tiles(n: int, row_bytes: int, budget: int, macs_per_row: int = 0) -> list[tuple[int, int]]:
+    """[lo, hi) bounds of n rows in the fewest tiles of at most `budget` bytes, `row_bytes` a row,
+    sizes differing by at most one, the larger first (a much smaller last tile's GEMM stalled
+    for up to 100 ms beside a busy process). A product of `macs_per_row` multiply-adds a row
+    takes fewer, larger tiles rather than any of 10^6 multiply-adds or fewer or under 128 rows:
+    OpenBLAS rounded row tiles of (rows, 512) @ (512, k) differently from one product there (with
+    2 threads, 48-96 rows at k = 100) and kept the bits above both, at 1 and 2 threads."""
+    if n == 0:
+        return []
+    parts = -(-n // max(1, budget // row_bytes))
+    if macs_per_row:
+        parts = max(1, min(parts, n // max(128, 10**6 // macs_per_row + 1)))
     q, r = divmod(n, parts)
     cuts = [i * q + min(i, r) for i in range(parts + 1)]
     return list(zip(cuts, cuts[1:]))

@@ -16,15 +16,14 @@ from hrrs.codebooks import (
     _segment_sum,
     gmm_em,
     gmm_fit,
-    gmm_responsibilities,
     kmeans_fit,
     load_codebook,
     load_gmm,
     save_codebook,
     save_gmm,
 )
-from hrrs.encoders import encode_bovw, vlad_residuals
-from hrrs.tensor_store import BundleError, write_tensor
+from hrrs.encoders import encode_bovw, encode_ifk, vlad_residuals
+from hrrs.tensor_store import PASS_BYTES, TILE_BYTES, BundleError, row_tiles, write_tensor
 
 from oracles import best_two_partition, nearest_centroid_scan
 
@@ -145,8 +144,9 @@ def _add_at(X, labels, k):
 
 
 def _fixture(name):
-    """(points, k) pools; "relu-d64" spans four point-distance chunks of 2**16 // 64 rows, and
-    "k2-d64" four segment-sum gather chunks of as many rows, mostly in one cluster."""
+    """(points, k) pools; "relu-d64" spans four PASS_BYTES tiles of point distances and of the
+    variance init, and "k2-d64" four segment-sum gather chunks of as many rows, mostly in one
+    cluster."""
     rng = np.random.default_rng(sum(map(ord, name)))
     if name == "d1":
         return rng.standard_normal((3000, 1)) * 1e3, 8
@@ -219,8 +219,10 @@ class TestByteIdentityWithReference:
         assert cb.inertia_history == tuple(history)
 
     def test_kmeans_fit_across_distance_blocks(self):
-        # k=4096 gives distance blocks of 2**24 // 4096 = 4096 rows: three blocks here.
+        # k=4096 at d=2 gives TILE_BYTES // (8 * 4098) = 255-row tiles: 33 tiles here, against
+        # the reference's three blocks of 2**24 // 4096 rows.
         X = np.random.default_rng(12).standard_normal((8300, 2))
+        assert len(row_tiles(8300, 8 * 4098, TILE_BYTES, 2 * 4096)) == 33
         cb = kmeans_fit(X, 4096, seed=1, max_iter=1)
         centroids, history = _ref_kmeans(X, 4096, 1, 1, 1e-4)
         assert cb.centroids.tobytes() == centroids.tobytes()
@@ -456,15 +458,14 @@ class TestGmmFit:
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert a.loglik_history == b.loglik_history
 
-    def test_em_extra_peak_is_one_tile_or_cluster_and_a_few_n_by_k_arrays(self):
-        """EM squares one row tile at a time into one buffer, and the variance init holds one
-        cluster's centred rows at a time: neither keeps a copy as large as the pool (the
-        parent's X*X), only the larger of the two plus a few (n, k) arrays."""
+    def test_em_extra_peak_is_one_tile_and_a_few_n_by_k_arrays(self):
+        """EM squares one row tile at a time into one buffer, and the variance init one
+        PASS_BYTES tile: neither keeps a copy as large as the pool (an earlier X*X) or as a
+        cluster, only one EM tile plus a few (n, k) arrays."""
         n, d, k = 8_000, 256, 2
         X = np.random.default_rng(19).standard_normal((n, d))
         cb = kmeans_fit(X, k, seed=0, max_iter=3)
-        tiles = codebooks._em_tiles(n, d, k)
-        largest_cluster = np.bincount(codebooks._nearest(X, cb.centroids)).max()
+        tiles = row_tiles(n, 8 * d, TILE_BYTES, d * k)
         assert len(tiles) == 2
         tracemalloc.start()
         try:
@@ -473,7 +474,48 @@ class TestGmmFit:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * d * max(tiles[0][1], largest_cluster) + 8 * n * k * 8 < X.nbytes * 0.7
+        assert peak <= 8 * d * tiles[0][1] + 8 * n * k * 8 < X.nbytes * 0.7
+
+    @pytest.mark.parametrize("k", [2, 16])
+    @pytest.mark.parametrize("relu", [False, True], ids=["relu-off", "relu-on"])
+    def test_variance_init_keeps_the_per_cluster_mean_bytes(self, monkeypatch, k, relu):
+        """The initial variances add squared deviations over several PASS_BYTES tiles into one
+        `_segment_sum` accumulator: the bytes of each cluster's gathered rows' mean over axis 0,
+        the former rule, and no copy of a cluster (here 90% of the rows sit near one point)."""
+        rng = np.random.default_rng(k)
+        n, d = 12_000, 64
+        X = rng.standard_normal((n, d)) * np.logspace(-2, 3, d) + 3.0 * (rng.random((n, 1)) < 0.9)
+        if relu:
+            X = np.maximum(X, 0.0)
+            X[::7, :5] = -0.0
+        cb = kmeans_fit(X, k, seed=0, max_iter=2)
+        labels = codebooks._nearest(X, cb.centroids)
+        expected = np.full((k, d), VARIANCE_FLOOR)
+        for j in np.unique(labels):
+            rows = X[labels == j]
+            rows -= cb.centroids[j]
+            expected[j] = np.maximum(np.multiply(rows, rows, out=rows).mean(axis=0), VARIANCE_FLOOR)
+
+        class FirstPass(Exception):
+            pass
+
+        seen = {}
+
+        def first_pass(X, weights, means, variances):
+            seen.update(peak=tracemalloc.get_traced_memory()[1] - base, variances=variances.copy())
+            raise FirstPass
+
+        monkeypatch.setattr(codebooks, "_em_pass", first_pass)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(FirstPass):
+                gmm_em(X, cb, 0, 3, 0.0)
+        finally:
+            tracemalloc.stop()
+        assert len(row_tiles(n, 8 * d, PASS_BYTES)) == 12
+        assert seen["variances"].tobytes() == expected.tobytes()
+        assert seen["peak"] <= 2 * PASS_BYTES + 8 * n * (k + 3)
 
     @pytest.mark.parametrize(
         ("centroids", "message"),
@@ -496,6 +538,8 @@ def _normwise(a, ref) -> float:
 
 
 class TestRowTiles:
+    """`row_tiles`, the one tile rule, and the bytes of the kernels that run over its tiles."""
+
     @pytest.mark.parametrize(
         ("n", "d", "k", "tile_rows", "sizes"),
         [
@@ -504,16 +548,84 @@ class TestRowTiles:
             # 1,000-row tiles would be products of 384,000 multiply-adds: fewer, larger tiles
             (12_000, 64, 6, 1_000, [3_000] * 4),
             (500, 4, 2, 10, [500]),  # a pool of one small product stays whole
+            # 20-row tiles exceed 10^6 multiply-adds but are under 128 rows: 1,000 // 128 tiles
+            (1_000, 512, 100, 20, [143] * 6 + [142]),
+            (1_000, 512, 0, 300, [250] * 4),  # an elementwise pass has no floor
+            (0, 512, 100, 300, []),
         ],
-        ids=["even", "near-equal", "product-floor", "one-small-tile"],
+        ids=["even", "near-equal", "product-floor", "one-small-tile", "row-floor", "elementwise",
+             "no-rows"],
     )
-    def test_tiles(self, monkeypatch, n, d, k, tile_rows, sizes):
-        monkeypatch.setattr(codebooks, "TILE_BYTES", tile_rows * d * 8)
-        tiles = codebooks._em_tiles(n, d, k)
+    def test_tiles(self, n, d, k, tile_rows, sizes):
+        tiles = row_tiles(n, 8 * d, tile_rows * d * 8, d * k)
         assert [hi - lo for lo, hi in tiles] == sizes
-        assert tiles[0][0] == 0 and tiles[-1][1] == n
-        assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
-        assert len(tiles) == 1 or all((hi - lo) * d * k > 10**6 for lo, hi in tiles)
+        assert [lo for lo, _ in tiles] == [0, *np.cumsum(sizes)[:-1].tolist()][: len(sizes)]
+        assert not k or len(tiles) == 1 or all(
+            (hi - lo) * d * k > 10**6 and hi - lo >= 128 for lo, hi in tiles)
+
+    def test_floor_holds_whenever_there_is_a_choice(self):
+        """Over random shapes: near-equal tiles, larger first, covering [0, n); several product
+        tiles each above 10^6 multiply-adds and at least 128 rows; a tile over the budget only
+        where one more tile would break the floor; and never a tile more than the budget needs."""
+        rng = np.random.default_rng(37)
+        for _ in range(3_000):
+            n, row_bytes = int(rng.integers(1, 20_000)), int(rng.integers(1, 9_000))
+            budget = int(row_bytes * rng.integers(1, 5_000))
+            macs = int(rng.choice([0, 1, 64, 1_024, 8_192, 51_200, 2_000_000]))
+            tiles = row_tiles(n, row_bytes, budget, macs)
+            sizes = [hi - lo for lo, hi in tiles]
+            assert tiles[0][0] == 0 and tiles[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
+            assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+            floor = max(128, 10**6 // macs + 1) if macs else 1
+            most = budget // row_bytes
+            if len(tiles) > 1:
+                assert sizes[-1] >= floor and (not macs or sizes[-1] * macs > 10**6)
+                assert -(-n // (len(tiles) - 1)) > most
+            assert sizes[0] <= most or n // (len(tiles) + 1) < floor
+
+    @pytest.mark.parametrize("k", [2, 4, 16, 100])
+    @pytest.mark.parametrize("budget", ["TILE_BYTES", "floor"])
+    def test_distance_tiles_keep_one_product_bytes(self, k, budget):
+        """On a conv5-sized pool of float32-rounded rows, `_dist_blocks`' tiles of X @ C.T, at
+        TILE_BYTES and at the floor alone (a budget of one row), equal one product."""
+        rng = np.random.default_rng(k)
+        n, d = 10_647, 512
+        X = rng.standard_normal((n, d)).astype(np.float32).astype(np.float64)
+        C = rng.standard_normal((k, d)) * 0.1 + X[rng.choice(n, k, replace=False)]
+        tiles = row_tiles(n, 8 * (d + k), TILE_BYTES if budget == "TILE_BYTES" else 1, d * k)
+        whole = X @ C.T
+        assert len(tiles) >= 6
+        for lo, hi in tiles:
+            assert (X[lo:hi] @ C.T).tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+
+    @pytest.mark.parametrize("fit", [kmeans_fit, gmm_fit])
+    def test_fits_over_several_tiles_equal_one_tile(self, monkeypatch, fit):
+        """Distance blocks, point distances, segment sums and the variance init over several row
+        tiles give a fit's one-tile bytes, k-means++ seeding included. EM keeps one tile here:
+        its M-step sums round by tile order (`test_em_over_several_tiles`)."""
+        rng = np.random.default_rng(31)
+        n, d, k = 20_000, 8, 32
+        X = (rng.standard_normal((n, d)) + rng.integers(0, 4, (n, 1))).astype(np.float32)
+
+        def run(tile_bytes, pass_bytes):
+            monkeypatch.setattr(codebooks, "TILE_BYTES", tile_bytes)
+            monkeypatch.setattr(codebooks, "PASS_BYTES", pass_bytes)
+            calls = []
+            monkeypatch.setattr(codebooks, "row_tiles",
+                                lambda *a: calls.append((a, row_tiles(*a))) or calls[-1][1])
+            model = fit(X, k, seed=2, max_iter=4, tol=0.0)
+            counts = {"distance": {len(t) for a, t in calls if a[1] == 8 * (d + k)},
+                      "em": {len(t) for a, t in calls if a[1] == 8 * d and len(a) == 4},
+                      "pass": {len(t) for a, t in calls if len(a) == 3}}
+            return model, counts
+
+        whole, one = run(1 << 40, 1 << 40)
+        tiled, several = run(n * d * 8, 1_000 * d * 8)
+        assert one == {"distance": {1}, "em": {1} if fit is gmm_fit else set(), "pass": {1}}
+        assert several == {"distance": {5}, "em": one["em"], "pass": {20}}
+        for name, value in vars(whole).items():
+            assert np.asarray(getattr(tiled, name)).tobytes() == np.asarray(value).tobytes(), name
 
     def test_em_over_several_tiles(self, monkeypatch):
         """EM over four row tiles, with a zero-weight component and ReLU'd rows holding -0.0:
@@ -527,16 +639,17 @@ class TestRowTiles:
                                np.full((1, d), 1e3)])  # nearest to no row: weight 0
         cb = Codebook(centroids, ())
         monkeypatch.setattr(codebooks, "TILE_BYTES", 3_000 * d * 8)
-        tiles, passes = [], []
-        em_tiles, em_pass = codebooks._em_tiles, codebooks._em_pass
-        monkeypatch.setattr(codebooks, "_em_tiles",
-                            lambda *a: tiles.append(em_tiles(*a)) or tiles[-1])
+        calls, passes = [], []
+        em_pass = codebooks._em_pass
+        monkeypatch.setattr(codebooks, "row_tiles",
+                            lambda *a: calls.append((a, row_tiles(*a))) or calls[-1][1])
         monkeypatch.setattr(codebooks, "_em_pass",  # gmm_em updates the means in place: copy
                             lambda X, *model: passes.append(([m.copy() for m in model],
                                                              em_pass(X, *model))) or passes[-1][1])
         runs = [gmm_em(X, cb, 0, 6, 0.0) for _ in range(2)]
+        tiles = [t for a, t in calls if a == (n, 8 * d, codebooks.TILE_BYTES, d * 6)]
         assert len(tiles) == 12 and all(len(t) == 4 for t in tiles)
-        assert all((hi - lo) * d * 6 > 10**6 for t in tiles for lo, hi in t)
+        assert all((hi - lo) * d * 6 > 10**6 and hi - lo >= 128 for t in tiles for lo, hi in t)
         (weights, means, variances), (resp, loglik, _, _) = passes[0]
         ref_resp, ref_ll = _ref_e_step(X, weights, means, variances)
         assert weights[5] == 0 and not resp[:, 5].any()
@@ -587,6 +700,11 @@ class TestEStep:
         assert resp.shape == (n, k) and peak <= 2.2 * n * k * 8
 
 
+def _posteriors(g, X) -> np.ndarray:
+    """Posterior component probabilities (N, k): `_em_pass`'s first output."""
+    return _em_pass(np.asarray(X, dtype=np.float64), g.weights, g.means, g.variances)[0]
+
+
 class TestGmmPosteriors:
     def _symmetric_model(self):
         from hrrs.codebooks import GmmModel
@@ -600,7 +718,7 @@ class TestGmmPosteriors:
 
     def test_symmetry(self):
         g = self._symmetric_model()
-        np.testing.assert_allclose(gmm_responsibilities(g, [[5.0]])[0], [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(_posteriors(g, [[5.0]])[0], [0.5, 0.5], atol=1e-12)
 
     def test_dominant_component(self):
         from hrrs.codebooks import GmmModel
@@ -611,25 +729,25 @@ class TestGmmPosteriors:
             variances=np.array([[1e-4], [1.0]]),
             loglik_history=(),
         )
-        assert gmm_responsibilities(g, [[0.0]])[0, 0] >= 0.999
+        assert _posteriors(g, [[0.0]])[0, 0] >= 0.999
 
     def test_single_component(self):
         from hrrs.codebooks import GmmModel
 
         g = GmmModel(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)), ())
-        np.testing.assert_allclose(gmm_responsibilities(g, [[3.0, -1.0]])[0], [1.0])
+        np.testing.assert_allclose(_posteriors(g, [[3.0, -1.0]])[0], [1.0])
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(10)
         g = gmm_fit(rng.standard_normal((100, 3)), 4, seed=0)
         probes = rng.standard_normal((200, 3)) * 5
-        resp = gmm_responsibilities(g, probes)
+        resp = _posteriors(g, probes)
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         g = gmm_fit(np.random.default_rng(0).standard_normal((20, 3)), 2, seed=0)
         with pytest.raises(ValueError, match="dim"):
-            gmm_responsibilities(g, [[1.0]])
+            encode_ifk(g, [[1.0]])
 
 
 class TestSerialization:

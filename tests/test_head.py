@@ -712,7 +712,7 @@ class TestEvalForward:
             assert head_feature(head, fmap).vector.tobytes() == ref_vec.tobytes()
 
     def test_accuracy_peak_does_not_grow_with_the_map_count(self):
-        # 8 MiB holds 6 of these maps' patch rows: 8 maps already take two chunks.
+        # 8 MiB holds 6 of these maps' patch rows: 12 maps already take two full chunks.
         cfg = HeadConfig(in_channels=512, in_spatial=(6, 6), hidden1=8, hidden2=8, classes=3)
         head = head_init(cfg, seed=0)
         maps = np.random.default_rng(0).standard_normal((64, *cfg.map_shape))
@@ -726,7 +726,7 @@ class TestEvalForward:
             finally:
                 tracemalloc.stop()
 
-        small, large = peak(8), peak(64)
+        small, large = peak(12), peak(64)
         assert large - small < 64 << 10, (small, large)
 
 
@@ -752,7 +752,7 @@ class TestChunkedStep:
         head = _open_head(cfg, seed=batch)
         maps = _maps_with_negative_zeros((batch, *cfg.map_shape), seed=batch)
         labels = np.random.default_rng(batch).integers(0, cfg.classes, size=batch)
-        buf = head_module._chunk_buffer(cfg, 50)
+        buf = head_module._patch_buffer(cfg, 50)
         sizes = []
         im2col = head_module._im2col3_batch
         monkeypatch.setattr(head_module, "_im2col3_batch",
@@ -771,7 +771,7 @@ class TestChunkedStep:
         head = _open_head(POOL5_CFG, seed=batch)
         maps = _maps_with_negative_zeros((batch, *POOL5_CFG.map_shape), seed=batch)
         labels = np.random.default_rng(batch).integers(0, POOL5_CFG.classes, size=batch)
-        buf = head_module._chunk_buffer(POOL5_CFG, 50)
+        buf = head_module._patch_buffer(POOL5_CFG, 50)
         shifted = np.full((batch + 2, *POOL5_CFG.map_shape), np.nan)
         _, grads = _loss_and_grads(head, maps, labels, np.random.default_rng(7), buf, shifted)
         _, ref_grads = _reference_loss_and_grads(head, maps, labels, np.random.default_rng(7))

@@ -117,7 +117,7 @@ class TestUnitRows:
         expected = matrix.copy()
         expected[~zero] /= norms[~zero, None]
         if rows_per_tile:
-            monkeypatch.setattr(retrieval, "TILE_BYTES", rows_per_tile * 8 * shape[1])
+            monkeypatch.setattr(retrieval, "PASS_BYTES", rows_per_tile * 8 * shape[1])
         unit, flags = _unit_rows(matrix)
         assert unit is matrix and unit.tobytes() == expected.tobytes()
         assert flags.tobytes() == zero.tobytes() and flags[1] and flags[2]
@@ -323,12 +323,14 @@ class TestGramScreen:
         rows = rng.permutation(idx.size)
         want = [o.tolist() for _, o, _ in _rank_by_difference_rows(idx, rows, False)]
         monkeypatch.setattr(retrieval, "TILE_BYTES", 8 * (idx.size + idx.dim) * 3)
+        monkeypatch.setattr(retrieval, "PASS_BYTES", 8 * idx.dim * 3)
         assert [o.tolist() for _, o in _pairs(idx, rows, False)] == want
 
     @pytest.mark.parametrize("include_self", [True, False])
     def test_blocks_are_one_tile_of_queries(self, monkeypatch, include_self):
-        """A block holds TILE_BYTES // (8 N) consecutive queries, or TILE_BYTES // (8 (N + d))
-        copied ones, with one (queries, N or N - 1) intp array of orders."""
+        """Blocks are the fewest near-equal runs of at most TILE_BYTES // (8 N) consecutive
+        queries, or TILE_BYTES // (8 (N + d)) copied ones, the larger first, each with one
+        (queries, N or N - 1) intp array of orders."""
         rng = np.random.default_rng(8)
         vecs, ids = _screen_fixture("integer-ties", rng)
         idx = build_index(_features(dict(zip(ids, vecs))), _manifest(ids))
@@ -337,7 +339,8 @@ class TestGramScreen:
         for rows, size in ((np.arange(3, n), 7), (np.arange(0, n, 2), 8 * n * 7 // (8 * (n + d)))):
             blocks = list(rank(idx, rows, include_self))
             assert [b.tolist() for b, _ in blocks] == [
-                rows[lo : lo + size].tolist() for lo in range(0, rows.size, size)]
+                part.tolist() for part in np.array_split(rows, -(-rows.size // size))]
+            assert max(b.size for b, _ in blocks) == size
             for blk, orders in blocks:
                 assert orders.dtype == np.intp and orders.shape == (blk.size, n - (not include_self))
         assert list(rank(idx, [], include_self)) == []
