@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -45,7 +46,7 @@ from .head import (
     load_head,
     save_head,
 )
-from .reduction import check_axes, load_pca, max_axes, pca_apply, pca_fit, save_pca
+from .reduction import check_axes, load_pca, max_axes, pca_apply, pca_fit, pca_fits, save_pca
 from .retrieval import distances, index_rows, load_index, rank, save_index
 from .tensor_store import (
     VALID_SPLITS,
@@ -85,16 +86,16 @@ ENCODERS = {
     "vlad": EncoderSpec(
         lambda cb, fmap, relu, alpha: encode_vlad(cb, extract_descriptors(fmap, relu)),
         "model", load_codebook, kmeans_fit, 100,
-        size=lambda k, first, head: k * _read_map(first, (None, None, None)).shape[2],
+        size=lambda k, first, head: k * _map_shape(first, (None, None, None))[2],
     ),
     "ifk": EncoderSpec(
         lambda gmm, fmap, relu, alpha: encode_ifk(gmm, extract_descriptors(fmap, relu), alpha),
         "model", load_gmm, gmm_em, 100, reads_alpha=True,
-        size=lambda k, first, head: 2 * k * _read_map(first, (None, None, None)).shape[2],
+        size=lambda k, first, head: 2 * k * _map_shape(first, (None, None, None))[2],
     ),
     "fc_raw": EncoderSpec(
         lambda _, fc, relu, alpha: encode_fc(fc, relu),
-        size=lambda k, first, head: _read_map(first, None).size,
+        size=lambda k, first, head: math.prod(read_shape(first.tensor_path)),
     ),
     "ldcnn": EncoderSpec(
         lambda head, fmap, relu, alpha: head_feature(head, fmap),
@@ -179,6 +180,11 @@ def _check_map(entry: ManifestEntry, got: tuple, shape: tuple | None) -> tuple:
     return got
 
 
+def _map_shape(entry: ManifestEntry, shape: tuple) -> tuple:
+    """An entry's map shape, read from its header and checked against `shape` by `_check_map`."""
+    return _check_map(entry, read_shape(entry.tensor_path), shape)
+
+
 def _read_map(entry: ManifestEntry, shape: tuple | None) -> np.ndarray:
     """An entry's tensor, read and checked against `shape` by `_check_map`."""
     fmap = read_tensor(entry.tensor_path)
@@ -190,8 +196,8 @@ def _descriptor_pool(manifest: DatasetManifest, split: str, apply_relu: bool) ->
     """Every map's descriptors in manifest order in one float64 array sized from the tensor
     headers, filled one map at a time; a map must match its header's (h, w) and the first c."""
     entries = _split_entries(manifest, split)
-    c = _check_map(entries[0], read_shape(entries[0].tensor_path), (None, None, None))[2]
-    shapes = [_check_map(e, read_shape(e.tensor_path), (None, None, c)) for e in entries]
+    c = _map_shape(entries[0], (None, None, None))[2]
+    shapes = [_map_shape(e, (None, None, c)) for e in entries]
     ends = np.cumsum([h * w for h, w, _ in shapes])
     pool = np.empty((ends[-1], c))
     for entry, (h, w, _), end in zip(entries, shapes, ends):
@@ -314,6 +320,20 @@ def cmd_pca_apply(args) -> None:
     print(f"projected {len(fs.ids)} features to {model.out_dim}-D")
 
 
+def _dim_reports(fs: FeatureSet, matrix: np.ndarray, manifest: DatasetManifest,
+                 protocol: EvalProtocol, dims: list, dim_error: Callable):
+    """Yield (dim, report) per dim in order: `fs` unprojected for None, else projected by one
+    `pca_fits` decomposition of the fit set `matrix`. A dim it cannot fit raises `dim_error`."""
+    fits = pca_fits(matrix, [dim for dim in dims if dim is not None])
+    for dim in dims:
+        try:
+            model = None if dim is None else next(fits)
+        except ValueError as exc:  # the fit set's rank, or a dim above `max_axes`
+            raise dim_error(dim, exc) from None
+        scored = fs if model is None else _project_features(fs, model)
+        yield dim, evaluate_dataset(index_rows(scored, manifest), manifest, protocol)
+
+
 def cmd_pca_sweep(args) -> None:
     fs = load_features(args.features)
     manifest = load_manifest(args.manifest)
@@ -328,13 +348,8 @@ def cmd_pca_sweep(args) -> None:
     if len(capped) < len(dims):
         print(f"capping sweep at {cap}-D: dropping {[d for d in dims if d > cap]}")
     rows = []
-    for d in capped:
-        try:
-            model = pca_fit(matrix, d)
-        except ValueError as exc:  # the fit set's rank is below d
-            raise CliError(f"--dims entry {d} does not fit the fit set: {exc}") from None
-        projected = _project_features(fs, model)
-        report = evaluate_dataset(index_rows(projected, manifest), manifest, protocol)
+    for d, report in _dim_reports(fs, matrix, manifest, protocol, capped, lambda d, exc: CliError(
+            f"--dims entry {d} does not fit the fit set: {exc}")):
         rows.append(([d], (report.anmrr, report.mean_ap), report.p_at_k))
         print(f"dim {d}: ANMRR={report.anmrr:.4f} mAP={report.mean_ap:.4f}")
     write_scores(args.out, ["dim", "ANMRR", "mAP"], k_list, rows)
@@ -355,7 +370,7 @@ def _head_flags(owner) -> dict[str, str]:
 def cmd_head_train(args) -> None:
     manifest = load_manifest(args.manifest)
     train, test = _split_entries(manifest, "train"), _split_entries(manifest, "test")
-    shape = _read_map(train[0], (None, None, None)).shape  # every map has the first's shape
+    shape = _map_shape(train[0], (None, None, None))  # every map has the first's shape
     config = HeadConfig(
         in_channels=shape[2], in_spatial=(shape[0], shape[1]), classes=manifest.n_classes,
         **{name: getattr(args, dest) for dest, name in _head_flags(HeadConfig).items()},
@@ -544,8 +559,8 @@ def _cell_key(cell: dict, manifest_sha: str) -> str:
 
 
 def _cached_row(cache_file: Path, cell: dict) -> dict | None:
-    """The row cached in `cache_file`, or None to recompute it: absent, unreadable, or not a
-    row of `cell` (its kind, relu and pca_dim, numeric scores, P_at_k keyed by integers)."""
+    """The row cached in `cache_file`, printed as a hit, or None to recompute it: absent, unreadable,
+    or not a row of `cell` (its kind, relu and pca_dim, numeric scores, P_at_k keyed by integers)."""
     try:
         row = json.loads(cache_file.read_text())
     except FileNotFoundError:
@@ -559,6 +574,7 @@ def _cached_row(cache_file: Path, cell: dict) -> dict | None:
         if (got == want and list(map(type, got)) == list(map(type, want))  # 7.0 is not dim 7
                 and all(type(s) in (int, float) for s in scores)  # a bool is no score
                 and all(k.isascii() and k.isdigit() for k in row["P_at_k"])):
+            print("cache hit {} ({}, relu={}, dim={})".format(cache_file.stem[:12], *want))
             return row
     print(f"unreadable cache entry {cache_file}: recomputing")
     return None
@@ -572,8 +588,7 @@ def _dim_error(cell: dict, dim: int, exc: ValueError) -> CliError:
 def _check_dims(dims: list, cell: dict, spec: EncoderSpec, manifest: DatasetManifest, head):
     """Reject a PCA dim above `max_axes` of a (kind, relu) pair's feature set before the pair's
     fit and encode: the set has a row per entry, and `spec.size` needs no fit."""
-    dims = [dim for dim in dims if dim is not None]
-    if dims:
+    if None not in dims:  # `validate_config`'s dims are positive integers, or None alone
         entries = _split_entries(manifest, "all")
         size = spec.size(cell["k"], entries[0], head)
         for dim in dims:
@@ -581,26 +596,6 @@ def _check_dims(dims: list, cell: dict, spec: EncoderSpec, manifest: DatasetMani
                 check_axes(len(entries), size, dim)
             except ValueError as exc:
                 raise _dim_error(cell, dim, exc) from None
-
-
-def _cell_row(cell: dict, fs: FeatureSet, manifest: DatasetManifest) -> dict:
-    """Score the cell's features, PCA-projected to the cell's dim if it has one."""
-    if cell["dim"] is not None:
-        try:
-            model = pca_fit(fs.matrix, cell["dim"])
-        except ValueError as exc:  # the fit set's rank; `_check_dims` ran the axis bound
-            raise _dim_error(cell, cell["dim"], exc) from None
-        fs = _project_features(fs, model)
-    protocol = EvalProtocol(self_included=cell["self_included"], k_list=tuple(cell["k_list"]))
-    report = evaluate_dataset(index_rows(fs, manifest), manifest, protocol)
-    return {
-        "kind": cell["kind"],
-        "relu": cell["relu"],
-        "pca_dim": cell["dim"],
-        "ANMRR": report.anmrr,
-        "mAP": report.mean_ap,
-        "P_at_k": {str(k): v for k, v in report.p_at_k.items()},
-    }
 
 
 def _sweep_model(models: dict, manifest: DatasetManifest, cell: dict, spec: EncoderSpec):
@@ -623,8 +618,8 @@ def _sweep_model(models: dict, manifest: DatasetManifest, cell: dict, spec: Enco
 
 
 def cmd_sweep(args) -> dict:
-    """Evaluate the config's axis product one cell at a time, caching each row. A (kind, relu)
-    pair is encoded once, on its first missed cell, for all of its PCA dims."""
+    """Evaluate the config's axis product, caching each cell's row. A (kind, relu) pair looks up
+    all of its cells, then is fitted, encoded and PCA-decomposed once for all of its misses."""
     config_path, out_dir = Path(args.config), Path(args.out)
     cfg = validate_config(read_json(config_path, CliError))
     manifest_path = (config_path.parent / cfg["manifest"]).resolve()
@@ -640,41 +635,42 @@ def cmd_sweep(args) -> dict:
         head_key = f"sha256:{bundle_digest(checkpoint)}"
     cache_dir = Path(os.environ.get(CACHE_ENV_VAR) or out_dir / "cache")
     cache_dir.mkdir(parents=True, exist_ok=True)
+    protocol = EvalProtocol(self_included=cfg["self_included"], k_list=cfg["k_list"])
     rows = []
     for kind in cfg["kinds"]:
         spec = ENCODERS[kind]
         # A kind that reads no ReLU gets one relu-0 cell whatever the relu axis holds;
         # k, seed (read only by kinds with a fit) and alpha are None in cells that do not read them.
         for use_relu in cfg["relus"] if spec.reads_relu else [False]:
-            fs = None
+            pair = {  # every field of the pair's cells but their dim
+                "kind": kind, "relu": use_relu,
+                "k": (cfg["k"] or spec.default_k) if spec.fit else None,
+                "alpha": cfg["alpha"] if spec.reads_alpha else None,
+                "head_checkpoint": head_key if spec.model_flag == "head" else None,
+                "self_included": cfg["self_included"], "k_list": list(cfg["k_list"]),
+                "seed": cfg["seed"] if spec.fit else None,
+            }
+            missed = {}  # dim -> (its row's place in rows, its cache file), for each missed cell
             for dim in cfg["dims"]:
-                cell = {
-                    "kind": kind,
-                    "relu": use_relu,
-                    "dim": dim,
-                    "k": (cfg["k"] or spec.default_k) if spec.fit else None,
-                    "alpha": cfg["alpha"] if spec.reads_alpha else None,
-                    "head_checkpoint": head_key if spec.model_flag == "head" else None,
-                    "self_included": cfg["self_included"],
-                    "k_list": list(cfg["k_list"]),
-                    "seed": cfg["seed"] if spec.fit else None,
-                }
-                key = _cell_key(cell, manifest_sha)
-                cache_file = cache_dir / f"{key}.json"
-                row = _cached_row(cache_file, cell)
-                if row is not None:
-                    print(f"cache hit {key[:12]} ({kind}, relu={use_relu}, dim={dim})")
-                    rows.append(row)
-                    continue
-                if fs is None:  # once per (kind, relu)
-                    _check_dims(cfg["dims"], cell, spec, manifest, models.get("head"))
-                    model = _sweep_model(models, manifest, cell, spec)
-                    fs = _encode_entries(manifest, "all", kind, use_relu, cell["alpha"], model)
-                row = _cell_row(cell, fs, manifest)
-                tmp = cache_file.with_suffix(f".{os.getpid()}.tmp")  # atomic publish
-                tmp.write_text(json.dumps(row, indent=2) + "\n")
-                os.replace(tmp, cache_file)
-                rows.append(row)
+                cell = {**pair, "dim": dim}
+                cache_file = cache_dir / f"{_cell_key(cell, manifest_sha)}.json"
+                rows.append(_cached_row(cache_file, cell))
+                if rows[-1] is None:
+                    missed[dim] = (len(rows) - 1, cache_file)
+            if missed:  # one fit, encode and PCA decomposition serve all of the pair's misses
+                _check_dims(cfg["dims"], pair, spec, manifest, models.get("head"))
+                model = _sweep_model(models, manifest, pair, spec)
+                fs = _encode_entries(manifest, "all", kind, use_relu, pair["alpha"], model)
+                for dim, report in _dim_reports(fs, fs.matrix, manifest, protocol, list(missed),
+                                                lambda dim, exc: _dim_error(pair, dim, exc)):
+                    at, cache_file = missed[dim]
+                    rows[at] = {"kind": kind, "relu": use_relu, "pca_dim": dim,
+                                "ANMRR": report.anmrr, "mAP": report.mean_ap,
+                                "P_at_k": {str(k): v for k, v in report.p_at_k.items()}}
+                    tmp = cache_file.with_suffix(f".{os.getpid()}.tmp")  # atomic publish
+                    tmp.write_text(json.dumps(rows[at], indent=2) + "\n")
+                    os.replace(tmp, cache_file)
+                del fs  # not held through the next pair's fit and encode
     out_csv = out_dir / "sweep.csv"
     write_scores(out_csv, ["kind", "relu", "pca_dim", "ANMRR", "mAP"], cfg["k_list"], (
         ([row["kind"], int(row["relu"]), row["pca_dim"]],  # pca_dim None -> ""

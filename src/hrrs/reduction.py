@@ -40,37 +40,41 @@ def check_axes(n: int, dim: int, d: int) -> None:
 
 
 def pca_fit(X, d: int) -> PcaModel:
-    """Top-d principal axes of X (N, D) from `eigh` of the centered Gram matrix on its
-    short side: Xc Xcᵀ when N <= D, where an axis is Xcᵀ u / sqrt(λ) (the method of
-    snapshots), else Xcᵀ Xc, whose eigenvectors are the axes. An axis's variance is
-    λ / (N - 1). The rank counts λ > max(N, D)·eps·λ_max (`matrix_rank`'s rule on the
-    Gram, which squares the data's condition number); requesting more axes, or more than
-    `max_axes`, is an error.
+    """The top-d principal axes of X (N, D): `pca_fits` at d alone."""
+    return next(pca_fits(X, [d]))
 
-    Sign convention: the largest-magnitude entry of each axis is positive, which makes
-    the fit a pure function of (X, d).
-    """
+
+def pca_fits(X, dims):
+    """Yield the fit of X (N, D) at each d of `dims`, in order, with the bytes of a fit at d alone,
+    cut from one `eigh` of the centered Gram on the short side: Xc Xcᵀ when N <= D, where an axis
+    is Xcᵀ u / sqrt(λ) (the method of snapshots), else Xcᵀ Xc, whose eigenvectors are the axes.
+    An axis has variance λ / (N - 1) and a positive largest-magnitude entry. A d above `max_axes`
+    or the rank (λ > max(N, D)·eps·λ_max, `matrix_rank`'s rule on the Gram) raises on reaching it."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D (N, D), got shape {X.shape}")
     n, dim = X.shape
-    check_axes(n, dim, d)
-    mean = X.mean(axis=0)
-    centered = X - mean
     snapshots = n <= dim
-    lam, vecs = np.linalg.eigh(centered @ centered.T if snapshots else centered.T @ centered)
-    lam, vecs = lam[::-1], vecs[:, ::-1]  # eigh sorts ascending
-    rank = int(np.count_nonzero(lam > max(n, dim) * np.finfo(np.float64).eps * lam[0]))
-    if d > rank:
-        raise ValueError(f"data supports only {rank} principal axes, requested {d}")
-    top = vecs[:, :d]
-    components = (top / np.sqrt(lam[:d])).T @ centered if snapshots else top.T.copy()
-    flip = components[np.arange(d), np.argmax(np.abs(components), axis=1)] < 0
-    components[flip] *= -1.0
-    explained = lam[:d] / (n - 1)
-    for arr in (mean, components, explained):
-        arr.flags.writeable = False
-    return PcaModel(mean, components, explained)
+    for i, d in enumerate(dims):
+        check_axes(n, dim, d)
+        if i == 0:  # the one decomposition, once the first d is known to fit
+            mean = X.mean(axis=0)
+            centered = X - mean
+            lam, vecs = np.linalg.eigh(centered @ centered.T if snapshots else centered.T @ centered)
+            lam, vecs = lam[::-1], vecs[:, ::-1]  # eigh sorts ascending
+            rank = int(np.count_nonzero(lam > max(n, dim) * np.finfo(np.float64).eps * lam[0]))
+        if d > rank:
+            raise ValueError(f"data supports only {rank} principal axes, requested {d}")
+        top = vecs[:, :d]
+        components = ((top / np.sqrt(lam[:d])).T @ (centered if i == 0 else X - mean) if snapshots
+                      else top.T.copy())
+        flip = components[np.arange(d), np.argmax(np.abs(components), axis=1)] < 0
+        components[flip] *= -1.0
+        explained = lam[:d] / (n - 1)
+        for arr in (mean, components, explained):
+            arr.flags.writeable = False
+        centered = None  # a later d centres X again: no N × D copy is held while a fit is in use
+        yield PcaModel(mean, components, explained)
 
 
 def pca_apply(model: PcaModel, X) -> np.ndarray:

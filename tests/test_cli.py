@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hrrs
-from hrrs import cli, codebooks, tensor_store
+from hrrs import cli, codebooks, reduction, tensor_store
 from hrrs.cli import ENCODERS, CliError, _descriptor_pool, main
 from hrrs.encoders import extract_descriptors, load_features
 from hrrs.head import HeadConfig, TrainConfig, load_head
@@ -580,23 +580,39 @@ def sweep_calls(monkeypatch):
 
 @pytest.fixture()
 def fit_inputs(monkeypatch):
-    """The X of every `pca_fit` call and every feature set loaded or encoded, in call order."""
-    seen = {name: [] for name in ("pca_fit", "load_features", "_encode_entries")}
+    """The (X, dims) of every `pca_fits` call, `pca_fit`'s included, and every feature set loaded
+    or encoded, in call order."""
+    seen = {name: [] for name in ("pca_fits", "load_features", "_encode_entries")}
 
     def recorded(name, real):
         def wrapper(*args, **kwargs):
             result = real(*args, **kwargs)
-            seen[name].append(args[0] if name == "pca_fit" else result)
+            seen[name].append(args[:2] if name == "pca_fits" else result)
             return result
         return wrapper
 
     for name in seen:
         monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
+    monkeypatch.setattr(reduction, "pca_fits", cli.pca_fits)  # the one `pca_fit` calls
     return seen
 
 
-def test_pca_fits_read_the_feature_set_matrix_itself(dataset, tmp_path, fit_inputs):
-    """`pca fit`, `pca sweep --split all` and a sweep cell fit on the set's matrix, not a restack."""
+@pytest.fixture()
+def eigh_calls(monkeypatch):
+    """The number of `np.linalg.eigh` calls: one per PCA decomposition."""
+    calls = [0]
+
+    def counted(*args, _real=np.linalg.eigh, **kwargs):
+        calls[0] += 1
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_pca_fits_read_the_feature_set_matrix_itself(dataset, tmp_path, fit_inputs, eigh_calls):
+    """`pca fit`, `pca sweep --split all` and a sweep pair fit on the set's matrix, not a restack,
+    with one `pca_fits` call and one decomposition for all of their dims."""
     feats = tmp_path / "feats"
     assert run("encode", "--manifest", dataset, "--encoder", "fc_raw", "--out", feats) == 0
     assert run("pca", "fit", "--features", feats, "--d", 2, "--out", tmp_path / "p") == 0
@@ -612,12 +628,14 @@ def test_pca_fits_read_the_feature_set_matrix_itself(dataset, tmp_path, fit_inpu
     assert run("sweep", "--config", tmp_path / "c.json", "--out", tmp_path / "sweep") == 0
     fitted, swept = fit_inputs["load_features"]
     _, cell_set = fit_inputs["_encode_entries"]
-    expected = [fitted.matrix] + [swept.matrix] * 2 + [cell_set.matrix] * 2
-    assert len(fit_inputs["pca_fit"]) == len(expected)
-    assert all(X is matrix for X, matrix in zip(fit_inputs["pca_fit"], expected))
+    expected = [(fitted.matrix, [2]), (swept.matrix, [1, 2]), (cell_set.matrix, [1, 2])]
+    assert len(fit_inputs["pca_fits"]) == len(expected)
+    assert all(X is matrix and list(dims) == want
+               for (X, dims), (matrix, want) in zip(fit_inputs["pca_fits"], expected))
+    assert eigh_calls[0] == 3
 
 
-def test_sweep_encodes_each_kind_and_relu_once(dataset, tmp_path, capsys, sweep_calls):
+def test_sweep_encodes_each_kind_and_relu_once(dataset, tmp_path, capsys, sweep_calls, eigh_calls):
     config = {
         "dataset": {"manifest": str(dataset)},
         "encoder": {"kind": "vlad", "k": 3, "relu": [False, True]},
@@ -629,6 +647,7 @@ def test_sweep_encodes_each_kind_and_relu_once(dataset, tmp_path, capsys, sweep_
     out = tmp_path / "sweep"
     assert run("sweep", "--config", path, "--out", out) == 0
     assert sweep_calls == {"_descriptor_pool": 2, "_encode_entries": 2, "load_head": 0}
+    assert eigh_calls[0] == 2  # one decomposition per pair for its three dims
     with open(out / "sweep.csv") as fh:
         assert [r[1:3] for r in list(csv.reader(fh))[1:]] == [
             [relu, dim] for relu in "01" for dim in "123"
@@ -640,12 +659,32 @@ def test_sweep_encodes_each_kind_and_relu_once(dataset, tmp_path, capsys, sweep_
     assert len(entries) == 6
     entries[3].unlink()
     sweep_calls.update(dict.fromkeys(sweep_calls, 0))
+    eigh_calls[0] = 0
     capsys.readouterr()
     assert run("sweep", "--config", path, "--out", out) == 0
     assert sweep_calls == {"_descriptor_pool": 1, "_encode_entries": 1, "load_head": 0}
+    assert eigh_calls[0] == 1
     assert capsys.readouterr().out.count("cache hit") == 5
     assert (out / "sweep.csv").read_bytes() == cold
     assert entries[3].exists()
+
+    # Two deleted dims of one pair: one fit, one encode and one decomposition serve both, and
+    # the rows keep their dims order.
+    cached = {entry: json.loads(entry.read_text()) for entry in entries}
+    pair = [entry for entry, row in cached.items() if row["relu"] is False and row["pca_dim"] != 2]
+    assert len(pair) == 2
+    bodies = [e.read_bytes() for e in pair]
+    for entry in pair:
+        entry.unlink()
+    sweep_calls.update(dict.fromkeys(sweep_calls, 0))
+    eigh_calls[0] = 0
+    capsys.readouterr()
+    assert run("sweep", "--config", path, "--out", out) == 0
+    assert sweep_calls == {"_descriptor_pool": 1, "_encode_entries": 1, "load_head": 0}
+    assert eigh_calls[0] == 1
+    assert capsys.readouterr().out.count("cache hit") == 4
+    assert (out / "sweep.csv").read_bytes() == cold
+    assert [e.read_bytes() for e in pair] == bodies
 
 
 def _sweep_k3(dataset, tmp_path, kinds, out):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from hrrs.reduction import load_pca, pca_apply, pca_fit, save_pca
+from hrrs.reduction import load_pca, pca_apply, pca_fit, pca_fits, save_pca
 from hrrs.tensor_store import BundleError, write_tensor
 
 
@@ -182,6 +182,64 @@ class TestAgainstSvd:
         pca_fit(X, rank)
         with pytest.raises(ValueError, match=f"data supports only {rank} principal axes, requested {rank + 1}"):
             pca_fit(X, rank + 1)
+
+
+def _gaussian_f32(n, dim, seed):
+    """Gaussian rows rounded to float32, as feature maps are stored."""
+    return np.random.default_rng(seed).standard_normal((n, dim)).astype(np.float32)
+
+
+# (X, dims) per case. Snapshot cases (N <= D) form each axis set in a (d, N) x (N, D) product:
+# "wide" stays within 10^6 multiply-adds at every d, "wide-floor" is at 10^6 for d = 10 and above
+# it for d = 64, "wide-8192" is above it at every d. Tall cases (N > D) copy eigenvectors.
+FITS_CASES = {
+    "wide": (lambda: np.random.default_rng(20).standard_normal((30, 200)), [9, 2, 5, 29]),
+    "wide-floor": (lambda: _gaussian_f32(100, 1000, 21), [1, 10, 64]),
+    "wide-8192": (lambda: _gaussian_f32(126, 8192, 22), [2, 8, 12, 32, 64]),
+    "square": (lambda: np.random.default_rng(23).standard_normal((50, 50)), [49, 1, 7]),
+    "tall": (lambda: np.random.default_rng(24).standard_normal((200, 30)), [1, 9, 30]),
+    "tall-f32": (lambda: _gaussian_f32(2100, 64, 25), [2, 8, 12, 32, 64]),
+}
+
+
+class TestPcaFits:
+    @pytest.mark.parametrize("case", FITS_CASES)
+    def test_each_fit_has_the_bytes_of_a_fit_at_its_dim(self, case):
+        make, dims = FITS_CASES[case]
+        X = make()
+        fits = list(pca_fits(X, dims))
+        assert [fit.out_dim for fit in fits] == dims
+        for d, fit in zip(dims, fits):
+            alone = pca_fit(X, d)
+            for name in ("mean", "components", "explained_variance"):
+                got, want = getattr(fit, name), getattr(alone, name)
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+                assert not got.flags.writeable
+
+    @pytest.mark.parametrize(("dims", "message"), [
+        ([2, 5, 7, 3], "data supports only 5 principal axes, requested 7"),
+        ([5, 1, 40], "d must lie in [1, 39], got 40"),
+    ])
+    def test_a_dim_that_does_not_fit_raises_after_the_earlier_fits(self, dims, message):
+        X = _low_rank(40, 60, 5, 17)
+        fits = pca_fits(X, dims)
+        bad = next(i for i, d in enumerate(dims) if d > 5)
+        for d in dims[:bad]:
+            assert next(fits).components.tobytes() == pca_fit(X, d).components.tobytes()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            next(fits)
+
+    def test_one_decomposition_and_none_before_the_first_dim(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
+        fits = pca_fits(np.zeros((1, 5)), [1])  # a generator: nothing is checked or fit yet
+        with pytest.raises(ValueError, match="2 samples"):
+            next(fits)
+        assert list(pca_fits(np.random.default_rng(26).standard_normal((20, 6)), [])) == []
+        assert calls == []
+        assert len(list(pca_fits(np.random.default_rng(26).standard_normal((20, 6)), [1, 6, 3]))) == 3
+        assert calls == [(6, 6)]
 
 
 class TestPcaApply:
