@@ -188,7 +188,7 @@ def _check_fit(X: np.ndarray, k: int, max_iter: int, tol: float) -> None:
         raise ValueError("k must be >= 1")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if tol < 0:
+    if not tol >= 0:  # NaN too
         raise ValueError("tol must be >= 0")
     if X.shape[0] < k:
         raise ValueError(f"insufficient data: {X.shape[0]} points for k={k}")
@@ -219,16 +219,17 @@ def kmeans_fit(X, k: int, seed: int = 0, max_iter: int = MAX_ITER, tol: float = 
 
 
 def _em_pass(X, weights, means, variances) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The one E-step: responsibilities (n, k), per-row log-likelihoods (n,) and the moment sums
-    s1 = resp.T @ X and s2 = resp.T @ (X * X), in one pass over row tiles of X.
+    """The one E-step, as expected sufficient statistics: the responsibilities' column sums
+    nk (k,), per-row log-likelihoods (n,) and the moment sums s1 = resp.T @ X and
+    s2 = resp.T @ (X * X), in one pass over products' `row_tiles` of X, with no (n, k) array.
 
-    The tiles are products' `row_tiles`: squared rows within TILE_BYTES and, while there is a
-    choice, none of 10^6 multiply-adds or fewer or under 128 rows, the measured floor above which
-    a row tile keeps one product's bits (elementwise passes take PASS_BYTES; k-means++ seeding's
-    one-centre product is never tiled). Each tile squares its rows into one reused buffer and
-    writes its log-joint log(w_j) + log N(x | mu_j, diag var_j) into its rows of `resp`, in
-    place and in order, then the responsibilities over it. s1 and s2 add the tiles' products in
-    tile order, the first assigned: one tile keeps one product's bits, more sum in another order.
+    Each tile squares its rows into one reused buffer and writes its log-joint
+    log(w_j) + log N(x | mu_j, diag var_j), in place, then its responsibilities after row 0 of one
+    reused (rows + 1, k) buffer, and sums that buffer's used rows over axis 0 into row 0 (0.0 at
+    first). numpy sums axis 0 of k >= 2 columns row by row, so the last sum, nk, has the bits of
+    `resp.sum(axis=0)` over the pool; at k = 1 every responsibility is 1.0, and the pairwise sum
+    of one column is exact. s1 and s2 add the tiles' products in tile order, the first
+    assigned: one tile keeps one product's bits, more sum in another order.
     """
     n, d = X.shape
     k = means.shape[0]
@@ -240,11 +241,11 @@ def _em_pass(X, weights, means, variances) -> tuple[np.ndarray, np.ndarray, np.n
     tiles = row_tiles(n, 8 * d, TILE_BYTES, d * k)
     rows = tiles[0][1]  # the first tile is the largest
     squares, scratch = np.empty((rows, d)), np.empty((rows, k))
-    resp, loglik = np.empty((n, k)), np.empty(n)
+    buf, loglik = np.zeros((rows + 1, k)), np.empty(n)
     for lo, hi in tiles:
         x, xx, tmp = X[lo:hi], squares[: hi - lo], scratch[: hi - lo]
         np.multiply(x, x, out=xx)
-        logj = np.matmul(xx, inv.T, out=resp[lo:hi])  # then - 2 x @ scaled + offset, in place
+        logj = np.matmul(xx, inv.T, out=buf[1 : hi - lo + 1])  # then - 2 x @ scaled + offset
         cross = np.matmul(x, scaled, out=tmp)
         cross *= 2.0
         logj -= cross
@@ -256,12 +257,13 @@ def _em_pass(X, weights, means, variances) -> tuple[np.ndarray, np.ndarray, np.n
         ll = np.add(top[:, 0], np.log(np.exp(tmp, out=tmp).sum(axis=1)), out=loglik[lo:hi])
         logj -= ll[:, None]
         np.exp(logj, out=logj)
+        buf[0] = buf[: hi - lo + 1].sum(axis=0)
         if lo == 0:
             s1, s2 = logj.T @ x, logj.T @ xx
         else:
             s1 += logj.T @ x
             s2 += logj.T @ xx
-    return resp, loglik, s1, s2
+    return buf[0].copy(), loglik, s1, s2
 
 
 def gmm_fit(X, k: int, seed: int = 0, max_iter: int = MAX_ITER, tol: float = TOL) -> GmmModel:
@@ -278,9 +280,11 @@ def gmm_em(X, codebook: Codebook, seed: int, max_iter: int, tol: float) -> GmmMo
     VARIANCE_FLOOR), weights the cluster fractions. Stops when the mean
     log-likelihood improves by less than `tol` or after `max_iter` E-steps.
 
-    Each iteration is one `_em_pass`. On a pool of several tiles the M-step sums round
-    differently from one product over the pool: after 6 iterations, weights, means, variances
-    and log-likelihoods stay within 1e-12 of it as max |difference| over max |value|.
+    Each iteration is one `_em_pass`: column sums nk (with the bits of one `resp.sum(axis=0)`,
+    by numpy's row-by-row axis-0 order, which the variance init below keeps too), log-likelihoods
+    and moment sums. On a pool of several tiles the moment sums round differently from one
+    product over the pool: after 6 iterations, weights, means, variances and log-likelihoods
+    stay within 1e-12 of it as max |difference| over max |value|.
     """
     X = _fit_points(X, seed)
     n, d = X.shape
@@ -306,11 +310,10 @@ def gmm_em(X, codebook: Codebook, seed: int, max_iter: int, tol: float) -> GmmMo
     np.maximum(variances, VARIANCE_FLOOR, out=variances)
     history: list[float] = []
     for it in range(max_iter):
-        resp, loglik, s1, s2 = _em_pass(X, weights, means, variances)
+        nk, loglik, s1, s2 = _em_pass(X, weights, means, variances)
         history.append(float(loglik.mean()))
         if it >= 1 and history[-1] - history[-2] < tol:
             break
-        nk = resp.sum(axis=0)
         weights = nk / n
         active = nk > 0
         if active.any():
@@ -318,7 +321,6 @@ def gmm_em(X, codebook: Codebook, seed: int, max_iter: int, tol: float) -> GmmMo
             ex2 = s2[active] / nk[active, None]
             means[active] = mu_new
             variances[active] = np.maximum(ex2 - mu_new**2, VARIANCE_FLOOR)
-        del resp, loglik  # before the next pass allocates its own
     for arr in (weights, means, variances):
         arr.flags.writeable = False
     return GmmModel(weights, means, variances, tuple(history))

@@ -110,8 +110,7 @@ def fisher_vector_raw(g: GmmModel, descriptors: np.ndarray) -> np.ndarray:
     """
     X = _check_descriptors(descriptors, g.dim)
     m = X.shape[0]
-    resp, _, s1, s2 = _em_pass(X, g.weights, g.means, g.variances)  # s1, s2: (k, d)
-    s0 = resp.sum(axis=0)  # (k,)
+    s0, _, s1, s2 = _em_pass(X, g.weights, g.means, g.variances)  # s0: (k,); s1, s2: (k, d)
     mu, var = g.means, g.variances
     sigma = np.sqrt(var)
     w = g.weights

@@ -267,11 +267,9 @@ def _forward(head: MlpconvHead, maps: np.ndarray, rng=None, buf: np.ndarray | No
 
 def _gap(head: MlpconvHead, maps: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
     """Eval-mode GAP matrix (N, classes): `_forward` without an rng on each `_map_tiles` chunk
-    through one `_patch_buffer`. With no floor, a chunk's product at or below 10^6 multiply-adds,
-    or under 128 rows with 2 threads, may round unlike one product over all maps (seen at c=2400
-    on 1x1 maps, hidden 8); tests/test_head.py finds one set of bytes for every chunk size at its
-    shapes. Elementwise passes take PASS_BYTES tiles; k-means++ seeding's product is never tiled.
-    """
+    through one `_patch_buffer`. The chunks have no product floor (`row_tiles`), so one may round
+    unlike one product over all maps (seen at c=2400 on 1x1 maps, hidden 8); tests/test_head.py
+    finds one set of bytes for every chunk size at its shapes."""
     cfg = head.config
     maps = _check_maps(maps, cfg)
     buf = _patch_buffer(cfg, len(maps)) if buf is None else buf

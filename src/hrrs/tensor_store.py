@@ -384,8 +384,8 @@ def gen_synthetic(
     """
     if classes < 1 or per_class < 1:
         raise ValueError("classes and per_class must be >= 1")
-    if separation < 0:
-        raise ValueError("separation must be >= 0")
+    if not 0 <= separation < math.inf:
+        raise ValueError(f"separation must be finite and >= 0, got {separation}")
     if len(map_shape) != 3 or any(d < 1 for d in map_shape):
         raise ValueError(f"map_shape must be [h, w, c] with positive dims, got {map_shape}")
     if not 0.0 <= train_frac <= 1.0:

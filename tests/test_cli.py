@@ -55,6 +55,26 @@ def test_synth_outputs(dataset):
     assert (ds_dir / "effective_config.json").exists()
 
 
+@pytest.mark.parametrize("separation", ["nan", "inf", "-1"])
+def test_synth_rejects_a_separation_before_writing(tmp_path, capsys, separation):
+    out = tmp_path / "ds"
+    assert run("synth", "--classes", 2, "--per-class", 2, "--shape", "2,2,4",
+               "--separation", separation, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: separation must be finite and >= 0, got {float(separation)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["kmeans", "gmm"])
+def test_codebook_train_rejects_a_nan_tol(dataset, tmp_path, capsys, kind):
+    out = tmp_path / "model"
+    capsys.readouterr()
+    assert run("codebook", "train", "--kind", kind, "--k", 2, "--tol", "nan", "--max-iter", 7,
+               "--manifest", dataset, "--out", out) == 1
+    assert capsys.readouterr().err == "error: tol must be >= 0\n"
+    assert not out.exists()
+
+
 def test_codebook_encode_index_query_eval(dataset, tmp_path):
     cb = tmp_path / "cb"
     assert run("codebook", "train", "--kind", "kmeans", "--k", 3,

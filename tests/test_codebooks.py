@@ -650,10 +650,10 @@ class TestRowTiles:
         tiles = [t for a, t in calls if a == (n, 8 * d, codebooks.TILE_BYTES, d * 6)]
         assert len(tiles) == 12 and all(len(t) == 4 for t in tiles)
         assert all((hi - lo) * d * 6 > 10**6 and hi - lo >= 128 for t in tiles for lo, hi in t)
-        (weights, means, variances), (resp, loglik, _, _) = passes[0]
+        (weights, means, variances), (nk, loglik, _, _) = passes[0]
         ref_resp, ref_ll = _ref_e_step(X, weights, means, variances)
-        assert weights[5] == 0 and not resp[:, 5].any()
-        assert resp.tobytes() == ref_resp.tobytes() and float(loglik.mean()) == ref_ll
+        assert weights[5] == 0 and nk[5] == 0
+        assert nk.tobytes() == ref_resp.sum(axis=0).tobytes() and float(loglik.mean()) == ref_ll
         a, b = runs
         for name in ("weights", "means", "variances", "loglik_history"):
             assert np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes()
@@ -675,34 +675,59 @@ class TestEStep:
         means = rng.standard_normal((3, 5)) * 10.0
         variances = rng.uniform(0.5, 50.0, (3, 5))
         weights = np.array(weights)
-        resp, loglik, s1, s2 = _em_pass(X, weights, means, variances)
+        nk, loglik, s1, s2 = _em_pass(X, weights, means, variances)
         ref_resp, ref_ll = _ref_e_step(X, weights, means, variances)
-        assert resp.tobytes() == ref_resp.tobytes() and float(loglik.mean()) == ref_ll
-        assert not resp[:, weights == 0].any()
+        assert nk.tobytes() == ref_resp.sum(axis=0).tobytes() and float(loglik.mean()) == ref_ll
+        assert not nk[weights == 0].any()
         assert s1.tobytes() == (ref_resp.T @ X).tobytes()
         assert s2.tobytes() == (ref_resp.T @ (X * X)).tobytes()
 
-    def test_extra_peak_is_about_two_responsibility_matrices(self):
-        """The log-joint and one scratch array of (n, k) float64: the out-of-place form held
-        about three."""
+    @pytest.mark.parametrize("k", [1, 2, 16, 100])
+    def test_column_sums_over_several_tiles_equal_one_sum(self, monkeypatch, k):
+        """Row 0 of the tile buffer carries the running sum, so nk over three tiles has the bits
+        of one `resp.sum(axis=0)` over the pool, with a zero-weight component and ReLU'd rows
+        holding -0.0 (summing each tile on its own and adding the sums would round apart)."""
+        rng = np.random.default_rng(41)
+        n, d = 6_000, 512
+        X = np.maximum(rng.standard_normal((n, d)) + rng.integers(0, 3, (n, 1)), 0.0)
+        X[::7, :5] = -0.0
+        means = 1.0 + 0.02 * rng.standard_normal((k, d))  # near each other: soft responsibilities
+        variances = np.full((k, d), 1.5)
+        weights = np.ones(k)
+        weights[2:3] = 0.0  # at k >= 3 a zero-weight component
+        weights /= weights.sum()
+        monkeypatch.setattr(codebooks, "TILE_BYTES", 2_000 * d * 8)
+        assert len(row_tiles(n, 8 * d, codebooks.TILE_BYTES, d * k)) == 3
+        nk, loglik, _, _ = _em_pass(X, weights, means, variances)
+        ref_resp, ref_ll = _ref_e_step(X, weights, means, variances)
+        assert nk.tobytes() == ref_resp.sum(axis=0).tobytes() and float(loglik.mean()) == ref_ll
+        assert not nk[weights == 0].any() and (k == 1 or ref_resp[:, 0].max() < 0.9)
+
+    def test_extra_peak_is_below_one_responsibility_matrix(self, monkeypatch):
+        """Over three tiles the pass holds a tile's log-joint buffer and scratch array, never
+        an (n, k) float64 array: the (n, k) responsibilities and their tiles' scratch held
+        about 1.4 of one."""
         n, k = 20_000, 50
         rng = np.random.default_rng(18)
         X = rng.standard_normal((n, 4))
         weights = np.full(k, 1.0 / k)
         means, variances = rng.standard_normal((k, 4)), rng.uniform(0.5, 2.0, (k, 4))
+        monkeypatch.setattr(codebooks, "TILE_BYTES", 64_000)
+        assert len(row_tiles(n, 8 * 4, codebooks.TILE_BYTES, 4 * k)) == 3
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            resp, _, _, _ = _em_pass(X, weights, means, variances)
+            nk, _, _, _ = _em_pass(X, weights, means, variances)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert resp.shape == (n, k) and peak <= 2.2 * n * k * 8
+        assert nk.shape == (k,) and peak < n * k * 8
 
 
 def _posteriors(g, X) -> np.ndarray:
-    """Posterior component probabilities (N, k): `_em_pass`'s first output."""
-    return _em_pass(np.asarray(X, dtype=np.float64), g.weights, g.means, g.variances)[0]
+    """Posterior component probabilities (N, k): the `nk` of `_em_pass` over each row alone."""
+    X = np.asarray(X, dtype=np.float64)
+    return np.stack([_em_pass(x[None], g.weights, g.means, g.variances)[0] for x in X])
 
 
 class TestGmmPosteriors:
