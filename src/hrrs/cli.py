@@ -55,6 +55,7 @@ from .tensor_store import (
     bundle_digest,
     gen_synthetic,
     load_manifest,
+    publish,
     read_json,
     read_shape,
     read_tensor,
@@ -667,9 +668,7 @@ def cmd_sweep(args) -> dict:
                     rows[at] = {"kind": kind, "relu": use_relu, "pca_dim": dim,
                                 "ANMRR": report.anmrr, "mAP": report.mean_ap,
                                 "P_at_k": {str(k): v for k, v in report.p_at_k.items()}}
-                    tmp = cache_file.with_suffix(f".{os.getpid()}.tmp")  # atomic publish
-                    tmp.write_text(json.dumps(rows[at], indent=2) + "\n")
-                    os.replace(tmp, cache_file)
+                    publish(cache_file, json.dumps(rows[at], indent=2) + "\n")
                 del fs  # not held through the next pair's fit and encode
     out_csv = out_dir / "sweep.csv"
     write_scores(out_csv, ["kind", "relu", "pca_dim", "ANMRR", "mAP"], cfg["k_list"], (

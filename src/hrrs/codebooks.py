@@ -188,8 +188,8 @@ def _check_fit(X: np.ndarray, k: int, max_iter: int, tol: float) -> None:
         raise ValueError("k must be >= 1")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not tol >= 0:  # NaN too
-        raise ValueError("tol must be >= 0")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if X.shape[0] < k:
         raise ValueError(f"insufficient data: {X.shape[0]} points for k={k}")
 

@@ -210,33 +210,38 @@ def _fsync(path: Path) -> None:
         os.close(fd)
 
 
-def save_bundle(out_dir: str | Path, kind: str, tensors: dict[str, np.ndarray], meta: dict) -> Path:
-    """Write tensors as `<name>.ftns` files, then publish `bundle.json`; returns its path.
+def publish(path: Path, text: str) -> None:
+    """Replace `path` by `text` atomically: write a temp file beside it, fsync it, rename it onto
+    `path` and fsync the directory. A failure leaves the old file, or none, and perhaps the temp
+    file, which no reader opens."""
+    tmp = path.with_suffix(f".{os.getpid()}.tmp")
+    tmp.write_text(text)
+    _fsync(tmp)
+    os.replace(tmp, path)
+    _fsync(path.parent)
 
-    Readers trust only the sidecar, so it is removed first and published last
-    (temp file, fsync, rename, directory fsync): an interrupted write leaves
-    a directory that `load_bundle` rejects, never a mix it would accept.
-    """
-    out_dir = Path(out_dir)
+
+def _write_members(out_dir: Path, index_name: str, tensors: dict, text: str) -> Path:
+    """Remove the index file readers trust (`bundle.json`, `manifest.json`), write and fsync each
+    `<name>.ftns` member, then `publish` the index as `text`; returns its path. An interrupted
+    write leaves a directory that every reader rejects, never a mix that it would accept."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    sidecar = out_dir / BUNDLE_SIDECAR
-    sidecar.unlink(missing_ok=True)
+    index = out_dir / index_name
+    index.unlink(missing_ok=True)
     _fsync(out_dir)
     for name, values in tensors.items():
         write_tensor(out_dir / f"{name}.ftns", values)
         _fsync(out_dir / f"{name}.ftns")
+    publish(index, text)
+    return index
+
+
+def save_bundle(out_dir: str | Path, kind: str, tensors: dict[str, np.ndarray], meta: dict) -> Path:
+    """Write tensors as `<name>.ftns` files and then `bundle.json` by `_write_members`; returns
+    the sidecar's path. The sidecar has no trailing newline, so no strict prefix of it parses."""
     shapes = {name: list(np.shape(values)) for name, values in tensors.items()}
     doc = {"kind": kind, "version": BUNDLE_VERSION, "tensors": shapes, "meta": meta}
-    tmp = sidecar.with_suffix(".tmp")
-    with open(tmp, "w") as fh:
-        # No trailing newline: every strict prefix of the file is then invalid
-        # JSON, so a torn sidecar never parses.
-        json.dump(doc, fh, indent=2)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, sidecar)
-    _fsync(out_dir)
-    return sidecar
+    return _write_members(Path(out_dir), BUNDLE_SIDECAR, tensors, json.dumps(doc, indent=2))
 
 
 def load_bundle(bundle_dir: str | Path, kind: str) -> tuple[BundleFields, BundleFields]:
@@ -413,7 +418,7 @@ def gen_synthetic(
         ids = []
         for i in range(per_class):
             image_id = f"{label}-{i:03d}"
-            arr = (template + rng.standard_normal((h, w, c))).astype("<f4")
+            arr = validate_tensor(template + rng.standard_normal((h, w, c)))
             arr.flags.writeable = False
             maps[image_id] = arr
             ids.append(image_id)
@@ -426,17 +431,11 @@ def gen_synthetic(
     return make_manifest(entries), maps
 
 
-def write_synthetic(
-    out_dir: str | Path, manifest: DatasetManifest, maps: dict[str, np.ndarray]
-) -> Path:
-    """Write synthetic maps and the manifest to a directory; returns the manifest path."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for e in manifest.entries:
-        path = f"{e.image_id}.ftns"
-        write_tensor(out_dir / path, maps[e.image_id])
-        entries.append({"id": e.image_id, "class": e.class_label, "path": path, "split": e.split})
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps({"entries": entries}, indent=2) + "\n")
-    return manifest_path
+def write_synthetic(out_dir: str | Path, manifest: DatasetManifest,
+                    maps: dict[str, np.ndarray]) -> Path:
+    """Write synthetic maps and then `manifest.json` by `_write_members`; returns its path."""
+    entries = [{"id": e.image_id, "class": e.class_label, "path": f"{e.image_id}.ftns",
+                "split": e.split} for e in manifest.entries]
+    text = json.dumps({"entries": entries}, indent=2) + "\n"
+    tensors = {e.image_id: maps[e.image_id] for e in manifest.entries}
+    return _write_members(Path(out_dir), "manifest.json", tensors, text)

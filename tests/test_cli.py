@@ -65,13 +65,57 @@ def test_synth_rejects_a_separation_before_writing(tmp_path, capsys, separation)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["kmeans", "gmm"])
-def test_codebook_train_rejects_a_nan_tol(dataset, tmp_path, capsys, kind):
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_resynth_beyond_float32_leaves_the_dataset(dataset, capsys):
+    # The maps of a finite but huge separation overflow float32: the check runs before any
+    # write, so the old manifest is not removed and the old dataset still loads.
+    before = _tree(dataset.parent)
+    capsys.readouterr()
+    assert run("synth", "--classes", 2, "--per-class", 6, "--shape", "3,3,6",
+               "--separation", "1e308", "--seed", 5, "--out", dataset.parent) == 1
+    assert capsys.readouterr().err == ("error: tensor contains non-finite values or values outside "
+                                       "the float32 range ±3.402823e+38\n")
+    assert _tree(dataset.parent) == before
+
+
+def test_interrupted_resynth_is_rejected(dataset, monkeypatch, capsys):
+    # A re-synth with another seed fails at its 6th map: the directory now mixes both seeds'
+    # maps, and no reader may accept it.
+    real_write = tensor_store.write_tensor
+    written = []
+
+    def write_then_fail(target, values):
+        if len(written) == 5:
+            raise OSError("disk full")
+        real_write(target, values)
+        written.append(target)
+
+    monkeypatch.setattr(tensor_store, "write_tensor", write_then_fail)
+    assert run("synth", "--classes", 2, "--per-class", 6, "--shape", "3,3,6",
+               "--separation", 6.0, "--seed", 6, "--out", dataset.parent) == 1
+    monkeypatch.undo()
+    assert len(written) == 5
+    with pytest.raises(FileNotFoundError, match=re.escape(str(dataset))):
+        load_manifest(dataset)
+    capsys.readouterr()
+    assert run("codebook", "train", "--kind", "kmeans", "--k", 2, "--manifest", dataset,
+               "--out", dataset.parent.parent / "cb") == 1
+    assert str(dataset) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("kind", "tol"), [("kmeans", "nan"), ("gmm", "nan"), ("kmeans", "inf"),
+                                           ("gmm", "inf")],
+                         ids=["kmeans", "gmm", "kmeans-inf", "gmm-inf"])
+def test_codebook_train_rejects_a_nan_tol(dataset, tmp_path, capsys, kind, tol):
+    # An infinite tol would be written to effective_config.json as `Infinity`, which is not JSON.
     out = tmp_path / "model"
     capsys.readouterr()
-    assert run("codebook", "train", "--kind", kind, "--k", 2, "--tol", "nan", "--max-iter", 7,
+    assert run("codebook", "train", "--kind", kind, "--k", 2, "--tol", tol, "--max-iter", 7,
                "--manifest", dataset, "--out", out) == 1
-    assert capsys.readouterr().err == "error: tol must be >= 0\n"
+    assert capsys.readouterr().err == f"error: tol must be finite and >= 0, got {float(tol)}\n"
     assert not out.exists()
 
 

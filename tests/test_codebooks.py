@@ -308,7 +308,7 @@ class TestKmeansFit:
         [
             ((20,), {}, "descriptor set must be 2-D (N, d), got shape (20,)"),
             ((20, 2), {"k": 0}, "k must be >= 1"),
-            ((20, 2), {"tol": -1e-3}, "tol must be >= 0"),
+            ((20, 2), {"tol": -1e-3}, "tol must be finite and >= 0, got -0.001"),
         ],
         ids=["points-1d", "k-0", "tol-negative"],
     )

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import struct
 
@@ -15,6 +16,7 @@ from hrrs.tensor_store import (
     gen_synthetic,
     load_bundle,
     load_manifest,
+    publish,
     read_shape,
     read_tensor,
     save_bundle,
@@ -273,6 +275,31 @@ class TestBundle:
         assert bundle_digest(tmp_path) == expected.hexdigest()
         (tmp_path / "b3.ftns").write_bytes((tmp_path / "b3.ftns").read_bytes()[:-1] + b"\x01")
         assert bundle_digest(tmp_path) != expected.hexdigest()
+
+
+class TestPublish:
+    def test_replaces_the_target_and_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "manifest.json"
+        target.write_text("old")
+        publish(target, '{"entries": []}\n')
+        assert target.read_text() == '{"entries": []}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("call", ["replace", "fsync"])
+    def test_a_failure_keeps_the_old_target(self, tmp_path, monkeypatch, call):
+        manifest, maps = gen_synthetic(2, 2, (2, 2, 4), 1.0, seed=0)
+        target = write_synthetic(tmp_path, manifest, maps)
+        before = target.read_bytes()
+
+        def fail(*args):
+            raise OSError(f"injected {call} failure")
+
+        monkeypatch.setattr(os, call, fail)
+        with pytest.raises(OSError, match=f"injected {call} failure"):
+            publish(target, '{"entries": []}\n')
+        monkeypatch.undo()
+        assert target.read_bytes() == before
+        assert load_manifest(target).label_of == manifest.label_of
 
 
 def _write_manifest(path, entries):

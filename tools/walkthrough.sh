@@ -12,6 +12,15 @@ export PYTHONPATH="$(cd "$(dirname "$0")/.." && pwd)/src${PYTHONPATH:+:$PYTHONPA
 hrrs() { python3 -m hrrs.cli "$@"; }
 mkdir -p "$1" && cd "$1"
 hrrs synth --classes 3 --per-class 20 --shape 6,6,32 --separation 8 --seed 42 --out ds
+# maps beyond float32's range fail before any write: the dataset is left whole
+cp ds/manifest.json manifest-before.json
+if hrrs synth --classes 3 --per-class 20 --shape 6,6,32 --separation 1e308 --seed 42 --out ds 2> resynth.err; then
+  echo "synth --separation 1e308 exited 0" >&2
+  exit 1
+fi
+grep -q '^error: .*float32 range' resynth.err
+cmp ds/manifest.json manifest-before.json
+rm resynth.err manifest-before.json
 hrrs codebook train --kind kmeans --k 8 --manifest ds/manifest.json --out cb
 hrrs encode --manifest ds/manifest.json --encoder vlad --model cb --out feats
 hrrs index build --features feats --manifest ds/manifest.json --out idx
@@ -72,3 +81,8 @@ rm "$(ls sweep-pca/cache/*.json | head -n 1)"
 hrrs sweep --config sweep-pca.json --out sweep-pca | tee sweep-pca-partial.log
 cmp sweep-pca/sweep.csv sweep-pca-cold.csv
 test "$(grep -c '^cache hit' sweep-pca-partial.log)" -eq 3
+# no publish leaves its temp file behind
+if [ -n "$(find . -name '*.tmp')" ]; then
+  find . -name '*.tmp' >&2
+  exit 1
+fi
