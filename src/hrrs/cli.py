@@ -587,8 +587,8 @@ def _dim_error(cell: dict, dim: int, exc: ValueError) -> CliError:
 
 
 def _check_dims(dims: list, cell: dict, spec: EncoderSpec, manifest: DatasetManifest, head):
-    """Reject a PCA dim above `max_axes` of a (kind, relu) pair's feature set before the pair's
-    fit and encode: the set has a row per entry, and `spec.size` needs no fit."""
+    """Reject a PCA dim above `max_axes` of a (kind, relu) pair's feature set before any pool,
+    fit or encode: the set has a row per entry, and `spec.size` needs no fit."""
     if None not in dims:  # `validate_config`'s dims are positive integers, or None alone
         entries = _split_entries(manifest, "all")
         size = spec.size(cell["k"], entries[0], head)
@@ -599,45 +599,25 @@ def _check_dims(dims: list, cell: dict, spec: EncoderSpec, manifest: DatasetMani
                 raise _dim_error(cell, dim, exc) from None
 
 
-def _sweep_model(models: dict, manifest: DatasetManifest, cell: dict, spec: EncoderSpec):
-    """A sweep cell's model: bovw, vlad and ifk share one k-means fit per (k, relu) in `models`,
-    and ifk runs EM from it. A pool is built only to fit, and dropped before the encode pass."""
-    if not spec.fit:
-        return models.get(spec.model_flag)  # the head, or None for fc_raw
-    k, relu, pool = cell["k"], cell["relu"], None
-    if (k, relu) not in models:
-        pool = _descriptor_pool(manifest, "all", relu)
-        try:
-            models[k, relu] = kmeans_fit(pool, k, seed=cell["seed"])
-        except ValueError as exc:
-            raise CliError(f"encoder.k {k} does not fit encoder {cell['kind']!r} "
-                           f"with relu={relu}: {exc}") from None
-    if spec.fit is not gmm_em:
-        return models[k, relu]
-    pool = _descriptor_pool(manifest, "all", relu) if pool is None else pool
-    return gmm_em(pool, models[k, relu], cell["seed"], MAX_ITER, TOL)
-
-
 def cmd_sweep(args) -> dict:
-    """Evaluate the config's axis product, caching each cell's row. A (kind, relu) pair looks up
-    all of its cells, then is fitted, encoded and PCA-decomposed once for all of its misses."""
+    """Evaluate the config's axis product, caching each cell's row. Every cell is looked up first.
+    Then each (k, relu) group builds one pool for its k-means fit and, if an ifk cell missed, EM;
+    and each (kind, relu) pair is encoded and PCA-decomposed once for all of its misses."""
     config_path, out_dir = Path(args.config), Path(args.out)
     cfg = validate_config(read_json(config_path, CliError))
     manifest_path = (config_path.parent / cfg["manifest"]).resolve()
     blob = manifest_path.read_bytes()  # one read: the cells key on the bytes that were parsed
     manifest = load_manifest(manifest_path, blob)
     manifest_sha = hashlib.sha256(blob).hexdigest()
-    # The run's models: the head under "head", and one k-means fit per (k, relu).
-    models = {}
-    head_key = None  # a head cell keys on its checkpoint's content, so retraining in place misses
+    head = head_key = None  # a head cell keys on its checkpoint's content: retraining it misses
     if any(ENCODERS[kind].model_flag == "head" for kind in cfg["kinds"]):
         checkpoint = (config_path.parent / cfg["head_checkpoint"]).resolve()
-        models["head"] = load_head(checkpoint)  # a malformed checkpoint fails here, naming its file
+        head = load_head(checkpoint)  # a malformed checkpoint fails here, naming its file
         head_key = f"sha256:{bundle_digest(checkpoint)}"
     cache_dir = Path(os.environ.get(CACHE_ENV_VAR) or out_dir / "cache")
     cache_dir.mkdir(parents=True, exist_ok=True)
     protocol = EvalProtocol(self_included=cfg["self_included"], k_list=cfg["k_list"])
-    rows = []
+    rows, misses = [], []  # misses: (pair, {dim: (its row's place in rows, its cache file)})
     for kind in cfg["kinds"]:
         spec = ENCODERS[kind]
         # A kind that reads no ReLU gets one relu-0 cell whatever the relu axis holds;
@@ -651,25 +631,44 @@ def cmd_sweep(args) -> dict:
                 "self_included": cfg["self_included"], "k_list": list(cfg["k_list"]),
                 "seed": cfg["seed"] if spec.fit else None,
             }
-            missed = {}  # dim -> (its row's place in rows, its cache file), for each missed cell
+            missed = {}
             for dim in cfg["dims"]:
                 cell = {**pair, "dim": dim}
                 cache_file = cache_dir / f"{_cell_key(cell, manifest_sha)}.json"
                 rows.append(_cached_row(cache_file, cell))
                 if rows[-1] is None:
                     missed[dim] = (len(rows) - 1, cache_file)
-            if missed:  # one fit, encode and PCA decomposition serve all of the pair's misses
-                _check_dims(cfg["dims"], pair, spec, manifest, models.get("head"))
-                model = _sweep_model(models, manifest, pair, spec)
-                fs = _encode_entries(manifest, "all", kind, use_relu, pair["alpha"], model)
-                for dim, report in _dim_reports(fs, fs.matrix, manifest, protocol, list(missed),
-                                                lambda dim, exc: _dim_error(pair, dim, exc)):
-                    at, cache_file = missed[dim]
-                    rows[at] = {"kind": kind, "relu": use_relu, "pca_dim": dim,
-                                "ANMRR": report.anmrr, "mAP": report.mean_ap,
-                                "P_at_k": {str(k): v for k, v in report.p_at_k.items()}}
-                    publish(cache_file, json.dumps(rows[at], indent=2) + "\n")
-                del fs  # not held through the next pair's fit and encode
+            if missed:  # every pair's dims are checked before the first pool is built
+                _check_dims(cfg["dims"], pair, spec, manifest, head)
+                misses.append((pair, missed))
+    fits = {}  # (k, relu) -> its k-means fit, and the GMM that EM fits from it if an ifk cell missed
+    em_groups = {(p["k"], p["relu"]) for p, _ in misses if ENCODERS[p["kind"]].fit is gmm_em}
+    for pair, missed in misses:
+        kind, use_relu, group = pair["kind"], pair["relu"], (pair["k"], pair["relu"])
+        spec = ENCODERS[kind]
+        model = head if spec.model_flag == "head" else None
+        if spec.fit and group not in fits:  # the group's one pool, dropped before the encode
+            pool = _descriptor_pool(manifest, "all", use_relu)
+            try:
+                codebook = kmeans_fit(pool, pair["k"], seed=pair["seed"])
+            except ValueError as exc:
+                raise CliError(f"encoder.k {pair['k']} does not fit encoder {kind!r} "
+                               f"with relu={use_relu}: {exc}") from None
+            gmm = gmm_em(pool, codebook, pair["seed"], MAX_ITER, TOL) if group in em_groups else None
+            fits[group] = codebook, gmm
+            del pool
+        if spec.fit:
+            codebook, gmm = fits[group]
+            model = gmm if spec.fit is gmm_em else codebook
+        fs = _encode_entries(manifest, "all", kind, use_relu, pair["alpha"], model)
+        for dim, report in _dim_reports(fs, fs.matrix, manifest, protocol, list(missed),
+                                        lambda dim, exc: _dim_error(pair, dim, exc)):
+            at, cache_file = missed[dim]
+            rows[at] = {"kind": kind, "relu": use_relu, "pca_dim": dim,
+                        "ANMRR": report.anmrr, "mAP": report.mean_ap,
+                        "P_at_k": {str(k): v for k, v in report.p_at_k.items()}}
+            publish(cache_file, json.dumps(rows[at], indent=2) + "\n")
+        del fs  # not held through the next pair's fit and encode
     out_csv = out_dir / "sweep.csv"
     write_scores(out_csv, ["kind", "relu", "pca_dim", "ANMRR", "mAP"], cfg["k_list"], (
         ([row["kind"], int(row["relu"]), row["pca_dim"]],  # pca_dim None -> ""

@@ -777,18 +777,32 @@ def test_sweep_fits_one_codebook_for_bovw_and_vlad(dataset, tmp_path, sweep_call
 
 
 def test_sweep_fits_one_kmeans_for_bovw_vlad_and_ifk(dataset, tmp_path, monkeypatch, sweep_calls):
-    """ifk's EM starts from the k-means fit that bovw and vlad use: one fit per relu value, and
-    the cache entries and rows of one sweep per kind. ifk builds its pool again for EM."""
-    fits = {"kmeans_fit": 0, "_kmeans_pp_init": 0}  # every k-means fit seeds once
-    for module, name in ((cli, "kmeans_fit"), (codebooks, "_kmeans_pp_init")):
+    """ifk's EM starts from the k-means fit that bovw and vlad use, on the same pool: one pool and
+    one fit per relu value, EM only for a relu value whose ifk cells missed, and the cache entries
+    and rows of one sweep per kind."""
+    fits = {"kmeans_fit": 0, "_kmeans_pp_init": 0, "gmm_em": 0}  # every k-means fit seeds once
+    for module, name in ((cli, "kmeans_fit"), (codebooks, "_kmeans_pp_init"), (cli, "gmm_em")):
         def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
             fits[_name] += 1
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    every, every_rows = _sweep_k3(dataset, tmp_path, ["bovw", "vlad", "ifk"], tmp_path / "every")
-    assert fits == {"kmeans_fit": 2, "_kmeans_pp_init": 2}
-    assert sweep_calls == {"_descriptor_pool": 4, "_encode_entries": 6, "load_head": 0}
+    monkeypatch.setitem(cli.ENCODERS, "ifk", ENCODERS["ifk"]._replace(fit=cli.gmm_em))
+    kinds, out = ["bovw", "vlad", "ifk"], tmp_path / "every"
+    every, every_rows = _sweep_k3(dataset, tmp_path, kinds, out)
+    assert fits == {"kmeans_fit": 2, "_kmeans_pp_init": 2, "gmm_em": 2}
+    assert sweep_calls == {"_descriptor_pool": 2, "_encode_entries": 6, "load_head": 0}
+    # Deleted entries of one kind: its relu values' pools and fits are rebuilt, and EM reruns
+    # only for ifk's misses.
+    for kind, em in (("bovw", 0), ("ifk", 2)):
+        for name, body in every.items():
+            if json.loads(body)["kind"] == kind:
+                (out / "cache" / name).unlink()
+        fits.update(dict.fromkeys(fits, 0))
+        sweep_calls.update(dict.fromkeys(sweep_calls, 0))
+        assert _sweep_k3(dataset, tmp_path, kinds, out) == (every, every_rows)
+        assert fits == {"kmeans_fit": 2, "_kmeans_pp_init": 2, "gmm_em": em}
+        assert sweep_calls == {"_descriptor_pool": 2, "_encode_entries": 2, "load_head": 0}
     apart, apart_rows = {}, []
     for kind in ("bovw", "vlad", "ifk"):
         bodies, rows = _sweep_k3(dataset, tmp_path, kind, tmp_path / kind)
@@ -943,14 +957,20 @@ def test_sweep_names_the_cell_of_a_pca_dim_too_large(dataset, tmp_path, capsys):
     assert capsys.readouterr().out.count("cache hit") == 0
 
 
-@pytest.mark.parametrize("kind, k, size", [
-    ("bovw", 16, 16), ("vlad", 2, 6), ("ifk", 2, 12), ("fc_raw", None, 12), ("ldcnn", None, 3),
+@pytest.mark.parametrize("kinds, k, dims, size", [
+    pytest.param(["bovw"], 16, [16, 64], 16, id="bovw-16-16"),
+    pytest.param(["vlad"], 2, [6, 64], 6, id="vlad-2-6"),
+    pytest.param(["ifk"], 2, [12, 64], 12, id="ifk-2-12"),
+    pytest.param(["fc_raw"], None, [12, 64], 12, id="fc_raw-None-12"),
+    pytest.param(["ldcnn"], None, [3, 64], 3, id="ldcnn-None-3"),
+    # 8 fits vlad's 9 but not bovw's 3: bovw's dims fail before vlad's pool is built
+    pytest.param(["vlad", "bovw"], 3, [2, 8], 3, id="vlad-bovw-3-3"),
 ])
 def test_sweep_rejects_a_pca_dim_too_large_before_fitting(tmp_path, capsys, sweep_calls,
-                                                          monkeypatch, kind, k, size):
-    """Each kind's dimension, known without a fit, bounds its dims before any fit or encode.
-    On 30 maps of 2x2x3 it is below N - 1 = 29: bovw k, vlad k*3, ifk 2*k*3, fc_raw 2*2*3 and
-    ldcnn the head's 3 classes."""
+                                                          monkeypatch, kinds, k, dims, size):
+    """Each kind's dimension, known without a fit, bounds every pair's dims before any pool, fit
+    or encode. On 30 maps of 2x2x3 it is below N - 1 = 29: bovw k, vlad k*3, ifk 2*k*3, fc_raw
+    2*2*3 and ldcnn the head's 3 classes. The last kind rejects the last dim."""
     dataset = tmp_path / "ds"
     assert run("synth", "--classes", 3, "--per-class", 10, "--shape", "2,2,3",
                "--separation", 6.0, "--seed", 5, "--out", dataset) == 0
@@ -965,18 +985,20 @@ def test_sweep_rejects_a_pca_dim_too_large_before_fitting(tmp_path, capsys, swee
     monkeypatch.setattr(cli, "kmeans_fit", counted)
     config = {
         "dataset": {"manifest": str(dataset)},
-        "encoder": {"kind": kind, **({"k": k} if k else {})},
+        "encoder": {"kind": kinds, **({"k": k} if k else {})},
         "head": {"checkpoint": str(tmp_path / "head")},
-        "pca": {"dims": [size, 64]},
+        "pca": {"dims": dims},
     }
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
     capsys.readouterr()
     assert run("sweep", "--config", path, "--out", tmp_path / "sweep") == 1
-    assert capsys.readouterr().err == (f"error: pca.dims entry 64 does not fit encoder {kind!r} "
-                                       f"with relu=False: d must lie in [1, {size}], got 64\n")
+    assert capsys.readouterr().err == (f"error: pca.dims entry {dims[-1]} does not fit encoder "
+                                       f"{kinds[-1]!r} with relu=False: d must lie in [1, {size}], "
+                                       f"got {dims[-1]}\n")
     assert fits["kmeans_fit"] == sweep_calls["_encode_entries"] == 0
     assert sweep_calls["_descriptor_pool"] == 0
+    assert not list((tmp_path / "sweep" / "cache").iterdir())
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -81,6 +81,18 @@ rm "$(ls sweep-pca/cache/*.json | head -n 1)"
 hrrs sweep --config sweep-pca.json --out sweep-pca | tee sweep-pca-partial.log
 cmp sweep-pca/sweep.csv sweep-pca-cold.csv
 test "$(grep -c '^cache hit' sweep-pca-partial.log)" -eq 3
+# one descriptor pool per (k, relu) serves k-means and, while an ifk cell misses, EM
+echo '{"dataset": {"manifest": "ds/manifest.json"}, "encoder": {"kind": ["bovw", "vlad", "ifk"], "k": 8, "relu": [false, true]}, "pca": {"dims": [2, 4]}}' > sweep-groups.json
+hrrs sweep --config sweep-groups.json --out sweep-groups
+test "$(wc -l < sweep-groups/sweep.csv)" -eq 13
+cp sweep-groups/sweep.csv sweep-groups-cold.csv
+hrrs sweep --config sweep-groups.json --out sweep-groups | tee sweep-groups-warm.log
+cmp sweep-groups/sweep.csv sweep-groups-cold.csv
+test "$(grep -c '^cache hit' sweep-groups-warm.log)" -eq 12
+rm "$(grep -l '"kind": "ifk"' sweep-groups/cache/*.json | head -n 1)"
+hrrs sweep --config sweep-groups.json --out sweep-groups | tee sweep-groups-partial.log
+cmp sweep-groups/sweep.csv sweep-groups-cold.csv
+test "$(grep -c '^cache hit' sweep-groups-partial.log)" -eq 11
 # no publish leaves its temp file behind
 if [ -n "$(find . -name '*.tmp')" ]; then
   find . -name '*.tmp' >&2
